@@ -36,6 +36,7 @@ __all__ = [
     "identity_transform",
     "massless_boost_transform",
     "massive_boost_transform",
+    "boost_column",
     "phase_rotation",
     "compose",
     "inverse",
@@ -127,6 +128,50 @@ def identity_transform(n_max: int, h_value: float = 1.0) -> PerturbativeTransfor
     )
 
 
+def _massless_entries(mm, nn):
+    """First-order massless boost entries for broadcastable mode indices."""
+    diff = mm - nn
+    odd = diff % 2 != 0
+    root = np.sqrt((mm * nn).astype(float))
+    pi2 = math.pi**2
+    safe_diff = np.where(odd, diff, 1).astype(float)
+    total = (mm + nn).astype(float)
+    # Cubes of integers by multiplication: the square is exact, so each cube
+    # is rounded once, and for n_max up to 2e4 it equals ** 3 bit for bit at
+    # a tenth of the cost.
+    alpha1 = np.where(odd, -2.0 * root / (pi2 * (safe_diff * safe_diff * safe_diff)), 0.0)
+    beta1 = np.where(odd, 2.0 * root / (pi2 * (total * total * total)), 0.0)
+    return alpha1, beta1
+
+
+def _massive_quartic(idx, M: float) -> np.ndarray:
+    """(M**2 + pi**2 n**2)**(1/4) for the mode indices idx."""
+    return (M * M + math.pi**2 * idx.astype(float) ** 2) ** 0.25
+
+
+def _massive_entries(mm, nn, qm, qn, M: float):
+    """First-order massive boost entries for broadcastable mode indices mm,
+    nn and their quartic roots qm, qn."""
+    odd = (mm - nn) % 2 != 0
+    pi2 = math.pi**2
+    pi4 = math.pi**4
+    m2 = (mm * mm).astype(float)
+    n2 = (nn * nn).astype(float)
+    # cube in float: the integer cube overflows 64 bits near n_max ~ 2000
+    cube = np.where(odd, m2 - n2, 1.0) ** 3
+    common = np.where(odd, -4.0 * (mm * nn).astype(float) / (pi4 * cube), 0.0)
+    ssum = common * (pi2 * (n2 + 3.0 * m2) + 4.0 * M * M) * qn / qm
+    sdiff = common * (pi2 * (m2 + 3.0 * n2) + 4.0 * M * M) * qm / qn
+    return 0.5 * (ssum + sdiff), 0.5 * (ssum - sdiff)
+
+
+def _check_boost_args(n_max: int, M: float) -> None:
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    if M < 0:
+        raise ValueError(f"M must be non-negative, got {M}")
+
+
 def massless_boost_transform(n_max: int) -> PerturbativeTransform:
     """Inertial-to-accelerated mode change for the massless field, per unit h.
 
@@ -138,20 +183,11 @@ def massless_boost_transform(n_max: int) -> PerturbativeTransform:
     so alpha1 is real antisymmetric and beta1 real symmetric.  The known
     second-order diagonal is alpha2_diag[n] = -pi**2 n**2 / 240.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    _check_boost_args(n_max, 0.0)
     idx = np.arange(1, n_max + 1)
-    mm = idx[:, None]
-    nn = idx[None, :]
-    diff = mm - nn
-    odd = diff % 2 != 0
-    root = np.sqrt((mm * nn).astype(float))
-    pi2 = math.pi**2
-    safe_diff = np.where(odd, diff, 1).astype(float)
-    alpha1 = np.where(odd, -2.0 * root / (pi2 * safe_diff**3), 0.0)
-    beta1 = np.where(odd, 2.0 * root / (pi2 * (mm + nn).astype(float) ** 3), 0.0)
+    alpha1, beta1 = _massless_entries(idx[:, None], idx[None, :])
     nf = idx.astype(float)
-    alpha2_diag = -(pi2 / 240.0) * nf**2
+    alpha2_diag = -(math.pi**2 / 240.0) * nf**2
     return PerturbativeTransform(
         np.ones(n_max, dtype=complex), alpha1, beta1, alpha2_diag, 1.0
     )
@@ -172,28 +208,14 @@ def massive_boost_transform(n_max: int, M: float) -> PerturbativeTransform:
     inverted for the difference, which keeps alpha1 antisymmetric and beta1
     symmetric.  The diagonal of beta is second order and not tracked.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    if M < 0:
-        raise ValueError(f"M must be non-negative, got {M}")
+    _check_boost_args(n_max, M)
     idx = np.arange(1, n_max + 1)
-    mm = idx[:, None]
-    nn = idx[None, :]
-    odd = (mm - nn) % 2 != 0
+    quart = _massive_quartic(idx, M)
+    alpha1, beta1 = _massive_entries(
+        idx[:, None], idx[None, :], quart[:, None], quart[None, :], M
+    )
     pi2 = math.pi**2
     pi4 = math.pi**4
-    m2 = (mm * mm).astype(float)
-    n2 = (nn * nn).astype(float)
-    # cube in float: the integer cube overflows 64 bits near n_max ~ 2000
-    cube = np.where(odd, m2 - n2, 1.0) ** 3
-    quart = (M * M + pi2 * idx.astype(float) ** 2) ** 0.25
-    qm = quart[:, None]
-    qn = quart[None, :]
-    common = np.where(odd, -4.0 * (mm * nn).astype(float) / (pi4 * cube), 0.0)
-    ssum = common * (pi2 * (n2 + 3.0 * m2) + 4.0 * M * M) * qn / qm
-    sdiff = common * (pi2 * (m2 + 3.0 * n2) + 4.0 * M * M) * qm / qn
-    alpha1 = 0.5 * (ssum + sdiff)
-    beta1 = 0.5 * (ssum - sdiff)
     nf = idx.astype(float)
     M2 = M * M
     # The closing M**4 term is forced by the first identity at second order:
@@ -209,6 +231,24 @@ def massive_boost_transform(n_max: int, M: float) -> PerturbativeTransform:
     return PerturbativeTransform(
         np.ones(n_max, dtype=complex), alpha1, beta1, alpha2_diag, 1.0
     )
+
+
+def boost_column(n_max: int, k: int, M: float = 0.0):
+    """Column k of the first-order boost blocks, per unit h.
+
+    Returns the real vectors (alpha1[:, k-1], beta1[:, k-1]) of
+    massless_boost_transform (M = 0) or massive_boost_transform (M > 0),
+    evaluated from the same entry formulas in O(n_max) without the
+    n_max x n_max blocks.
+    """
+    _check_boost_args(n_max, M)
+    if not 1 <= k <= n_max:
+        raise ValueError(f"k must satisfy 1 <= k <= n_max = {n_max}, got {k}")
+    idx = np.arange(1, n_max + 1)
+    if M == 0:
+        return _massless_entries(idx, idx[k - 1])
+    quart = _massive_quartic(idx, M)
+    return _massive_entries(idx, idx[k - 1], quart, quart[k - 1], M)
 
 
 def phase_rotation(

@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="custom trajectory, e.g. acc:+1:0.7,in:1.2,acc:-1:0.7",
     )
     p.add_argument("--out", help="output CSV path")
-    p.add_argument("--workers", type=int, help="worker pool size")
     p.add_argument("--verify", choices=["fast", "full"], help="run invariant suite")
     p.add_argument(
         "--estimate",
@@ -85,15 +84,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_segments(text: str):
     """Parse a custom trajectory: comma list of acc:SIGN:DURATION and
-    in:DURATION entries, executed left to right."""
+    in:DURATION entries, executed left to right.  SIGN must be exactly +1 or
+    -1."""
     segments = []
     for chunk in text.split(","):
         parts = chunk.strip().split(":")
         kind = parts[0].strip().lower()
         try:
             if kind in ("acc", "accelerated") and len(parts) == 3:
-                sign = int(parse_number(parts[1]))
-                segments.append(Accelerated(sign, parse_number(parts[2])))
+                sign = parse_number(parts[1])
+                if sign not in (-1.0, 1.0):
+                    raise ValueError(sign)
+                segments.append(Accelerated(int(sign), parse_number(parts[2])))
             elif kind in ("in", "inertial") and len(parts) == 2:
                 segments.append(Inertial(parse_number(parts[1])))
             else:
@@ -141,8 +143,6 @@ def read_config(path: str) -> dict:
             settings[key] = value
         elif key in ("out", "output"):
             settings["out"] = value
-        elif key == "workers":
-            settings["workers"] = int(value)
         elif key == "segments":
             settings["segments"] = parse_segments(value)
         elif key == "k_list":
@@ -167,13 +167,12 @@ def _build_spec(args, settings: dict) -> SweepSpec:
     if args.segments:
         segments = parse_segments(args.segments)
     mode = args.mode or settings.get("mode") or "closed-form"
-    workers = args.workers or settings.get("workers") or 1
     out = args.out or settings.get("out")
     preset = args.preset or settings.get("preset")
     scenario = args.scenario or settings.get("scenario")
     if preset:
         stem = preset
-        overrides: dict = {"mode": mode, "workers": workers}
+        overrides: dict = {"mode": mode}
         if fixed:
             overrides["fixed"] = fixed
         if args.axis or settings.get("axes"):
@@ -194,7 +193,6 @@ def _build_spec(args, settings: dict) -> SweepSpec:
             mode=mode,
             k_list=settings.get("k_list"),
             segments=segments,
-            workers=workers,
         )
     from dataclasses import replace
 

@@ -8,21 +8,22 @@ boost back, so the cavity starts and ends each segment in an inertial frame.
 A kickstart scenario drops the final boost back, describing a trajectory that
 ends while still accelerating.
 
-The end-to-end transform of a scenario feeds the second-order negativity: for
-an excitation in mode k,
+The second-order negativity of a scenario reads column k of the end-to-end
+transform only: for an excitation in mode k,
 
     negativity = 1/2 - h**2 * sum_{n != k} (|alpha1[n, k]|**2 / 2
                                             + |beta1[n, k]|**2)
 
 where the sum, the scaled deficit, is independent of h because the transform
-blocks are stored per unit h.
+blocks are stored per unit h.  scenario_negativity carries that column
+through the segments in O(n_max) each; effective_transform composes the full
+n_max x n_max blocks and, through negativity_general, is the reference the
+column path is checked against.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Union
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from .bogoliubov import (
     PerturbativeTransform,
+    boost_column,
     compose,
     identity_transform,
     massive_boost_transform,
@@ -55,9 +57,17 @@ __all__ = [
 ]
 
 
+def _check_duration(duration: float) -> None:
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration}")
+    if duration < 0:
+        raise ValueError(f"duration must be non-negative, got {duration}")
+
+
 @dataclass(frozen=True)
 class Accelerated:
-    """Uniformly accelerated stretch: sign +1 or -1, proper duration >= 0."""
+    """Uniformly accelerated stretch: sign +1 or -1, finite proper duration
+    >= 0."""
 
     sign: int
     duration: float
@@ -65,19 +75,17 @@ class Accelerated:
     def __post_init__(self) -> None:
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.duration < 0:
-            raise ValueError(f"duration must be non-negative, got {self.duration}")
+        _check_duration(self.duration)
 
 
 @dataclass(frozen=True)
 class Inertial:
-    """Inertial coast with proper duration >= 0."""
+    """Inertial coast with finite proper duration >= 0."""
 
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"duration must be non-negative, got {self.duration}")
+        _check_duration(self.duration)
 
 
 TrajectorySegment = Union[Accelerated, Inertial]
@@ -140,58 +148,13 @@ class NegativityResult:
         )
 
 
-# Boost blocks and per-segment transforms are pure functions of a handful of
-# scalars, and sweeps revisit the same values constantly; small keyed caches
-# keep the big matrices alive across calls without unbounded growth.
-_BOOST_CACHE: OrderedDict = OrderedDict()
-_BOOST_LOCK = threading.Lock()
-_SEGMENT_CACHE: OrderedDict = OrderedDict()
-_SEGMENT_LOCK = threading.Lock()
-_BOOST_CACHE_SIZE = 4
-_SEGMENT_CACHE_SIZE = 8
-
-
-def _cache_get(cache, lock, key):
-    with lock:
-        if key in cache:
-            cache.move_to_end(key)
-            return cache[key]
-    return None
-
-
-def _cache_put(cache, lock, key, value, size):
-    with lock:
-        cache[key] = value
-        cache.move_to_end(key)
-        while len(cache) > size:
-            cache.popitem(last=False)
-
-
-def clear_caches() -> None:
-    """Drop cached boost blocks and segment transforms (mostly for tests)."""
-    with _BOOST_LOCK:
-        _BOOST_CACHE.clear()
-    with _SEGMENT_LOCK:
-        _SEGMENT_CACHE.clear()
-
-
 def _boost_blocks(n_max: int, M: float):
-    key = (n_max, M)
-    hit = _cache_get(_BOOST_CACHE, _BOOST_LOCK, key)
-    if hit is not None:
-        return hit
     boost = (
         massless_boost_transform(n_max)
         if M == 0
         else massive_boost_transform(n_max, M)
     )
-    alpha_sq = np.real(boost.alpha1) ** 2
-    beta_sq = np.real(boost.beta1) ** 2
-    alpha_sq.setflags(write=False)
-    beta_sq.setflags(write=False)
-    value = (boost, alpha_sq, beta_sq)
-    _cache_put(_BOOST_CACHE, _BOOST_LOCK, key, value, _BOOST_CACHE_SIZE)
-    return value
+    return boost, np.real(boost.alpha1) ** 2, np.real(boost.beta1) ** 2
 
 
 def _inertial_frequencies(cfg: CavityConfig) -> np.ndarray:
@@ -210,13 +173,9 @@ def _accelerated_frequencies(cfg: CavityConfig) -> np.ndarray:
 
 
 def _accelerated_segment(
-    cfg: CavityConfig, sign: int, duration: float, open_ended: bool
+    blocks, cfg: CavityConfig, sign: int, duration: float, open_ended: bool
 ) -> PerturbativeTransform:
-    key = (cfg.n_max, cfg.M, cfg.delta, cfg.h, sign, duration, open_ended)
-    hit = _cache_get(_SEGMENT_CACHE, _SEGMENT_LOCK, key)
-    if hit is not None:
-        return hit
-    boost, alpha_sq, beta_sq = _boost_blocks(cfg.n_max, cfg.M)
+    boost, alpha_sq, beta_sq = blocks
     z = np.exp(1j * _accelerated_frequencies(cfg) * duration)
     if open_ended:
         # boost then accelerated-frame evolution, no boost back
@@ -234,9 +193,7 @@ def _accelerated_segment(
             + np.einsum("mn,m->n", alpha_sq, z)
             - np.einsum("mn,m->n", beta_sq, np.conj(z))
         )
-    out = PerturbativeTransform(z, alpha1, beta1, alpha2, 1.0)
-    _cache_put(_SEGMENT_CACHE, _SEGMENT_LOCK, key, out, _SEGMENT_CACHE_SIZE)
-    return out
+    return PerturbativeTransform(z, alpha1, beta1, alpha2, 1.0)
 
 
 def _apply_phase(phases: np.ndarray, t: PerturbativeTransform) -> PerturbativeTransform:
@@ -253,15 +210,17 @@ def _apply_phase(phases: np.ndarray, t: PerturbativeTransform) -> PerturbativeTr
 
 
 def effective_transform(s: Scenario) -> PerturbativeTransform:
-    """End-to-end transform of a scenario, per unit h.
+    """End-to-end transform of a scenario, per unit h, as full matrices.
 
     Accelerated segments contribute boost, accelerated-frame phases, inverse
     boost (the inverse omitted only for the kickstart tail); inertial
     segments contribute inertial phases.  Segments compose in trajectory
-    order.  An empty scenario gives the identity.
+    order.  An empty scenario gives the identity.  This is the O(n_max**2)
+    reference that scenario_negativity is checked against.
     """
     cfg = s.cfg
     total = None
+    blocks = None
     last = len(s.segments) - 1
     for i, seg in enumerate(s.segments):
         if isinstance(seg, Inertial):
@@ -271,13 +230,38 @@ def effective_transform(s: Scenario) -> PerturbativeTransform:
             else:
                 total = _apply_phase(phases, total)
             continue
+        if blocks is None:
+            blocks = _boost_blocks(cfg.n_max, cfg.M)
         t = _accelerated_segment(
-            cfg, seg.sign, seg.duration, open_ended=(s.kickstart and i == last)
+            blocks, cfg, seg.sign, seg.duration, open_ended=(s.kickstart and i == last)
         )
         total = t if total is None else compose(t, total)
     if total is None:
         return identity_transform(cfg.n_max)
     return total
+
+
+def _check_column(k: int, n_max: int) -> None:
+    if not 1 <= k <= n_max // 2:
+        raise ValueError(
+            f"k must satisfy 1 <= k <= n_max/2 = {n_max // 2}, got {k}"
+        )
+
+
+def _column_result(
+    acol: np.ndarray, bcol: np.ndarray, k: int, h: float, M: float
+) -> NegativityResult:
+    """Deficit and truncation tail from column k of alpha1 and beta1."""
+    n_max = acol.size
+    w = 0.5 * np.abs(acol) ** 2 + np.abs(bcol) ** 2
+    deficit = float(w.sum() - w[k - 1])
+    # Entries fall off like m**-5, so the neglected sum is roughly the local
+    # mean times n_max/4; averaging a block of rows irons out interference
+    # phases and parity blanks, and the factor 3 absorbs their drift.
+    block = w[-min(20, n_max):]
+    tail = float(3.0 * np.mean(block) * n_max / 4.0)
+    validity = ValidityReport.from_parameters(k, h, M)
+    return NegativityResult.from_deficit(deficit, h, k, validity, tail)
 
 
 def negativity_general(
@@ -289,27 +273,55 @@ def negativity_general(
     of the transform; k must stay at or below n_max / 2 so the truncated sum
     retains headroom.  M only feeds the validity flags.
     """
-    n_max = t.n_max
-    if not 1 <= k <= n_max // 2:
-        raise ValueError(
-            f"k must satisfy 1 <= k <= n_max/2 = {n_max // 2}, got {k}"
-        )
-    acol = np.abs(t.alpha1[:, k - 1]) ** 2
-    bcol = np.abs(t.beta1[:, k - 1]) ** 2
-    w = 0.5 * acol + bcol
-    deficit = float(w.sum() - w[k - 1])
-    # Entries fall off like m**-5, so the neglected sum is roughly the local
-    # mean times n_max/4; averaging a block of rows irons out interference
-    # phases and parity blanks, and the factor 3 absorbs their drift.
-    block = w[-min(20, n_max):]
-    tail = float(3.0 * np.mean(block) * n_max / 4.0)
-    validity = ValidityReport.from_parameters(k, h, M)
-    return NegativityResult.from_deficit(deficit, h, k, validity, tail)
+    _check_column(k, t.n_max)
+    return _column_result(t.alpha1[:, k - 1], t.beta1[:, k - 1], k, h, M)
 
 
 def scenario_negativity(s: Scenario) -> NegativityResult:
-    """Convenience wrapper: effective transform plus column sum in one call."""
-    return negativity_general(effective_transform(s), s.cfg.k, s.cfg.h, s.cfg.M)
+    """Second-order negativity of a scenario from column k alone.
+
+    Equals negativity_general(effective_transform(s), k, h, M) but carries
+    only column k of alpha1 and beta1 through the segments, in O(n_max) per
+    segment.  At first order column k of a composition needs column k of
+    each factor and the order-0 phase z_k of the earlier one:
+
+        accelerated:  sign alpha1[:, k] (z - z_k), sign beta1[:, k] (z - conj z_k)
+        kickstart tail:  sign z alpha1[:, k], sign z beta1[:, k]
+        compose:  a <- z a + a_seg Z_k,  b <- z b + b_seg conj(Z_k)
+
+    with z the segment's phases and Z the running order-0 phases.
+    """
+    cfg = s.cfg
+    k = cfg.k
+    _check_column(k, cfg.n_max)
+    a = np.zeros(cfg.n_max, dtype=complex)
+    b = np.zeros(cfg.n_max, dtype=complex)
+    # The running order-0 phases stay a vector although only Z_k is read:
+    # numpy's scalar complex product rounds differently from its array
+    # loops, and the vector keeps the result bit-identical to the matrices.
+    Z = np.ones(cfg.n_max, dtype=complex)
+    column = None
+    last = len(s.segments) - 1
+    for i, seg in enumerate(s.segments):
+        if isinstance(seg, Inertial):
+            phases = np.exp(1j * _inertial_frequencies(cfg) * seg.duration)
+            a = phases * a
+            b = phases * b
+            Z = phases * Z
+            continue
+        if column is None:
+            column = boost_column(cfg.n_max, k, cfg.M)
+        z = np.exp(1j * _accelerated_frequencies(cfg) * seg.duration)
+        if s.kickstart and i == last:
+            a_seg = seg.sign * z * column[0]
+            b_seg = seg.sign * z * column[1]
+        else:
+            a_seg = seg.sign * column[0] * (z - z[k - 1])
+            b_seg = seg.sign * column[1] * (z - np.conj(z[k - 1]))
+        a = z * a + a_seg * Z[k - 1]
+        b = z * b + b_seg * np.conj(Z[k - 1])
+        Z = z * Z
+    return _column_result(a, b, k, cfg.h, cfg.M)
 
 
 def log_negativity(result: NegativityResult) -> float:

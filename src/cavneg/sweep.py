@@ -14,15 +14,13 @@ the conventional heavy-field normalization).
 
 Re-running a sweep with the same spec yields a byte-identical file: values
 are written in shortest round-trip decimal form, comma separated, newline
-terminated, UTF-8, rows in lexicographic axis order.  Worker count changes
-scheduling only, never results.
+terminated, UTF-8, rows in lexicographic axis order.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,10 +39,9 @@ from .scenario import (
     Scenario,
     alpha_centauri_scenario,
     kickstart_scenario,
-    negativity_general,
-    effective_transform,
     one_way_scenario,
     round_trip_scenario,
+    scenario_negativity,
 )
 from .spectrum import CavityConfig, ValidityReport, rindler_frequency
 
@@ -61,7 +58,6 @@ class NumericValidityError(ArithmeticError):
 __all__ = [
     "Axis",
     "SweepSpec",
-    "SweepRow",
     "ConfigError",
     "NumericValidityError",
     "PRESETS",
@@ -109,8 +105,9 @@ _DEFAULT_FIXED = {
 
 
 def parse_number(text: str) -> float:
-    """Parse a decimal literal that may carry a pi token: ``pi``, ``2pi``,
-    ``2*pi``, ``pi/3``, ``-2pi/3`` and plain floats are all accepted."""
+    """Parse a finite decimal literal that may carry a pi token: ``pi``,
+    ``2pi``, ``2*pi``, ``pi/3``, ``-2pi/3`` and plain floats are all
+    accepted; nan and inf are not."""
     s = str(text).strip().lower().replace(" ", "")
     if not s:
         raise ConfigError("empty number")
@@ -128,10 +125,14 @@ def parse_number(text: str) -> float:
                 if not post.startswith("/") or len(post) < 2:
                     raise ValueError(post)
                 div = float(post[1:])
-            return sign * mult * math.pi / div
-        return sign * float(s)
-    except ValueError:
+            value = sign * mult * math.pi / div
+        else:
+            value = sign * float(s)
+    except (ValueError, ZeroDivisionError):
         raise ConfigError(f"cannot parse number {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"number must be finite, got {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -176,11 +177,11 @@ class SweepSpec:
     axes: up to three distinct Axis entries; row order follows their order.
     fixed: overrides for {k, h, M, delta, n_max, r_max} and constant values
         of unswept phase coordinates {u, v, w}.
-    mode: closed-form | general | both.
+    mode: closed-form | general | both; general evaluates each grid point
+        with the column engine (scenario_negativity).
     output: CSV path, or None to skip writing.
     k_list: optional multi-curve override of the fixed k (one block per k).
     segments: trajectory for scenario=custom.
-    workers: worker pool bound for the per-point pipeline modes.
     """
 
     scenario: str
@@ -190,7 +191,6 @@ class SweepSpec:
     output: str | None = None
     k_list: tuple | None = None
     segments: tuple | None = None
-    workers: int = 1
 
 
 def _validated(spec: SweepSpec) -> dict:
@@ -247,8 +247,6 @@ def _validated(spec: SweepSpec) -> dict:
         params["k_list"] = ks
     else:
         params["k_list"] = (params["k"],)
-    if spec.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {spec.workers}")
     return params
 
 
@@ -324,7 +322,7 @@ def _closed_grid(spec: SweepSpec, params: dict, coords: dict, k: int):
 
 
 def _general_grid(spec: SweepSpec, params: dict, coords: dict, k: int):
-    """Per-point pipeline deficits; workers parallelize scheduling only."""
+    """Column-engine deficit at every grid point, plus the largest tail."""
     cfg = CavityConfig(
         delta=params["delta"],
         M=params["M"],
@@ -335,21 +333,14 @@ def _general_grid(spec: SweepSpec, params: dict, coords: dict, k: int):
     u = np.atleast_1d(coords["u"]).ravel()
     v = np.atleast_1d(coords["v"]).ravel()
     w = np.atleast_1d(coords["w"]).ravel()
-    shape = coords["u"].shape
-
-    def point(i: int):
-        s = _build_scenario(spec.scenario, u[i], v[i], w[i], cfg, spec.segments)
-        res = negativity_general(effective_transform(s), k, cfg.h, cfg.M)
-        return res.deficit_scaled, res.truncation_tail
-
-    npoints = u.size
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(point, range(npoints)))
-    else:
-        results = [point(i) for i in range(npoints)]
-    deficit = np.array([r[0] for r in results]).reshape(shape)
-    tail = max((r[1] for r in results), default=0.0)
+    results = [
+        scenario_negativity(
+            _build_scenario(spec.scenario, u[i], v[i], w[i], cfg, spec.segments)
+        )
+        for i in range(u.size)
+    ]
+    deficit = np.array([r.deficit_scaled for r in results]).reshape(coords["u"].shape)
+    tail = max((r.truncation_tail for r in results), default=0.0)
     return deficit, tail
 
 
@@ -359,26 +350,6 @@ def _format_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One CSV row; negativity always equals 1/2 - h**2 deficit_scaled."""
-
-    scenario: str
-    k: int
-    h: float
-    M: float
-    u: float
-    v: float
-    w: float
-    deficit_scaled: float
-    negativity: float
-    log_negativity: float
-    method: str
-    truncation_tail: float
-    deficit_general: float | None = None
-    abs_difference: float | None = None
 
 
 def run_sweep(spec: SweepSpec) -> str:

@@ -3,8 +3,9 @@
 The fast level runs the cheap invariants (identities at moderate cutoff,
 cross-checks at a handful of phase points).  The full level raises the cutoff
 to 2000, adds doubling convergence, widens the phase grids to 64 points and
-covers the heavy-field masses.  Both levels finish on one machine; fast in
-seconds, full in about a minute.
+covers the heavy-field masses.  Both levels check the column engine against
+the closed forms and against the full-matrix reference.  On a 2-core machine
+fast takes about a second and full about four.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .scenario import (
     negativity_general,
     one_way_scenario,
     round_trip_scenario,
+    scenario_negativity,
 )
 from .spectrum import acceleration_period, rindler_frequency
 
@@ -203,41 +205,62 @@ def _pipeline_checks(n_max: int, npoints: int, ks) -> list:
     us = np.linspace(0.15, 2.0 * math.pi - 0.15, npoints)
     vs = np.roll(us, max(1, npoints // 3))
     ws = np.roll(us, max(2, 2 * npoints // 3))
+    p, pp, ppp = np.exp(1j * us), np.exp(1j * vs), np.exp(1j * ws)
+    taus, tps, tds = us / omega, vs / math.pi, ws / math.pi
     checks = []
     for k in ks:
         cfg = CavityConfig(k=k, n_max=n_max)
-        worst = {"one-way": 0.0, "two-way": 0.0, "round-trip": 0.0}
-        for u, v, w in zip(us, vs, ws):
-            tau, tp, td = u / omega, v / math.pi, w / math.pi
-            pairs = (
-                ("one-way", one_way_scenario(tau, cfg), one_way_deficit(k, np.exp(1j * u))),
-                (
-                    "two-way",
-                    alpha_centauri_scenario(tau, tp, cfg),
-                    two_way_deficit(k, np.exp(1j * u), np.exp(1j * v)),
-                ),
-                (
-                    "round-trip",
-                    round_trip_scenario(tau, tp, td, cfg),
-                    round_trip_deficit(k, np.exp(1j * u), np.exp(1j * v), np.exp(1j * w)),
-                ),
-            )
-            for label, scenario, closed in pairs:
-                res = negativity_general(effective_transform(scenario), k, cfg.h)
-                worst[label] = max(worst[label], abs(res.deficit_scaled - float(closed)))
-        kick = negativity_general(
-            effective_transform(kickstart_scenario(0.8 / omega, cfg)), k, cfg.h
+        cases = (
+            ("one-way", lambda i: one_way_scenario(taus[i], cfg), one_way_deficit(k, p)),
+            (
+                "two-way",
+                lambda i: alpha_centauri_scenario(taus[i], tps[i], cfg),
+                two_way_deficit(k, p, pp),
+            ),
+            (
+                "round-trip",
+                lambda i: round_trip_scenario(taus[i], tps[i], tds[i], cfg),
+                round_trip_deficit(k, p, pp, ppp),
+            ),
         )
-        worst_kick = abs(kick.deficit_scaled - kickstart_deficit(k))
         tol = 1e-8 if n_max >= 2000 else 3e-7 * (500.0 / n_max) ** 3
-        for label in ("one-way", "two-way", "round-trip"):
-            checks.append(
-                CheckResult(f"pipeline-vs-closed-{label}-k{k}-n{n_max}", worst[label], tol)
+        for label, scenario_at, closed in cases:
+            closed = np.asarray(closed, dtype=float)
+            worst = max(
+                abs(scenario_negativity(scenario_at(i)).deficit_scaled - closed[i])
+                for i in range(npoints)
             )
+            checks.append(
+                CheckResult(f"pipeline-vs-closed-{label}-k{k}-n{n_max}", worst, tol)
+            )
+        kick = scenario_negativity(kickstart_scenario(0.8 / omega, cfg))
+        worst_kick = abs(kick.deficit_scaled - kickstart_deficit(k))
         checks.append(
             CheckResult(f"pipeline-vs-closed-kickstart-k{k}-n{n_max}", worst_kick, tol)
         )
     return checks
+
+
+def _column_matches_matrix_check(n_max: int = 500) -> CheckResult:
+    """Column engine against the full-matrix reference: deficit and tail for
+    the four trip shapes, massless and massive."""
+    worst = 0.0
+    for M in (0.0, 10.0):
+        cfg = CavityConfig(M=M, k=2, n_max=n_max)
+        for scenario in (
+            one_way_scenario(0.8, cfg),
+            alpha_centauri_scenario(0.8, 0.45, cfg),
+            round_trip_scenario(0.8, 0.45, 0.3, cfg),
+            kickstart_scenario(0.8, cfg),
+        ):
+            col = scenario_negativity(scenario)
+            ref = negativity_general(effective_transform(scenario), cfg.k, cfg.h, M)
+            worst = max(
+                worst,
+                abs(col.deficit_scaled - ref.deficit_scaled),
+                abs(col.truncation_tail - ref.truncation_tail),
+            )
+    return CheckResult(f"column-matches-matrix-n{n_max}", worst, 1e-14)
 
 
 def _periodicity_check(n_max: int = 200) -> CheckResult:
@@ -246,12 +269,8 @@ def _periodicity_check(n_max: int = 200) -> CheckResult:
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for tau in rng.uniform(0.2, 2.0, 3):
-        a = negativity_general(
-            effective_transform(one_way_scenario(tau, cfg)), 1, cfg.h
-        )
-        b = negativity_general(
-            effective_transform(one_way_scenario(tau + period, cfg)), 1, cfg.h
-        )
+        a = scenario_negativity(one_way_scenario(tau, cfg))
+        b = scenario_negativity(one_way_scenario(tau + period, cfg))
         worst = max(worst, abs(a.deficit_scaled - b.deficit_scaled))
     return CheckResult(f"one-way-periodicity-n{n_max}", worst, 1e-11)
 
@@ -262,12 +281,8 @@ def _doubling_check() -> CheckResult:
     cfg_lo = CavityConfig(n_max=1000)
     cfg_hi = CavityConfig(n_max=2000)
     omega = rindler_frequency(1, cfg_lo)
-    lo = negativity_general(
-        effective_transform(one_way_scenario(u / omega, cfg_lo)), 1, cfg_lo.h
-    )
-    hi = negativity_general(
-        effective_transform(one_way_scenario(u / omega, cfg_hi)), 1, cfg_hi.h
-    )
+    lo = scenario_negativity(one_way_scenario(u / omega, cfg_lo))
+    hi = scenario_negativity(one_way_scenario(u / omega, cfg_hi))
     return CheckResult(
         "one-way-doubling-convergence",
         abs(hi.deficit_scaled - lo.deficit_scaled),
@@ -306,9 +321,7 @@ def _heavy_field_engine_check() -> CheckResult:
     worst = 0.0
     for tau in (0.3 * M, 0.9 * M):
         closed = float(closedform.massive_limit_deficit(k, M, tau, 1.0, n_max))
-        res = negativity_general(
-            effective_transform(one_way_scenario(tau, cfg)), k, cfg.h, M
-        )
+        res = scenario_negativity(one_way_scenario(tau, cfg))
         worst = max(worst, abs(res.deficit_scaled - closed) / max(closed, 1.0))
     return CheckResult("heavy-field-closed-vs-pipeline-M1000", worst, 1e-3)
 
@@ -328,6 +341,7 @@ def run_verification(level: str = "fast", corrupt_a11: float = 0.0) -> Verificat
         checks.append(_two_by_two_check(corrupt_a11))
         checks.append(_zero_locus_check())
         checks += _pipeline_checks(500, 4, (1,))
+        checks.append(_column_matches_matrix_check())
         checks.append(_periodicity_check())
     else:
         checks += _identity_checks(2000, (0.0, 10.0, 1e3))
@@ -339,6 +353,7 @@ def run_verification(level: str = "fast", corrupt_a11: float = 0.0) -> Verificat
         checks.append(_two_by_two_check(corrupt_a11))
         checks.append(_zero_locus_check())
         checks += _pipeline_checks(2000, 8, (1, 2))
+        checks.append(_column_matches_matrix_check())
         checks.append(_periodicity_check())
         checks.append(_doubling_check())
         checks.append(_heavy_field_engine_check())

@@ -30,9 +30,7 @@ from cavneg.closedform import (
 )
 from cavneg.scenario import (
     alpha_centauri_scenario,
-    effective_transform,
     kickstart_scenario,
-    negativity_general,
     one_way_scenario,
     round_trip_scenario,
     scenario_negativity,
@@ -80,34 +78,36 @@ def test_criterion_1_diagonal_identity_extrapolated():
 def test_criterion_2_pipeline_equals_closed_forms():
     start = time.perf_counter()
     n_max = 2000
-    cfg = CavityConfig(h=1.0, n_max=n_max)
-    omega = rindler_frequency(1, cfg)
     points = 64
     us = np.linspace(0.07, TWO_PI - 0.07, points)
     vs = np.roll(us, 21)
     ws = np.roll(us, 43)
-    ks = (1, 2, 3, 4)
+    p, pp, ppp = np.exp(1j * us), np.exp(1j * vs), np.exp(1j * ws)
     worst = 0.0
-    for u, v, w in zip(us, vs, ws):
-        tau, tp, td = u / omega, v / math.pi, w / math.pi
-        p, pp, ppp = np.exp(1j * u), np.exp(1j * v), np.exp(1j * w)
+    for k in (1, 2, 3, 4):
+        cfg = CavityConfig(h=1.0, k=k, n_max=n_max)
+        omega = rindler_frequency(1, cfg)
+        taus, tps, tds = us / omega, vs / math.pi, ws / math.pi
         cases = (
-            (one_way_scenario(tau, cfg), lambda k: float(one_way_deficit(k, p))),
+            (lambda i: one_way_scenario(taus[i], cfg), one_way_deficit(k, p)),
             (
-                alpha_centauri_scenario(tau, tp, cfg),
-                lambda k: float(two_way_deficit(k, p, pp)),
+                lambda i: alpha_centauri_scenario(taus[i], tps[i], cfg),
+                two_way_deficit(k, p, pp),
             ),
             (
-                round_trip_scenario(tau, tp, td, cfg),
-                lambda k: float(round_trip_deficit(k, p, pp, ppp)),
+                lambda i: round_trip_scenario(taus[i], tps[i], tds[i], cfg),
+                round_trip_deficit(k, p, pp, ppp),
             ),
-            (kickstart_scenario(tau, cfg), kickstart_deficit),
+            (
+                lambda i: kickstart_scenario(taus[i], cfg),
+                np.full(points, kickstart_deficit(k)),
+            ),
         )
-        for scenario, closed in cases:
-            t = effective_transform(scenario)
-            for k in ks:
-                res = negativity_general(t, k, cfg.h)
-                worst = max(worst, abs(res.deficit_scaled - closed(k)))
+        for scenario_at, closed in cases:
+            closed = np.asarray(closed, dtype=float)
+            for i in range(points):
+                res = scenario_negativity(scenario_at(i))
+                worst = max(worst, abs(res.deficit_scaled - closed[i]))
     elapsed = time.perf_counter() - start
     _report(
         2,

@@ -12,6 +12,7 @@ import pytest
 
 from cavneg.bogoliubov import (
     PerturbativeTransform,
+    boost_column,
     check_identities,
     compose,
     dump_transform,
@@ -51,6 +52,20 @@ def test_massless_diagonal_correction():
     # -pi^2 n^2 / 240
     expected = -(math.pi**2) / 240.0 * np.arange(1, 6) ** 2
     np.testing.assert_allclose(t.alpha2_diag.real, expected, rtol=1e-15)
+
+
+@pytest.mark.parametrize("M", [0.0, 5.0, 1e3])
+def test_boost_column_is_matrix_column(M):
+    n_max = 300
+    t = massless_boost_transform(n_max) if M == 0 else massive_boost_transform(n_max, M)
+    for k in (1, 2, 7, n_max):
+        a, b = boost_column(n_max, k, M)
+        np.testing.assert_array_equal(a, t.alpha1[:, k - 1].real)
+        np.testing.assert_array_equal(b, t.beta1[:, k - 1].real)
+    with pytest.raises(ValueError):
+        boost_column(n_max, n_max + 1, M)
+    with pytest.raises(ValueError):
+        boost_column(1, 1, M)
 
 
 def test_massive_entries():

@@ -19,7 +19,6 @@ from cavneg.scenario import (
     NegativityResult,
     Scenario,
     alpha_centauri_scenario,
-    clear_caches,
     effective_transform,
     kickstart_scenario,
     log_negativity,
@@ -65,6 +64,11 @@ def test_segment_validation(cfg):
         Accelerated(1, -0.5)
     with pytest.raises(ValueError):
         Inertial(-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Accelerated(1, bad)
+        with pytest.raises(ValueError):
+            Inertial(bad)
     with pytest.raises(ValueError):
         Scenario((Inertial(1.0),), cfg, kickstart=True)
     with pytest.raises(ValueError):
@@ -141,6 +145,52 @@ def test_heavy_field_one_way_close_to_limit_form():
     assert res.deficit_scaled == pytest.approx(closed, rel=2e-4)
 
 
+def _column_cases(cfg):
+    return {
+        "one-way": one_way_scenario(0.8, cfg),
+        "alpha-centauri": alpha_centauri_scenario(0.8, 0.45, cfg),
+        "round-trip": round_trip_scenario(0.8, 0.45, 0.3, cfg),
+        "kickstart": kickstart_scenario(0.8, cfg),
+        "inertial-first": Scenario(
+            (Inertial(0.4), Accelerated(1, 0.7), Inertial(1.2),
+             Accelerated(-1, math.pi / 2), Inertial(0.3)),
+            cfg,
+        ),
+        "inertial-only": Scenario((Inertial(0.4), Inertial(1.1)), cfg),
+    }
+
+
+@pytest.mark.parametrize("M", [0.0, 10.0])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "shape",
+    ["one-way", "alpha-centauri", "round-trip", "kickstart", "inertial-first",
+     "inertial-only"],
+)
+def test_column_engine_matches_matrix_engine(shape, k, M):
+    cfg = CavityConfig(M=M, h=0.01, k=k, n_max=400)
+    s = _column_cases(cfg)[shape]
+    col = scenario_negativity(s)
+    ref = negativity_general(effective_transform(s), k, cfg.h, M)
+    assert abs(col.deficit_scaled - ref.deficit_scaled) <= 1e-14
+    assert abs(col.truncation_tail - ref.truncation_tail) <= 1e-14
+    assert col.negativity == 0.5 - cfg.h**2 * col.deficit_scaled
+    if shape == "inertial-only":
+        assert col.deficit_scaled == 0.0
+    else:
+        assert col.deficit_scaled > 0.0
+
+
+def test_column_engine_bounds_k_like_matrix_engine():
+    cfg = CavityConfig(h=0.01, k=201, n_max=400)
+    s = round_trip_scenario(0.8, 0.45, 0.3, cfg)
+    with pytest.raises(ValueError) as col:
+        scenario_negativity(s)
+    with pytest.raises(ValueError) as ref:
+        negativity_general(effective_transform(s), cfg.k, cfg.h)
+    assert str(col.value) == str(ref.value)
+
+
 def test_negativity_general_bounds_k(cfg):
     t = effective_transform(one_way_scenario(0.5, cfg))
     with pytest.raises(ValueError):
@@ -172,13 +222,6 @@ def test_higher_k_column(cfg):
     )
     closed = float(one_way_deficit(3, np.exp(1j * u)))
     assert abs(res.deficit_scaled - closed) < res.truncation_tail + 1e-11
-
-
-def test_clear_caches_keeps_results(cfg):
-    before = scenario_negativity(one_way_scenario(0.77, cfg)).deficit_scaled
-    clear_caches()
-    after = scenario_negativity(one_way_scenario(0.77, cfg)).deficit_scaled
-    assert before == after
 
 
 def test_validity_flags_propagate():
