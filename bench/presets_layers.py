@@ -1,0 +1,204 @@
+"""Time the figure presets layer by layer: closed-form series and row output.
+
+Writes a JSON report with, for each preset fig2-fig5b:
+
+- ``closed_s``: the median time spent in ``sweep._closed_grid`` during one
+  ``run_sweep`` call, summed over the k blocks;
+- ``rows_s``: the median of the rest of that call, which is validation, the
+  coordinate grids, the validity check, the row formatting and the join;
+- ``total_s``: the median time of the whole ``run_sweep`` call;
+- the row count, the CSV size in bytes and the CSV's SHA-256;
+- the environment: nproc, Python and numpy versions, git SHA and whether
+  src/ differs from it.
+
+Run from the repository root:
+
+    python3 bench/presets_layers.py [--out BENCH_presets.json] [--baseline REV]
+
+With ``--baseline REV`` the src/ tree of that git revision is extracted with
+``git archive`` into a temporary directory and timed the same way, so the
+report holds before and after numbers. A round runs every preset once in a
+fresh interpreter; the two trees alternate round by round, so that a slow
+spell of the host hits both. Times are medians in seconds over seven rounds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PRESETS = ("fig2", "fig3", "fig4a", "fig4b", "fig4c", "fig5a", "fig5b")
+REPEATS = 7
+
+
+def _git(*args: str) -> str | None:
+    try:
+        out = subprocess.run(
+            ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def _time_once(name: str) -> dict:
+    """One run_sweep of a preset, with the time inside _closed_grid split out."""
+    from cavneg import sweep
+
+    inner = sweep._closed_grid
+    spent = [0.0]
+
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            spent[0] += time.perf_counter() - t0
+
+    sweep._closed_grid = timed
+    try:
+        t0 = time.perf_counter()
+        text = sweep.run_sweep(sweep.preset_spec(name))
+        total = time.perf_counter() - t0
+    finally:
+        sweep._closed_grid = inner
+    return {"total_s": total, "closed_s": spent[0], "text": text}
+
+
+def _child(src: str) -> None:
+    # one round: every preset once, in a fresh interpreter importing src
+    sys.path.insert(0, src)
+    import cavneg
+
+    if not os.path.abspath(cavneg.__file__).startswith(src + os.sep):
+        raise ImportError(f"cavneg was imported from {cavneg.__file__}, not from {src}")
+    out = {}
+    for name in PRESETS:
+        run = _time_once(name)
+        data = run.pop("text").encode("utf-8")
+        run.update(
+            rows=data.count(b"\n") - 1,
+            csv_bytes=len(data),
+            sha256=hashlib.sha256(data).hexdigest(),
+        )
+        out[name] = run
+    json.dump(out, sys.stdout)
+
+
+def _round(src: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", src],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=ROOT,
+    )
+    return json.loads(proc.stdout)
+
+
+def _summary(rounds: list) -> dict:
+    presets = {}
+    for name in PRESETS:
+        runs = [r[name] for r in rounds]
+        total = statistics.median(r["total_s"] for r in runs)
+        closed = statistics.median(r["closed_s"] for r in runs)
+        rows = statistics.median(r["total_s"] - r["closed_s"] for r in runs)
+        presets[name] = {
+            "total_s": total,
+            "closed_s": closed,
+            "rows_s": rows,
+            "rows": runs[0]["rows"],
+            "csv_bytes": runs[0]["csv_bytes"],
+            "sha256": runs[0]["sha256"],
+        }
+    presets["all"] = {
+        key: sum(presets[name][key] for name in PRESETS)
+        for key in ("total_s", "closed_s", "rows_s", "rows", "csv_bytes")
+    }
+    return presets
+
+
+def _extract_src(rev: str, dest: str) -> str:
+    blob = subprocess.run(
+        ["git", "archive", "--format=tar", rev, "src"],
+        cwd=ROOT,
+        capture_output=True,
+        check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, filter="data")
+    return os.path.join(dest, "src")
+
+
+def measure(baseline: str | None) -> dict:
+    trees = {"after": os.path.join(ROOT, "src")}
+    with tempfile.TemporaryDirectory() as tmp:
+        if baseline is not None:
+            trees = {"before": _extract_src(baseline, tmp), **trees}
+        rounds = {label: [] for label in trees}
+        for _ in range(REPEATS):
+            for label, src in trees.items():
+                rounds[label].append(_round(src))
+    report = {
+        "benchmark": "presets_layers",
+        "repeats": REPEATS,
+        "unit": "s",
+        **{label: _summary(r) for label, r in rounds.items()},
+        "environment": {
+            "nproc": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "git_sha": _git("rev-parse", "HEAD"),
+            # true when src/ differs from that commit, so the SHA alone does
+            # not name the code that was timed as "after"
+            "src_modified": bool(_git("status", "--porcelain", "--", "src")),
+        },
+    }
+    if baseline is not None:
+        report["environment"]["baseline_sha"] = _git("rev-parse", baseline)
+    return report
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--out", default=os.path.join(ROOT, "BENCH_presets.json"))
+    p.add_argument("--baseline", help="git revision to time as 'before'")
+    p.add_argument("--child", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.child:
+        _child(args.child)
+        return 0
+    report = measure(args.baseline)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    for label in ("before", "after"):
+        if label not in report:
+            continue
+        for name in PRESETS + ("all",):
+            row = report[label][name]
+            print(
+                f"{label} {name}: total {row['total_s'] * 1e3:.1f} ms, "
+                f"closed {row['closed_s'] * 1e3:.1f} ms, "
+                f"rows {row['rows_s'] * 1e3:.1f} ms ({row['rows']} rows)"
+            )
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

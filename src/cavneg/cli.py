@@ -57,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=parse_number, help="dimensionless mass")
     p.add_argument("--delta", type=parse_number, help="cavity length")
     p.add_argument("--n-max", type=int, dest="n_max", help="mode cutoff")
-    p.add_argument("--r-max", type=int, dest="r_max", help="coefficient cutoff")
+    p.add_argument(
+        "--r-max", type=int, dest="r_max", help="series coefficient cutoff, at least k"
+    )
     p.add_argument("--mode", choices=["closed-form", "general", "both"])
     p.add_argument(
         "--axis",

@@ -114,6 +114,17 @@ def _a_tail(n: int, r_max: int) -> float:
     return (4.0 * n * n / _PI4) / (10.0 * s**5) + (6.0 * n / _PI4) / (8.0 * s**4)
 
 
+def _cutoff(n: int, r_max: int | None, tol: float, nfactors: int) -> tuple:
+    """Cutoff of sum_r a_nr prod_j |x_j**s - 1|**2 over nfactors factors, each
+    at most 4, and the tail it leaves: (r_used, tail bound).  An explicit
+    r_max is raised to n so that the residual window is represented."""
+    bound = 4.0**nfactors
+    if r_max is None:
+        r_max = _auto_r_max(n, tol, bound)
+    r_used = max(r_max, n)
+    return r_used, _a_tail(n, r_used) * bound
+
+
 @dataclass(frozen=True, eq=False)
 class QCoefficients:
     """Cosine-series coefficients of Q(n, .): a[r] for r = 0 .. r_max."""
@@ -182,6 +193,14 @@ def _q_at_one(n: int) -> float:
     return q_function(n, 1.0 + 0.0j)
 
 
+def _q_one_like(n: int, r_max: int | None, tol: float) -> float:
+    # Q(n, 1) at the cutoff of the Q(n, p) it is subtracted from, so that the
+    # difference vanishes exactly at p = 1
+    if r_max is None and tol == 1e-14:
+        return _q_at_one(n)
+    return q_function(n, 1.0 + 0.0j, r_max, tol)
+
+
 def q_two_by_two(z):
     """Two lowest modes only: Q(1, z) collapses to a_10 Re(z) + a_11 Re(z**3)/2."""
     arr = _as_phase_array(z)
@@ -240,31 +259,35 @@ def kickstart_deficit(k: int) -> float:
 def one_way_deficit(k: int, p, r_max: int | None = None, tol: float = 1e-14):
     """Single accelerated leg: 2 [Q(k, 1) - Q(k, p)], vectorized over p."""
     value = 2.0 * (
-        _q_at_one(k) - np.asarray(q_function(k, p, r_max, tol), dtype=float)
+        _q_one_like(k, r_max, tol)
+        - np.asarray(q_function(k, p, r_max, tol), dtype=float)
     )
     return _maybe_scalar(value, p)
 
 
 def _product_sum(k: int, factors, r_max: int | None, tol: float):
-    # sum_r a_kr prod_j |x_j**(1+2r) - 1|**2 over the given unit phases
-    if r_max is None:
-        r_max = _auto_r_max(k, tol, 4.0 ** len(factors))
-    r_max = max(r_max, k)
+    # sum_r a_kr prod_j |x_j**(1+2r) - 1|**2 over the given unit phases; each
+    # factor's powers stay at that factor's own shape, only the product
+    # broadcasts
+    r_max, tail = _cutoff(k, r_max, tol, len(factors))
     coeffs = q_coefficients(k, r_max).a
     arrs = [_as_phase_array(x) for x in factors]
-    arrs = np.broadcast_arrays(*arrs) if len(arrs) > 1 else arrs
     shape = np.broadcast_shapes(*(a.shape for a in arrs))
+    # a 0-d factor next to arrays gets one length-one axis per grid axis:
+    # its powers would otherwise become numpy scalars, whose complex product
+    # rounds differently from the array loops
+    arrs = [a.reshape((1,) * len(shape)) if a.ndim == 0 else a for a in arrs]
     acc = np.zeros(shape)
-    powers = [a.astype(complex).copy() for a in arrs]
+    powers = [a.copy() for a in arrs]
     squares = [a * a for a in arrs]
     for r in range(r_max + 1):
-        term = np.full(shape, coeffs[r])
+        term = coeffs[r]
         for xp in powers:
             term = term * np.abs(xp - 1.0) ** 2
         acc += term
         for j, sq in enumerate(squares):
             powers[j] = powers[j] * sq
-    return acc, _a_tail(k, r_max) * 4.0 ** len(factors)
+    return acc, tail
 
 
 def one_way_deficit_sum(k: int, p, r_max: int | None = None, tol: float = 1e-12):
@@ -283,7 +306,7 @@ def two_way_deficit(k: int, p, p_prime, r_max: int | None = None, tol: float = 1
     parr = _as_phase_array(p)
     pparr = _as_phase_array(p_prime)
     value = 2.0 * (
-        2.0 * _q_at_one(k)
+        2.0 * _q_one_like(k, r_max, tol)
         - 2.0 * np.asarray(q_function(k, parr, r_max, tol), dtype=float)
         + np.asarray(q_function(k, pparr, r_max, tol), dtype=float)
         - 2.0 * np.asarray(q_function(k, parr * pparr, r_max, tol), dtype=float)
@@ -400,7 +423,7 @@ def negativity_one_way(
     d_q = float(one_way_deficit(k, p))
     d_sum = float(one_way_deficit_sum(k, p, r_max))
     _cross_check("one-way deficit", d_q, d_sum)
-    _, tail = _product_sum(k, [p], r_max, 1e-12)
+    _, tail = _cutoff(k, r_max, 1e-12, 1)
     validity = ValidityReport.from_parameters(k, h, 0.0)
     return NegativityResult.from_deficit(_clamped(d_q), h, k, validity, tail)
 
@@ -415,7 +438,7 @@ def negativity_two_way(
     d_q = float(two_way_deficit(k, p, pp))
     d_sum = float(two_way_deficit_sum(k, p, pp, r_max))
     _cross_check("two-way deficit", d_q, d_sum)
-    _, tail = _product_sum(k, [p, p * pp], r_max, 1e-12)
+    _, tail = _cutoff(k, r_max, 1e-12, 2)
     validity = ValidityReport.from_parameters(k, h, 0.0)
     return NegativityResult.from_deficit(_clamped(d_q), h, k, validity, tail)
 
@@ -428,7 +451,7 @@ def negativity_round_trip(
     pp = complex(phases.p_prime)
     ppp = complex(phases.p_dprime)
     d = float(round_trip_deficit(k, p, pp, ppp, r_max))
-    _, tail = _product_sum(k, [p, p * pp, p * p * pp * ppp], r_max, 1e-12)
+    _, tail = _cutoff(k, r_max, 1e-12, 3)
     validity = ValidityReport.from_parameters(k, h, 0.0)
     return NegativityResult.from_deficit(_clamped(d), h, k, validity, tail)
 
@@ -436,9 +459,8 @@ def negativity_round_trip(
 def negativity_kickstart(k: int, h: float) -> NegativityResult:
     """Negativity when the trajectory ends under acceleration: deficit Q(k, 1)."""
     validity = ValidityReport.from_parameters(k, h, 0.0)
-    return NegativityResult.from_deficit(
-        kickstart_deficit(k), h, k, validity, _a_tail(k, _auto_r_max(k, 1e-14, 1.0))
-    )
+    _, tail = _cutoff(k, None, 1e-14, 0)
+    return NegativityResult.from_deficit(kickstart_deficit(k), h, k, validity, tail)
 
 
 def negativity_massive_limit(

@@ -13,12 +13,21 @@ deficit column keeps its usual per-h**2 scaling (divide by M**4 to land on
 the conventional heavy-field normalization).
 
 Re-running a sweep with the same spec yields a byte-identical file: values
-are written in shortest round-trip decimal form, comma separated, newline
-terminated, UTF-8, rows in lexicographic axis order.
+are written in shortest round-trip decimal form (repr of a Python float),
+comma separated, newline terminated, UTF-8, rows in lexicographic axis order.
+
+Coordinates stay broadcastable (a swept phase varies along its own axis
+only), so the closed forms evaluate each per-axis phase at its own size and
+only products of phases fill the grid.  Rows are written column-wise and
+streamed: scenario, k, h, M, method and tail are formatted once per k block,
+each swept coordinate once per axis value and an unswept one once; only the
+deficit, the negativity and its log1p (plus the general value and the
+difference in both mode) are formatted per row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -247,21 +256,25 @@ def _validated(spec: SweepSpec) -> dict:
         params["k_list"] = ks
     else:
         params["k_list"] = (params["k"],)
+    if params["r_max"] is not None and params["r_max"] < max(params["k_list"]):
+        raise ConfigError(
+            f"r_max must be at least k = {max(params['k_list'])}, got {params['r_max']}"
+        )
     return params
 
 
 def _coordinate_grids(spec: SweepSpec, params: dict):
-    if not spec.axes:
-        shape: tuple = ()
-        grids = {}
-    else:
-        values = [axis.values() for axis in spec.axes]
-        shape = tuple(axis.count for axis in spec.axes)
-        mesh = np.meshgrid(*values, indexing="ij")
-        grids = {axis.name: mesh[i] for i, axis in enumerate(spec.axes)}
-    coords = {}
-    for name in ("u", "v", "w"):
-        coords[name] = grids.get(name, np.full(shape, params[name]))
+    """Grid shape and the u, v, w coordinates as broadcastable arrays: a swept
+    coordinate varies along its own axis only, an unswept one has length one
+    on every axis, so closed forms work on each phase at its own size."""
+    shape = tuple(axis.count for axis in spec.axes)
+    values = [axis.values() for axis in spec.axes]
+    mesh = np.meshgrid(*values, indexing="ij", sparse=True)
+    grids = {axis.name: values for axis, values in zip(spec.axes, mesh)}
+    coords = {
+        name: grids.get(name, np.full((1,) * len(shape), params[name]))
+        for name in ("u", "v", "w")
+    }
     return shape, coords
 
 
@@ -293,35 +306,33 @@ def _build_scenario(
 _N_FACTORS = {"one-way": 1, "alpha-centauri": 2, "round-trip": 3}
 
 
-def _closed_grid(spec: SweepSpec, params: dict, coords: dict, k: int):
+def _closed_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: int):
     """Vectorized closed-form deficit over the whole grid, plus a tail bound."""
     name = spec.scenario
     M = params["M"]
     r_max = params["r_max"]
     u, v, w = coords["u"], coords["v"], coords["w"]
     if name == "kickstart":
-        return np.full(u.shape, kickstart_deficit(k)), closedform._a_tail(
-            k, closedform._auto_r_max(k, 1e-14, 1.0)
-        )
+        _, tail = closedform._cutoff(k, None, 1e-14, 0)
+        return np.full(shape, kickstart_deficit(k)), tail
     if M > 0:
-        tau = 4.0 * M * params["delta"] * np.asarray(u, dtype=float) / math.pi
+        # the full grid, as the heavy-field sum is a matrix product whose
+        # rounding may depend on the stack shape
+        tau = 4.0 * M * params["delta"] * np.broadcast_to(u, shape) / math.pi
         deficit = massive_limit_deficit(k, M, tau, params["delta"], params["n_max"])
         return np.asarray(deficit), closedform._massive_tail(k, M, params["n_max"])
-    nfac = _N_FACTORS[name]
-    r_used = r_max if r_max is not None else closedform._auto_r_max(k, 1e-12, 4.0**nfac)
-    tail = closedform._a_tail(k, r_used) * 4.0**nfac
+    _, tail = closedform._cutoff(k, r_max, 1e-12, _N_FACTORS[name])
     p = np.exp(1j * u)
     if name == "one-way":
-        return np.asarray(one_way_deficit(k, p, r_max)), tail
-    if name == "alpha-centauri":
-        return np.asarray(two_way_deficit(k, p, np.exp(1j * v), r_max)), tail
-    return (
-        np.asarray(round_trip_deficit(k, p, np.exp(1j * v), np.exp(1j * w), r_max)),
-        tail,
-    )
+        deficit = one_way_deficit(k, p, r_max)
+    elif name == "alpha-centauri":
+        deficit = two_way_deficit(k, p, np.exp(1j * v), r_max)
+    else:
+        deficit = round_trip_deficit(k, p, np.exp(1j * v), np.exp(1j * w), r_max)
+    return np.broadcast_to(deficit, shape), tail
 
 
-def _general_grid(spec: SweepSpec, params: dict, coords: dict, k: int):
+def _general_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: int):
     """Column-engine deficit at every grid point, plus the largest tail."""
     cfg = CavityConfig(
         delta=params["delta"],
@@ -330,26 +341,51 @@ def _general_grid(spec: SweepSpec, params: dict, coords: dict, k: int):
         k=k,
         n_max=params["n_max"],
     )
-    u = np.atleast_1d(coords["u"]).ravel()
-    v = np.atleast_1d(coords["v"]).ravel()
-    w = np.atleast_1d(coords["w"]).ravel()
+    u, v, w = (np.broadcast_to(coords[name], shape).ravel() for name in ("u", "v", "w"))
     results = [
         scenario_negativity(
             _build_scenario(spec.scenario, u[i], v[i], w[i], cfg, spec.segments)
         )
         for i in range(u.size)
     ]
-    deficit = np.array([r.deficit_scaled for r in results]).reshape(coords["u"].shape)
+    deficit = np.array([r.deficit_scaled for r in results]).reshape(shape)
     tail = max((r.truncation_tail for r in results), default=0.0)
     return deficit, tail
 
 
-def _format_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _coordinate_cells(spec: SweepSpec, params: dict):
+    """The "u,v,w" cells of every row, in row order: each swept value and each
+    unswept constant is formatted once."""
+    slots = {axis.name: "{%d}" % i for i, axis in enumerate(spec.axes)}
+    template = ",".join(slots.get(name, repr(params[name])) for name in ("u", "v", "w"))
+    strings = [[repr(x) for x in axis.values().tolist()] for axis in spec.axes]
+    return itertools.starmap(template.format, itertools.product(*strings))
+
+
+def _block_rows(spec, params, k, method, tail, deficit, negativity, general):
+    """CSV lines of one k block, streamed in row order.
+
+    Cells that are the same on every row are formatted once per block; per
+    row only the deficit, the negativity and its logarithm (plus the general
+    value and the difference in both mode) go through repr.
+    """
+    head = f"{spec.scenario},{k},{params['h']!r},{params['M']!r}"
+    rest = f"{method},{float(tail)!r}"
+    log1p = math.log1p
+    cells = _coordinate_cells(spec, params)
+    d = deficit.ravel().tolist()
+    neg = negativity.ravel().tolist()
+    if general is None:
+        return (
+            f"{head},{c},{x!r},{n!r},{log1p(n)!r},{rest}"
+            for c, x, n in zip(cells, d, neg)
+        )
+    g = general.ravel().tolist()
+    diff = np.abs(deficit - general).ravel().tolist()
+    return (
+        f"{head},{c},{x!r},{n!r},{log1p(n)!r},{rest},{y!r},{e!r}"
+        for c, x, n, y, e in zip(cells, d, neg, g, diff)
+    )
 
 
 def run_sweep(spec: SweepSpec) -> str:
@@ -361,48 +397,32 @@ def run_sweep(spec: SweepSpec) -> str:
     params = _validated(spec)
     shape, coords = _coordinate_grids(spec, params)
     h = params["h"]
-    M = params["M"]
     fields = BOTH_FIELDS if spec.mode == "both" else BASE_FIELDS
     lines = [",".join(fields)]
     for k in params["k_list"]:
         closed = general = None
         if spec.mode in ("closed-form", "both"):
-            closed, closed_tail = _closed_grid(spec, params, coords, k)
+            closed, closed_tail = _closed_grid(spec, params, coords, shape, k)
         if spec.mode in ("general", "both"):
-            general, general_tail = _general_grid(spec, params, coords, k)
+            general, general_tail = _general_grid(spec, params, coords, shape, k)
         if spec.mode == "closed-form":
             deficit, tail, method = closed, closed_tail, "closed-form"
         elif spec.mode == "general":
             deficit, tail, method = general, general_tail, "general"
         else:
             deficit, tail, method = closed, closed_tail + general_tail, "both"
-        negativity = 0.5 - h * h * np.asarray(deficit)
+        negativity = 0.5 - h * h * deficit
         if np.any(negativity < 0):
             raise NumericValidityError(
                 f"h = {h} drives the negativity negative at k = {k}; "
                 "reduce h or the deficit scale"
             )
-        for idx in np.ndindex(shape) if shape else [()]:
-            d = float(np.asarray(deficit)[idx])
-            neg = 0.5 - h * h * d
-            row = [
-                spec.scenario,
-                k,
-                h,
-                M,
-                float(coords["u"][idx]),
-                float(coords["v"][idx]),
-                float(coords["w"][idx]),
-                d,
-                neg,
-                math.log1p(neg),
-                method,
-                tail,
-            ]
-            if spec.mode == "both":
-                g = float(np.asarray(general)[idx])
-                row.extend([g, abs(d - g)])
-            lines.append(",".join(_format_value(v) for v in row))
+        lines.extend(
+            _block_rows(
+                spec, params, k, method, tail, deficit, negativity,
+                general if spec.mode == "both" else None,
+            )
+        )
     text = "\n".join(lines) + "\n"
     if spec.output:
         try:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from cavneg import closedform
 from cavneg.closedform import (
     A_10,
     A_11,
@@ -210,6 +211,110 @@ def test_round_trip_zero_loci():
     assert abs(float(round_trip_deficit(1, p, pp, np.exp(1j * w)))) < 1e-14
     assert abs(float(round_trip_deficit(1, 1.0, pp, np.exp(0.3j)))) < 1e-14
     assert float(round_trip_deficit(1, p, pp, np.exp(0.3j))) > 1e-5
+
+
+def test_explicit_r_max_keeps_the_zero_at_p_equal_one():
+    # Q(k, 1) is taken at the same cutoff as Q(k, p), so a short series still
+    # vanishes exactly where the trajectory undoes itself
+    assert one_way_deficit(1, 1.0, r_max=1) == 0.0
+    assert one_way_deficit(3, 1.0, r_max=3) == 0.0
+    assert one_way_deficit(2, 1.0, tol=1e-8) == 0.0
+    assert two_way_deficit(1, 1.0, np.exp(0.9j), r_max=2) == 0.0
+    p = np.exp(1j * np.array([0.0, 1.0, 2.0 * math.pi]))
+    values = one_way_deficit(1, p, r_max=1)
+    assert values[0] == 0.0 and values[1] > 0.0
+    # and the explicit cutoff moves the value off the automatic one
+    assert one_way_deficit(1, -1.0, r_max=1) != one_way_deficit(1, -1.0)
+
+
+@pytest.mark.parametrize("nfactors", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [1, 4])
+def test_cutoff_matches_the_series_rule(k, nfactors):
+    bound = 4.0**nfactors
+    r_auto = closedform._auto_r_max(k, 1e-12, bound)
+    assert closedform._cutoff(k, None, 1e-12, nfactors) == (
+        r_auto,
+        closedform._a_tail(k, r_auto) * bound,
+    )
+    # an explicit cutoff below k is raised to k, tail included
+    assert closedform._cutoff(k, k - 1, 1e-12, nfactors) == (
+        k,
+        closedform._a_tail(k, k) * bound,
+    )
+    factors = [np.exp(0.3j)] * max(nfactors, 1)
+    if nfactors:
+        assert closedform._product_sum(k, factors, None, 1e-12)[1] == (
+            closedform._cutoff(k, None, 1e-12, nfactors)[1]
+        )
+
+
+def test_negativity_tails_come_from_the_cutoff_rule():
+    phases = PhaseTuple.from_angles(0.7, 1.1, 2.3)
+    for fn, nfactors in (
+        (negativity_one_way, 1),
+        (negativity_two_way, 2),
+        (negativity_round_trip, 3),
+    ):
+        for r_max in (None, 2000):
+            res = fn(2, 0.01, phases, r_max)
+            _, tail = closedform._cutoff(2, r_max, 1e-12, nfactors)
+            assert res.truncation_tail == tail
+    assert negativity_kickstart(2, 0.01).truncation_tail == closedform._a_tail(
+        2, closedform._auto_r_max(2, 1e-14, 1.0)
+    )
+
+
+def _phase_axes():
+    # two phase axes with the exact zeros p = 1 and p p' = 1 on them
+    u = np.concatenate([[0.0], np.linspace(0.1, 2.0 * math.pi, 9)])
+    v = np.concatenate([[-1.3], np.linspace(-2.0, 3.0, 6)])
+    return np.exp(1j * u)[:, None], np.exp(1j * v)[None, :]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_per_axis_phases_are_bit_identical_to_the_full_mesh(k):
+    p, pp = _phase_axes()
+    ppp = np.full((1, 1), np.exp(2.1j))
+    shape = (p.shape[0], pp.shape[1])
+    full = [np.array(np.broadcast_to(x, shape)) for x in (p, pp, ppp)]
+    cases = (
+        (one_way_deficit, 1),
+        (one_way_deficit_sum, 1),
+        (two_way_deficit, 2),
+        (two_way_deficit_sum, 2),
+        (round_trip_deficit, 3),
+    )
+    for fn, nargs in cases:
+        sparse = np.broadcast_to(fn(k, *(p, pp, ppp)[:nargs]), shape)
+        dense = fn(k, *full[:nargs])
+        assert dense.shape == shape
+        assert np.array_equal(sparse, dense), fn.__name__
+
+
+def test_scalar_phase_next_to_arrays_is_bit_identical_to_the_full_mesh():
+    # numpy's scalar complex product rounds differently from its array
+    # loops, so a 0-d phase must not drop onto the scalar path
+    p, ppp = np.exp(0.77j), np.exp(2.1j)
+    pp = np.exp(1j * np.linspace(0.1, 6.0, 200))
+    for fn, args in (
+        (two_way_deficit_sum, (p, pp)),
+        (round_trip_deficit, (p, pp, ppp)),
+        (round_trip_deficit, (pp, p, ppp)),
+    ):
+        full = [np.array(np.broadcast_to(x, pp.shape)) for x in args]
+        assert np.array_equal(fn(3, *args), fn(3, *full)), fn.__name__
+
+
+def test_scalar_phases_give_python_floats():
+    p, pp, ppp = np.exp(0.4j), complex(np.exp(1.7j)), np.exp(-0.8j)
+    values = (
+        one_way_deficit(2, p),
+        one_way_deficit_sum(2, p),
+        two_way_deficit(2, p, pp),
+        two_way_deficit_sum(2, p, pp),
+        round_trip_deficit(2, p, pp, ppp),
+    )
+    assert all(type(x) is float for x in values)
 
 
 def test_kickstart_deficit_is_q_at_one():

@@ -1,6 +1,7 @@
 """Sweep grids, CSV determinism, presets, config parsing and CLI exit codes."""
 
 import csv
+import hashlib
 import io
 import math
 import os
@@ -8,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from cavneg import sweep
 from cavneg.cli import main, parse_segments, read_config
 from cavneg.scenario import Accelerated, Inertial
 from cavneg.sweep import (
@@ -225,6 +227,17 @@ def test_unknown_fixed_key_rejected():
         run_sweep(one_way_spec(fixed={"k": 1, "hh": 0.1}))
 
 
+def test_r_max_below_k_rejected():
+    with pytest.raises(ConfigError, match="r_max"):
+        run_sweep(one_way_spec(fixed={"k": 2, "h": 0.01, "r_max": 1}))
+    with pytest.raises(ConfigError, match="r_max"):
+        run_sweep(one_way_spec(fixed={"k": 1, "h": 0.01, "r_max": 2}, k_list=(1, 3)))
+    rows = rows_of(run_sweep(one_way_spec(fixed={"k": 1, "h": 0.01, "r_max": 1})))
+    # the short series still vanishes at u = 0 and 2 pi
+    assert float(rows[0]["deficit_scaled"]) == 0.0
+    assert float(rows[-1]["deficit_scaled"]) < 1e-12
+
+
 def test_k_list_emits_one_block_per_k():
     spec = one_way_spec(k_list=(1, 2))
     rows = rows_of(run_sweep(spec))
@@ -292,6 +305,141 @@ def test_fig5_presets():
     assert spec_a.fixed["M"] == 1e3 and spec_a.fixed["h"] == 1e-5
     rows = rows_of(run_sweep(preset_spec("fig5b")))
     assert len(rows) == 2401 and all(int(r["k"]) == 30 for r in rows)
+
+
+# SHA-256 of each preset CSV as recorded from the first release of the
+# package; the figure data must stay byte-identical.
+PRESET_DIGESTS = {
+    "fig2": "8d9c6e197fea4c8cb71cbae6cc7eb5f49ffb16d203bc00eb0ca832f0c0741cce",
+    "fig3": "c7cf55df652c6b4a35a64440f0dba2762434a38c20b084a4c481adaa3b1e5e28",
+    "fig4a": "2f79b000b0242d6b4dfc586890d5e681f4aec251a7e8c28c8370cdc01fc4be82",
+    "fig4b": "bd075cc3d9344d76ae26c8538b32f9797252a43e3f1c09e658c99c1f150d527a",
+    "fig4c": "484f4bef84474cdac5c3fd7d011eee8851be253db74cdea5d9abbfb5f3baa746",
+    "fig5a": "35dc1746bae038f06dd8ce19f118015e9156aa3b29c37a61932cc190f598e172",
+    "fig5b": "dcf6a54b375e131a16b446a2b4019580ce48407f80f75f25e7f68199874d19d2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+def test_preset_csv_digest(name):
+    text = run_sweep(preset_spec(name))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PRESET_DIGESTS[name]
+
+
+def _format_value(value) -> str:
+    # the per-cell formatter the row writer replaced, kept as its reference
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def reference_csv(spec):
+    """The sweep CSV with every cell of every row formatted on its own."""
+    params = sweep._validated(spec)
+    shape, coords = sweep._coordinate_grids(spec, params)
+    full = {name: np.broadcast_to(c, shape) for name, c in coords.items()}
+    h = params["h"]
+    fields = sweep.BOTH_FIELDS if spec.mode == "both" else sweep.BASE_FIELDS
+    lines = [",".join(fields)]
+    for k in params["k_list"]:
+        if spec.mode != "general":
+            closed, closed_tail = sweep._closed_grid(spec, params, coords, shape, k)
+        if spec.mode != "closed-form":
+            general, general_tail = sweep._general_grid(spec, params, coords, shape, k)
+        if spec.mode == "closed-form":
+            deficit, tail, method = closed, closed_tail, "closed-form"
+        elif spec.mode == "general":
+            deficit, tail, method = general, general_tail, "general"
+        else:
+            deficit, tail, method = closed, closed_tail + general_tail, "both"
+        for idx in np.ndindex(shape) if shape else [()]:
+            d = float(np.asarray(deficit)[idx])
+            neg = 0.5 - h * h * d
+            row = [
+                spec.scenario, k, h, params["M"],
+                float(full["u"][idx]), float(full["v"][idx]), float(full["w"][idx]),
+                d, neg, math.log1p(neg), method, tail,
+            ]
+            if spec.mode == "both":
+                g = float(np.asarray(general)[idx])
+                row.extend([g, abs(d - g)])
+            lines.append(",".join(_format_value(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# sweeps whose cells need exponent notation: h = 1e-05, tiny and huge phases
+TINY_PHASES = SweepSpec(
+    scenario="one-way", axes=(Axis("u", 0.0, 1e-6, 5),), fixed={"h": 1e-5}
+)
+HUGE_PHASES = SweepSpec(
+    scenario="one-way",
+    axes=(Axis("u", 1e16, 3e17, 3),),
+    fixed={"h": 1e-5, "w": -2.5e-7},
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # three axes in a non-alphabetical order
+        SweepSpec(
+            scenario="round-trip",
+            axes=(Axis("w", 0.0, 2 * math.pi, 3), Axis("u", 0.1, 3.0, 4),
+                  Axis("v", -1.0, 1.0, 2)),
+            fixed={"k": 2, "h": 0.01},
+        ),
+        # k_list, one axis, a fixed phase
+        SweepSpec(
+            scenario="alpha-centauri",
+            axes=(Axis("v", 0.0, 2 * math.pi, 7),),
+            fixed={"h": 0.02, "u": 1.25},
+            k_list=(1, 2, 3),
+        ),
+        # no axes at all
+        SweepSpec(scenario="round-trip", fixed={"u": 0.3, "v": 0.4, "w": 1.7}),
+        SweepSpec(scenario="kickstart", k_list=(1, 4)),
+        TINY_PHASES,
+        HUGE_PHASES,
+        # heavy field, M = 1000.0, two axes
+        SweepSpec(
+            scenario="one-way",
+            axes=(Axis("u", 0.0, 3.0, 4), Axis("v", 0.0, 1.0, 2)),
+            fixed={"h": 1e-5, "M": 1e3, "n_max": 60},
+            k_list=(1, 2),
+        ),
+        # mode both and mode general, with a fixed phase and several k
+        SweepSpec(
+            scenario="round-trip",
+            axes=(Axis("u", 0.2, 2.0, 3), Axis("w", 0.0, 1.0, 2)),
+            fixed={"h": 0.01, "v": 0.5, "n_max": 60},
+            mode="both",
+            k_list=(1, 2),
+        ),
+        SweepSpec(
+            scenario="alpha-centauri",
+            axes=(Axis("v", 0.0, 1.0, 2), Axis("u", 0.2, 2.0, 3)),
+            fixed={"h": 0.01, "n_max": 60},
+            mode="general",
+        ),
+        SweepSpec(
+            scenario="custom",
+            mode="general",
+            segments=(Accelerated(1, 0.7), Inertial(1.2), Accelerated(-1, 0.7)),
+            fixed={"h": 0.5, "n_max": 60},
+        ),
+    ],
+)
+def test_row_writer_matches_per_cell_formatting(spec):
+    assert run_sweep(spec) == reference_csv(spec)
+
+
+def test_row_writer_cases_reach_exponent_notation():
+    cells = set()
+    for spec in (TINY_PHASES, HUGE_PHASES):
+        cells.update(run_sweep(spec).replace("\n", ",").split(","))
+    assert {"1e-05", "1e+16", "3e+17", "-2.5e-07", "2.5e-07"} <= cells
 
 
 def test_unknown_preset():
@@ -429,6 +577,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["--scenario", "custom", "--segments", "acc:1:inf"],
         ["--scenario", "one-way", "--axis", "u=0:nan:3"],
         ["--scenario", "one-way", "--delta", "inf", "--mode", "general"],
+        ["--scenario", "one-way", "--r-max", "-5", "--axis", "u=0:pi:3"],
     ],
 )
 def test_cli_rejects_bad_numbers(tmp_path, capsys, argv):
