@@ -270,7 +270,7 @@ def _coordinate_grids(spec: SweepSpec, params: dict):
     shape = tuple(axis.count for axis in spec.axes)
     values = [axis.values() for axis in spec.axes]
     mesh = np.meshgrid(*values, indexing="ij", sparse=True)
-    grids = {axis.name: values for axis, values in zip(spec.axes, mesh)}
+    grids = {axis.name: grid for axis, grid in zip(spec.axes, mesh)}
     coords = {
         name: grids.get(name, np.full((1,) * len(shape), params[name]))
         for name in ("u", "v", "w")
