@@ -131,7 +131,7 @@ def _summary(rounds: list) -> dict:
     return presets
 
 
-def _extract_src(rev: str, dest: str) -> str:
+def extract_src(rev: str, dest: str) -> str:
     blob = subprocess.run(
         ["git", "archive", "--format=tar", rev, "src"],
         cwd=ROOT,
@@ -147,30 +147,35 @@ def measure(baseline: str | None) -> dict:
     trees = {"after": os.path.join(ROOT, "src")}
     with tempfile.TemporaryDirectory() as tmp:
         if baseline is not None:
-            trees = {"before": _extract_src(baseline, tmp), **trees}
+            trees = {"before": extract_src(baseline, tmp), **trees}
         rounds = {label: [] for label in trees}
         for _ in range(REPEATS):
             for label, src in trees.items():
                 rounds[label].append(_round(src))
-    report = {
+    return {
         "benchmark": "presets_layers",
         "repeats": REPEATS,
         "unit": "s",
         **{label: _summary(r) for label, r in rounds.items()},
-        "environment": {
-            "nproc": os.cpu_count(),
-            "machine": platform.machine(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "git_sha": _git("rev-parse", "HEAD"),
-            # true when src/ differs from that commit, so the SHA alone does
-            # not name the code that was timed as "after"
-            "src_modified": bool(_git("status", "--porcelain", "--", "src")),
-        },
+        "environment": environment(baseline),
+    }
+
+
+def environment(baseline: str | None) -> dict:
+    """The machine, the library versions and the code a report timed."""
+    env = {
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": _git("rev-parse", "HEAD"),
+        # true when src/ differs from that commit, so the SHA alone does
+        # not name the code that was timed as "after"
+        "src_modified": bool(_git("status", "--porcelain", "--", "src")),
     }
     if baseline is not None:
-        report["environment"]["baseline_sha"] = _git("rev-parse", baseline)
-    return report
+        env["baseline_sha"] = _git("rev-parse", baseline)
+    return env
 
 
 def main(argv=None) -> int:

@@ -41,7 +41,6 @@ __all__ = [
     "compose",
     "inverse",
     "check_identities",
-    "dump_transform",
 ]
 
 
@@ -358,29 +357,3 @@ def check_identities(t: PerturbativeTransform) -> IdentityResidual:
     tail = float(3.0 * last.mean(axis=0).max() * n_max / 4.0) if n_max >= 2 else 0.0
     return IdentityResidual(order0, order1, order2, n_max, tail)
 
-
-def dump_transform(t: PerturbativeTransform) -> str:
-    """Self-describing text dump for cross-language diffing.
-
-    One token pair (real, imaginary) per entry, row-major, 17 significant
-    digits so every double round-trips exactly.
-    """
-    lines = [f"perturbative-transform n_max={t.n_max} h_value={t.h_value:.17g}"]
-    lines.append(f"block order0 kind=complex count={t.n_max}")
-    for v in t.order0:
-        lines.append(f"{v.real:.17g} {v.imag:.17g}")
-    for name, mat in (("alpha1", t.alpha1), ("beta1", t.beta1)):
-        lines.append(f"block {name} kind=complex rows={t.n_max} cols={t.n_max}")
-        for row in mat:
-            lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
-    if t.alpha2_diag is None:
-        lines.append("block alpha2_diag absent")
-    elif np.iscomplexobj(t.alpha2_diag):
-        lines.append(f"block alpha2_diag kind=complex count={t.n_max}")
-        for v in t.alpha2_diag:
-            lines.append(f"{v.real:.17g} {v.imag:.17g}")
-    else:
-        lines.append(f"block alpha2_diag kind=real count={t.n_max}")
-        for v in t.alpha2_diag:
-            lines.append(f"{v:.17g}")
-    return "\n".join(lines) + "\n"

@@ -114,15 +114,23 @@ def _a_tail(n: int, r_max: int) -> float:
     return (4.0 * n * n / _PI4) / (10.0 * s**5) + (6.0 * n / _PI4) / (8.0 * s**4)
 
 
+def _check_r_max(n: int, r_max: int) -> None:
+    # the residual window of Q(n, .) starts at floor(n/2); a cutoff below n
+    # would drop part of it without a word
+    if r_max < n:
+        raise ValueError(f"r_max must be at least n = {n}, got {r_max}")
+
+
 def _cutoff(n: int, r_max: int | None, tol: float, nfactors: int) -> tuple:
     """Cutoff of sum_r a_nr prod_j |x_j**s - 1|**2 over nfactors factors, each
     at most 4, and the tail it leaves: (r_used, tail bound).  An explicit
-    r_max is raised to n so that the residual window is represented."""
+    r_max below n raises ValueError."""
     bound = 4.0**nfactors
     if r_max is None:
-        r_max = _auto_r_max(n, tol, bound)
-    r_used = max(r_max, n)
-    return r_used, _a_tail(n, r_used) * bound
+        r_max = max(_auto_r_max(n, tol, bound), n)
+    else:
+        _check_r_max(n, r_max)
+    return r_max, _a_tail(n, r_max) * bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +158,7 @@ def q_coefficients(n: int, r_max: int) -> QCoefficients:
     """
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
-    if r_max < n:
-        raise ValueError(f"r_max must be at least n = {n}, got {r_max}")
+    _check_r_max(n, r_max)
     r = np.arange(r_max + 1)
     s = (2 * r + 1).astype(float)
     a = (4.0 * n * n / _PI4) / s**6
@@ -164,11 +171,13 @@ def q_function(n: int, z, r_max: int | None = None, tol: float = 1e-14):
     """Q(n, z) for unit-modulus z, scalar or array.
 
     The polylogarithm pair carries most of the value; the residual sum runs
-    from floor(n/2) to r_max (chosen from tol when omitted) with an
-    inverse-fourth-power tail.
+    from floor(n/2) to r_max (chosen from tol when omitted, at least n when
+    given) with an inverse-fourth-power tail.
     """
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
+    if r_max is not None:
+        _check_r_max(n, r_max)
     arr = _as_phase_array(z)
     lead = (4.0 * n * n / _PI4) * np.real(
         polylog6(arr, tol) - polylog6(arr * arr, tol) / 64.0
@@ -416,11 +425,11 @@ def negativity_one_way(
 ) -> NegativityResult:
     """Negativity after one accelerated leg, from the closed form.
 
-    Both equivalent forms are evaluated and must agree to 1e-10; the result
-    carries the Q-difference value.
+    Both equivalent forms are evaluated at the same cutoff and must agree to
+    1e-10; the result carries the Q-difference value.
     """
     p = complex(phases.p)
-    d_q = float(one_way_deficit(k, p))
+    d_q = float(one_way_deficit(k, p, r_max))
     d_sum = float(one_way_deficit_sum(k, p, r_max))
     _cross_check("one-way deficit", d_q, d_sum)
     _, tail = _cutoff(k, r_max, 1e-12, 1)
@@ -432,10 +441,10 @@ def negativity_two_way(
     k: int, h: float, phases: PhaseTuple, r_max: int | None = None
 ) -> NegativityResult:
     """Negativity after out-and-stop, from the closed form (both forms
-    evaluated and cross-checked)."""
+    evaluated at the same cutoff and cross-checked)."""
     p = complex(phases.p)
     pp = complex(phases.p_prime)
-    d_q = float(two_way_deficit(k, p, pp))
+    d_q = float(two_way_deficit(k, p, pp, r_max))
     d_sum = float(two_way_deficit_sum(k, p, pp, r_max))
     _cross_check("two-way deficit", d_q, d_sum)
     _, tail = _cutoff(k, r_max, 1e-12, 2)

@@ -148,15 +148,6 @@ class NegativityResult:
         )
 
 
-def _boost_blocks(n_max: int, M: float):
-    boost = (
-        massless_boost_transform(n_max)
-        if M == 0
-        else massive_boost_transform(n_max, M)
-    )
-    return boost, np.real(boost.alpha1) ** 2, np.real(boost.beta1) ** 2
-
-
 def _inertial_frequencies(cfg: CavityConfig) -> np.ndarray:
     n = np.arange(1, cfg.n_max + 1, dtype=float)
     return np.sqrt(cfg.M * cfg.M + (math.pi * n) ** 2) / cfg.delta
@@ -209,7 +200,9 @@ def _apply_phase(phases: np.ndarray, t: PerturbativeTransform) -> PerturbativeTr
     )
 
 
-def effective_transform(s: Scenario) -> PerturbativeTransform:
+def effective_transform(
+    s: Scenario, boost: PerturbativeTransform | None = None
+) -> PerturbativeTransform:
     """End-to-end transform of a scenario, per unit h, as full matrices.
 
     Accelerated segments contribute boost, accelerated-frame phases, inverse
@@ -217,8 +210,18 @@ def effective_transform(s: Scenario) -> PerturbativeTransform:
     segments contribute inertial phases.  Segments compose in trajectory
     order.  An empty scenario gives the identity.  This is the O(n_max**2)
     reference that scenario_negativity is checked against.
+
+    boost, when given, is massless_boost_transform(n_max) or
+    massive_boost_transform(n_max, M) for the scenario's n_max and M, so
+    that callers transforming several scenarios of one cavity build it
+    once; it is built here when omitted.  A boost of another n_max raises
+    ValueError.
     """
     cfg = s.cfg
+    if boost is not None and boost.n_max != cfg.n_max:
+        raise ValueError(
+            f"boost has n_max = {boost.n_max}, the scenario needs {cfg.n_max}"
+        )
     total = None
     blocks = None
     last = len(s.segments) - 1
@@ -231,7 +234,13 @@ def effective_transform(s: Scenario) -> PerturbativeTransform:
                 total = _apply_phase(phases, total)
             continue
         if blocks is None:
-            blocks = _boost_blocks(cfg.n_max, cfg.M)
+            if boost is None:
+                boost = (
+                    massless_boost_transform(cfg.n_max)
+                    if cfg.M == 0
+                    else massive_boost_transform(cfg.n_max, cfg.M)
+                )
+            blocks = boost, np.real(boost.alpha1) ** 2, np.real(boost.beta1) ** 2
         t = _accelerated_segment(
             blocks, cfg, seg.sign, seg.duration, open_ended=(s.kickstart and i == last)
         )

@@ -15,7 +15,6 @@ from cavneg.bogoliubov import (
     boost_column,
     check_identities,
     compose,
-    dump_transform,
     identity_transform,
     inverse,
     massive_boost_transform,
@@ -176,25 +175,10 @@ def test_transform_arrays_read_only():
         t.alpha1[0, 0] = 1.0
 
 
-def test_dump_round_trips_doubles():
-    t = massive_boost_transform(3, 2.0)
-    text = dump_transform(t)
-    lines = text.splitlines()
-    assert lines[0].startswith("perturbative-transform n_max=3")
-    # pull alpha1 back out and compare bit-for-bit
-    start = lines.index("block alpha1 kind=complex rows=3 cols=3") + 1
-    for i in range(3):
-        tokens = [float(x) for x in lines[start + i].split()]
-        for j in range(3):
-            assert tokens[2 * j] == t.alpha1[i, j].real
-            assert tokens[2 * j + 1] == t.alpha1[i, j].imag
-
-
-def test_dump_marks_missing_diagonal():
+def test_identities_without_second_order_diagonal():
     t = PerturbativeTransform(
         np.ones(2, dtype=complex),
         np.zeros((2, 2), dtype=complex),
         np.zeros((2, 2), dtype=complex),
     )
-    assert "block alpha2_diag absent" in dump_transform(t)
     assert check_identities(t).order2_diag_residual is None

@@ -227,6 +227,72 @@ def test_explicit_r_max_keeps_the_zero_at_p_equal_one():
     assert one_way_deficit(1, -1.0, r_max=1) != one_way_deficit(1, -1.0)
 
 
+_PHASES = PhaseTuple.from_angles(0.7, 1.1, 2.3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r: q_function(3, np.exp(0.7j), r_max=r),
+        lambda r: one_way_deficit(3, -1.0, r_max=r),
+        lambda r: one_way_deficit_sum(3, -1.0, r_max=r),
+        lambda r: two_way_deficit(3, np.exp(0.7j), np.exp(1.1j), r_max=r),
+        lambda r: two_way_deficit_sum(3, np.exp(0.7j), np.exp(1.1j), r_max=r),
+        lambda r: round_trip_deficit(
+            3, np.exp(0.7j), np.exp(1.1j), np.exp(2.3j), r_max=r
+        ),
+        lambda r: closedform._cutoff(3, r, 1e-12, 1),
+        lambda r: negativity_one_way(3, 0.01, _PHASES, r),
+        lambda r: negativity_two_way(3, 0.01, _PHASES, r),
+        lambda r: negativity_round_trip(3, 0.01, _PHASES, r),
+    ],
+    ids=[
+        "q_function",
+        "one_way_deficit",
+        "one_way_deficit_sum",
+        "two_way_deficit",
+        "two_way_deficit_sum",
+        "round_trip_deficit",
+        "_cutoff",
+        "negativity_one_way",
+        "negativity_two_way",
+        "negativity_round_trip",
+    ],
+)
+def test_explicit_r_max_below_k_rejected(call):
+    # a cutoff below the mode index would drop part of the residual window
+    # of Q(3, .)
+    for r_max in (2, 1, -5):
+        with pytest.raises(ValueError, match="r_max must be at least n = 3"):
+            call(r_max)
+    call(40)
+
+
+@pytest.mark.parametrize(
+    "negativity, deficit, deficit_sum",
+    [
+        (
+            negativity_one_way,
+            lambda r: one_way_deficit(2, _PHASES.p, r),
+            lambda r: one_way_deficit_sum(2, _PHASES.p, r),
+        ),
+        (
+            negativity_two_way,
+            lambda r: two_way_deficit(2, _PHASES.p, _PHASES.p_prime, r),
+            lambda r: two_way_deficit_sum(2, _PHASES.p, _PHASES.p_prime, r),
+        ),
+    ],
+    ids=["one-way", "two-way"],
+)
+def test_negativity_forms_share_an_explicit_cutoff(negativity, deficit, deficit_sum):
+    # both printed forms run at the caller's cutoff, so a modest r_max passes
+    # the 1e-10 cross-check and the result is the Q form at that cutoff
+    res = negativity(2, 0.01, _PHASES, 40)
+    assert res.deficit_scaled == deficit(40)
+    assert res.deficit_scaled != deficit(None)
+    assert abs(deficit(40) - deficit_sum(40)) <= 1e-10
+
+
 @pytest.mark.parametrize("nfactors", [0, 1, 2, 3])
 @pytest.mark.parametrize("k", [1, 4])
 def test_cutoff_matches_the_series_rule(k, nfactors):
@@ -236,11 +302,13 @@ def test_cutoff_matches_the_series_rule(k, nfactors):
         r_auto,
         closedform._a_tail(k, r_auto) * bound,
     )
-    # an explicit cutoff below k is raised to k, tail included
-    assert closedform._cutoff(k, k - 1, 1e-12, nfactors) == (
+    # an explicit cutoff is used as given, tail included; below k it raises
+    assert closedform._cutoff(k, k, 1e-12, nfactors) == (
         k,
         closedform._a_tail(k, k) * bound,
     )
+    with pytest.raises(ValueError, match="r_max must be at least"):
+        closedform._cutoff(k, k - 1, 1e-12, nfactors)
     factors = [np.exp(0.3j)] * max(nfactors, 1)
     if nfactors:
         assert closedform._product_sum(k, factors, None, 1e-12)[1] == (

@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from cavneg.bogoliubov import check_identities
+from cavneg.bogoliubov import (
+    check_identities,
+    massive_boost_transform,
+    massless_boost_transform,
+)
 from cavneg.closedform import (
     kickstart_deficit,
     massive_limit_deficit,
@@ -179,6 +183,32 @@ def test_column_engine_matches_matrix_engine(shape, k, M):
         assert col.deficit_scaled == 0.0
     else:
         assert col.deficit_scaled > 0.0
+
+
+@pytest.mark.parametrize("M", [0.0, 10.0])
+@pytest.mark.parametrize(
+    "shape",
+    ["one-way", "alpha-centauri", "round-trip", "kickstart", "inertial-first",
+     "inertial-only"],
+)
+def test_effective_transform_takes_a_prebuilt_boost(shape, M):
+    cfg = CavityConfig(M=M, h=0.01, k=2, n_max=200)
+    s = _column_cases(cfg)[shape]
+    boost = (
+        massless_boost_transform(cfg.n_max)
+        if M == 0
+        else massive_boost_transform(cfg.n_max, M)
+    )
+    built = effective_transform(s)
+    given = effective_transform(s, boost)
+    for block in ("order0", "alpha1", "beta1", "alpha2_diag"):
+        assert np.array_equal(getattr(given, block), getattr(built, block)), block
+
+
+def test_effective_transform_rejects_a_boost_of_another_size():
+    cfg = CavityConfig(h=0.01, k=2, n_max=200)
+    with pytest.raises(ValueError, match="n_max = 100"):
+        effective_transform(one_way_scenario(0.8, cfg), massless_boost_transform(100))
 
 
 def test_column_engine_bounds_k_like_matrix_engine():

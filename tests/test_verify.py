@@ -4,14 +4,47 @@ import pytest
 
 from cavneg.verify import run_verification
 
+# Names and thresholds of the fast level, in report order; the two order-2
+# thresholds are computed from the boost blocks.
+FAST_CHECKS = [
+    ('boost-identity-M0-n500-order1', 1e-13),
+    ('boost-identity-M0-n500-order2', 6.475449645429067e-07),
+    ('boost-identity-M10-n500-order1', 1e-13),
+    ('boost-identity-M10-n500-order2', 6.47754041606629e-07),
+    ('massive-reduces-to-massless-n200', 1e-12),
+    ('q-matches-coefficient-series', 1e-11),
+    ('coefficients-positive-r2000', 0.0),
+    ('one-way-forms-agree', 1e-10),
+    ('two-way-forms-agree', 1e-10),
+    ('two-by-two-replacement-bound', 0.007),
+    ('deficit-vanishes-on-loci', 1e-12),
+    ('pipeline-vs-closed-one-way-k1-n500', 3e-07),
+    ('pipeline-vs-closed-two-way-k1-n500', 3e-07),
+    ('pipeline-vs-closed-round-trip-k1-n500', 3e-07),
+    ('pipeline-vs-closed-kickstart-k1-n500', 3e-07),
+    ('column-matches-matrix-n500', 1e-14),
+    ('one-way-periodicity-n200', 1e-11),
+]
 
-def test_fast_suite_passes():
-    report = run_verification("fast")
+
+@pytest.fixture(scope="module")
+def fast_report():
+    return run_verification("fast")
+
+
+def test_fast_suite_passes(fast_report):
+    report = fast_report
     assert report.passed
     assert report.level == "fast"
     rendered = report.render()
     assert "FAIL" not in rendered
     assert rendered.count("PASS") == len(report.checks)
+
+
+def test_fast_suite_keeps_its_checks_and_thresholds(fast_report):
+    assert [c.name for c in fast_report.checks] == [name for name, _ in FAST_CHECKS]
+    for check, (name, threshold) in zip(fast_report.checks, FAST_CHECKS):
+        assert check.threshold == pytest.approx(threshold, rel=1e-12, abs=0.0), name
 
 
 def test_corrupted_coefficient_is_caught():
