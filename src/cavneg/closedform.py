@@ -116,7 +116,7 @@ def _a_tail(n: int, r_max: int) -> float:
 
 def _check_r_max(n: int, r_max: int) -> None:
     # the residual window of Q(n, .) starts at floor(n/2); a cutoff below n
-    # would drop part of it without a word
+    # would silently drop part of it
     if r_max < n:
         raise ValueError(f"r_max must be at least n = {n}, got {r_max}")
 
