@@ -8,8 +8,11 @@ Writes a JSON report with:
   work (the fast level's ``_boost_checks`` measures the column-vs-matrix
   difference that ``_column_matches_matrix_check`` only reports);
 - ``fast_total_s``: the median time of the whole fast level;
+- ``fast_maxrss_mb``: the median peak resident memory of those interpreters
+  (``ru_maxrss``, imports included);
 - ``full_s``: the time of one ``run_verification("full")`` call, with the
-  time of each of its check functions;
+  time of each of its check functions, and ``full_maxrss_mb`` its peak
+  resident memory;
 - whether every check passed, and the environment: nproc, Python and numpy
   versions, git SHA and whether src/ differs from it.
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -85,6 +89,8 @@ def _child(src: str, level: str) -> None:
     json.dump(
         {
             "total_s": total,
+            # kilobytes on Linux
+            "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "calls": calls,
             "checks": len(report.checks),
             "passed": report.passed,
@@ -120,7 +126,9 @@ def _summary(rounds: list, full: dict) -> dict:
         "fast": checks,
         "fast_total_s": statistics.median(r["total_s"] for r in rounds),
         "fast_checks": rounds[0]["checks"],
+        "fast_maxrss_mb": statistics.median(r["maxrss_mb"] for r in rounds),
         "full_s": full["total_s"],
+        "full_maxrss_mb": full["maxrss_mb"],
         "full": [
             {"function": c["function"], "checks": c["checks"], "s": c["s"]}
             for c in full["calls"]
@@ -170,9 +178,10 @@ def main(argv=None) -> int:
         for call in side["fast"]:
             print(f"{label} {call['function']}: {call['s'] * 1e3:.1f} ms ({', '.join(call['checks'])})")
         print(
-            f"{label} fast: {side['fast_total_s']:.3f} s, {side['fast_checks']} checks; "
-            f"full: {side['full_s']:.3f} s, {side['full_checks']} checks; "
-            f"all passed: {side['passed']}"
+            f"{label} fast: {side['fast_total_s']:.3f} s, "
+            f"{side['fast_maxrss_mb']:.1f} MB, {side['fast_checks']} checks; "
+            f"full: {side['full_s']:.3f} s, {side['full_maxrss_mb']:.1f} MB, "
+            f"{side['full_checks']} checks; all passed: {side['passed']}"
         )
     print(f"wrote {args.out}")
     return 0

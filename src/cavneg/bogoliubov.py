@@ -18,7 +18,9 @@ Storage convention: a transform acting as
     out_m = sum_n (alpha[m, n] * in_n + beta[m, n] * conj(in_n))
 
 keeps row = outgoing mode m, column = ingoing mode n.  All matrices are dense
-complex double precision.  First-order blocks are stored per unit h; the
+double precision: the boost builders and the zero blocks of the identity and
+of free evolution are real, every other block, composition's included, is
+complex.  First-order blocks are stored per unit h; the
 ``h_value`` field is bookkeeping metadata for callers that evaluate at a
 specific h, and composition requires it to match.
 """
@@ -44,13 +46,22 @@ __all__ = [
 ]
 
 
+def _as_block(block) -> np.ndarray:
+    # real boost blocks take half the memory of complex ones, and numpy casts
+    # them to complex inside every mixed operation, so the results keep their
+    # bits
+    arr = np.asarray(block)
+    return arr if arr.dtype == np.float64 else np.asarray(arr, dtype=complex)
+
+
 @dataclass(frozen=True, eq=False)
 class PerturbativeTransform:
     """One Bogoliubov pair held order by order in h.
 
     order0: unit-modulus phases z_n, length n_max.
-    alpha1: first-order block of alpha per unit h, n_max x n_max complex.
-    beta1: first-order block of beta per unit h, same shape.
+    alpha1: first-order block of alpha per unit h, n_max x n_max; a float64
+        block stays real, anything else is cast to complex.
+    beta1: first-order block of beta per unit h, same shape and rule.
     alpha2_diag: second-order diagonal of alpha, or None when unknown.
         Real for the boost builders; composition makes it complex.
     h_value: expansion parameter the transform is evaluated at; 1.0 denotes
@@ -68,8 +79,8 @@ class PerturbativeTransform:
 
     def __post_init__(self) -> None:
         z = np.asarray(self.order0, dtype=complex)
-        a1 = np.asarray(self.alpha1, dtype=complex)
-        b1 = np.asarray(self.beta1, dtype=complex)
+        a1 = _as_block(self.alpha1)
+        b1 = _as_block(self.beta1)
         if z.ndim != 1:
             raise ValueError("order0 must be a one dimensional phase vector")
         n = z.size
@@ -121,7 +132,7 @@ def identity_transform(n_max: int, h_value: float = 1.0) -> PerturbativeTransfor
     """The do-nothing transform: unit phases, no mixing."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    zero = np.zeros((n_max, n_max), dtype=complex)
+    zero = np.zeros((n_max, n_max))
     return PerturbativeTransform(
         np.ones(n_max, dtype=complex), zero, zero, np.zeros(n_max), h_value
     )
@@ -265,7 +276,7 @@ def phase_rotation(
             f"need a frequency for every retained mode, got {freqs.size} < {n_max}"
         )
     z = np.exp(1j * freqs[:n_max] * duration)
-    zero = np.zeros((n_max, n_max), dtype=complex)
+    zero = np.zeros((n_max, n_max))
     return PerturbativeTransform(z, zero, zero, np.zeros(n_max), h_value)
 
 
@@ -278,7 +289,19 @@ def compose(
     A = A2 A1 + B2 conj(B1), B = A2 B1 + B2 conj(A1); expanded order by
     order this keeps the off-diagonal blocks first order and the alpha
     diagonal through second order.  The second-order diagonal is propagated
-    when both operands carry one and dropped otherwise.
+    when both operands carry one and dropped otherwise.  The blocks of the
+    result are complex.
+    """
+    return _compose(second, first, 1)
+
+
+def _compose(
+    second: PerturbativeTransform, first: PerturbativeTransform, sign: int
+) -> PerturbativeTransform:
+    """compose() with the first-order blocks of ``second`` taken times sign,
+    +1 or -1, without forming them.  Negation is exact, so sign -1 gives the
+    values of composing the negated transform; the second-order diagonal of
+    ``second`` enters unchanged, as it does for a boost leg of either sign.
     """
     if second.n_max != first.n_max:
         raise ValueError(
@@ -291,12 +314,16 @@ def compose(
     z2 = second.order0
     z1 = first.order0
     order0 = z2 * z1
-    alpha1 = z2[:, None] * first.alpha1 + second.alpha1 * z1[None, :]
-    beta1 = z2[:, None] * first.beta1 + second.beta1 * np.conj(z1)[None, :]
+    # the sign rides on the phase vectors, whose negation is exact and cheap
+    z1s = z1 if sign == 1 else -z1
+    alpha1 = z2[:, None] * first.alpha1 + second.alpha1 * z1s[None, :]
+    beta1 = z2[:, None] * first.beta1 + second.beta1 * np.conj(z1s)[None, :]
     alpha2 = None
     if second.alpha2_diag is not None and first.alpha2_diag is not None:
         cross_a = np.einsum("nm,mn->n", second.alpha1, first.alpha1)
         cross_b = np.einsum("nm,mn->n", second.beta1, np.conj(first.beta1))
+        if sign != 1:
+            cross_a, cross_b = -cross_a, -cross_b
         alpha2 = z2 * first.alpha2_diag + second.alpha2_diag * z1 + cross_a + cross_b
     return PerturbativeTransform(order0, alpha1, beta1, alpha2, first.h_value)
 

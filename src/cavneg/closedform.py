@@ -94,7 +94,9 @@ def polylog6(z, tol: float = 1e-14):
     zp = np.ones(arr.shape, dtype=complex)
     for m in range(1, nterms + 1):
         zp = zp * arr
-        acc += zp / m**6
+        # numpy divides a complex number by a real one as a product with the
+        # reciprocal, so this has the bits of zp / m**6 at a product's cost
+        acc += zp * (1.0 / m**6)
     if np.asarray(z).ndim == 0:
         return complex(acc)
     return acc
@@ -170,21 +172,31 @@ def q_coefficients(n: int, r_max: int) -> QCoefficients:
 def q_function(n: int, z, r_max: int | None = None, tol: float = 1e-14):
     """Q(n, z) for unit-modulus z, scalar or array.
 
-    The polylogarithm pair carries most of the value; the residual sum runs
-    from floor(n/2) to r_max (chosen from tol when omitted, at least n when
-    given) with an inverse-fourth-power tail.
+    With r_max omitted, the polylogarithm pair carries most of the value and
+    the residual sum runs from floor(n/2) to a cutoff chosen from tol, with
+    an inverse-fourth-power tail.  An explicit r_max, at least n, truncates
+    both at the odd power 2 r_max + 1, so that Q is the cosine series
+    sum_{r <= r_max} a_nr Re(z**(1+2r)) of q_coefficients(n, r_max).
     """
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
-    if r_max is not None:
-        _check_r_max(n, r_max)
     arr = _as_phase_array(z)
-    lead = (4.0 * n * n / _PI4) * np.real(
-        polylog6(arr, tol) - polylog6(arr * arr, tol) / 64.0
-    )
+    if r_max is not None:
+        # the polylog pair up to z**(1 + 2 r_max) keeps the odd powers only,
+        # so lead and residual window add up to the coefficients a_nr
+        coeffs = q_coefficients(n, r_max).a
+        value = np.zeros(arr.shape)
+        zp = arr
+        z2 = arr * arr
+        for a in coeffs:
+            value += a * np.real(zp)
+            zp = zp * z2
+        return _maybe_scalar(value, z)
+    # one polylog pass over z and z**2 stacked
+    pair = polylog6(np.stack((arr, arr * arr)), tol)
+    lead = (4.0 * n * n / _PI4) * np.real(pair[0] - pair[1] / 64.0)
     r0 = n // 2
-    if r_max is None:
-        r_max = max(_auto_r_max(n, tol, 1.0), r0)
+    r_max = max(_auto_r_max(n, tol, 1.0), r0)
     coef = 6.0 * n / _PI4
     acc = np.zeros(arr.shape)
     zp = arr ** (2 * r0 + 1)

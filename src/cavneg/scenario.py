@@ -18,7 +18,9 @@ where the sum, the scaled deficit, is independent of h because the transform
 blocks are stored per unit h.  scenario_negativity carries that column
 through the segments in O(n_max) each; effective_transform composes the full
 n_max x n_max blocks and, through negativity_general, is the reference the
-column path is checked against.
+column path is checked against.  It builds each accelerated leg once per
+distinct duration, since a leg of the opposite sign differs only in the sign
+of its first-order blocks.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import numpy as np
 
 from .bogoliubov import (
     PerturbativeTransform,
+    _compose,
     boost_column,
-    compose,
     identity_transform,
     massive_boost_transform,
     massless_boost_transform,
@@ -164,9 +166,13 @@ def _accelerated_frequencies(cfg: CavityConfig) -> np.ndarray:
 
 
 def _accelerated_segment(
-    blocks, cfg: CavityConfig, sign: int, duration: float, open_ended: bool
+    boost: PerturbativeTransform,
+    squares,
+    cfg: CavityConfig,
+    sign: int,
+    duration: float,
+    open_ended: bool,
 ) -> PerturbativeTransform:
-    boost, alpha_sq, beta_sq = blocks
     z = np.exp(1j * _accelerated_frequencies(cfg) * duration)
     if open_ended:
         # boost then accelerated-frame evolution, no boost back
@@ -177,6 +183,7 @@ def _accelerated_segment(
         # boost, evolution, inverse boost collapse to a closed form: the
         # antisymmetry of alpha1 and symmetry of beta1 in the boost blocks
         # turn the chain into phase differences
+        alpha_sq, beta_sq = squares
         alpha1 = sign * boost.alpha1 * (z[:, None] - z[None, :])
         beta1 = sign * boost.beta1 * (z[:, None] - np.conj(z)[None, :])
         alpha2 = (
@@ -200,22 +207,13 @@ def _apply_phase(phases: np.ndarray, t: PerturbativeTransform) -> PerturbativeTr
     )
 
 
-def effective_transform(
-    s: Scenario, boost: PerturbativeTransform | None = None
-) -> PerturbativeTransform:
-    """End-to-end transform of a scenario, per unit h, as full matrices.
+def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
+    """Yield the end-to-end transform after each segment of s, in order.
 
-    Accelerated segments contribute boost, accelerated-frame phases, inverse
-    boost (the inverse omitted only for the kickstart tail); inertial
-    segments contribute inertial phases.  Segments compose in trajectory
-    order.  An empty scenario gives the identity.  This is the O(n_max**2)
-    reference that scenario_negativity is checked against.
-
-    boost, when given, is massless_boost_transform(n_max) or
-    massive_boost_transform(n_max, M) for the scenario's n_max and M, so
-    that callers transforming several scenarios of one cavity build it
-    once; it is built here when omitted.  A boost of another n_max raises
-    ValueError.
+    Each distinct (duration, open_ended) leg is built once, with the sign of
+    its first use; a later use of the opposite sign negates its first-order
+    blocks inside the composition instead of copying them.  boost is as for
+    effective_transform.
     """
     cfg = s.cfg
     if boost is not None and boost.n_max != cfg.n_max:
@@ -223,7 +221,8 @@ def effective_transform(
             f"boost has n_max = {boost.n_max}, the scenario needs {cfg.n_max}"
         )
     total = None
-    blocks = None
+    squares = None
+    legs = {}
     last = len(s.segments) - 1
     for i, seg in enumerate(s.segments):
         if isinstance(seg, Inertial):
@@ -232,21 +231,51 @@ def effective_transform(
                 total = phase_rotation(seg.duration, _inertial_frequencies(cfg), cfg.n_max)
             else:
                 total = _apply_phase(phases, total)
+            yield total
             continue
-        if blocks is None:
+        open_ended = s.kickstart and i == last
+        key = (seg.duration, open_ended)
+        if key not in legs:
             if boost is None:
                 boost = (
                     massless_boost_transform(cfg.n_max)
                     if cfg.M == 0
                     else massive_boost_transform(cfg.n_max, cfg.M)
                 )
-            blocks = boost, np.real(boost.alpha1) ** 2, np.real(boost.beta1) ** 2
-        t = _accelerated_segment(
-            blocks, cfg, seg.sign, seg.duration, open_ended=(s.kickstart and i == last)
-        )
-        total = t if total is None else compose(t, total)
+            if squares is None and not open_ended:
+                squares = np.real(boost.alpha1) ** 2, np.real(boost.beta1) ** 2
+            legs[key] = (
+                _accelerated_segment(boost, squares, cfg, seg.sign, seg.duration, open_ended),
+                seg.sign,
+            )
+        leg, leg_sign = legs[key]
+        total = leg if total is None else _compose(leg, total, seg.sign * leg_sign)
+        yield total
+
+
+def effective_transform(
+    s: Scenario, boost: PerturbativeTransform | None = None
+) -> PerturbativeTransform:
+    """End-to-end transform of a scenario, per unit h, as full matrices.
+
+    Accelerated segments contribute boost, accelerated-frame phases, inverse
+    boost (the inverse omitted only for the kickstart tail); inertial
+    segments contribute inertial phases.  Segments compose in trajectory
+    order, and each distinct accelerated leg duration is built once.  An
+    empty scenario gives the identity.  This is the O(n_max**2) reference
+    that scenario_negativity is checked against.
+
+    boost, when given, is massless_boost_transform(n_max) or
+    massive_boost_transform(n_max, M) for the scenario's n_max and M, so
+    that callers transforming several scenarios of one cavity build it
+    once; it is built here when omitted.  A boost of another n_max raises
+    ValueError.
+    """
+    total = None
+    for total in _transform_steps(s, boost):
+        pass
     if total is None:
-        return identity_transform(cfg.n_max)
+        return identity_transform(s.cfg.n_max)
     return total
 
 

@@ -36,6 +36,7 @@ from .closedform import (
 )
 from .scenario import (
     CavityConfig,
+    _transform_steps,
     alpha_centauri_scenario,
     effective_transform,
     kickstart_scenario,
@@ -249,24 +250,37 @@ def _pipeline_checks(n_max: int, npoints: int, ks) -> list:
 def _column_vs_matrix(boost, M: float) -> float:
     """Largest deficit or tail difference between the column engine and the
     full-matrix reference over the four trip shapes, all transformed with
-    this one boost."""
+    this one boost.  The one-way and out-and-stop trips are prefixes of the
+    round trip, so one walk along its chain serves all three references."""
     cfg = CavityConfig(M=M, k=2, n_max=boost.n_max)
-    worst = 0.0
+    round_trip = round_trip_scenario(0.8, 0.45, 0.3, cfg)
+    prefixes = {}
     for scenario in (
         one_way_scenario(0.8, cfg),
         alpha_centauri_scenario(0.8, 0.45, cfg),
-        round_trip_scenario(0.8, 0.45, 0.3, cfg),
-        kickstart_scenario(0.8, cfg),
+        round_trip,
     ):
+        steps = len(scenario.segments)
+        if round_trip.segments[:steps] != scenario.segments:
+            raise RuntimeError(
+                f"the round trip no longer starts with the {steps}-segment trip"
+            )
+        prefixes[steps] = scenario
+
+    def difference(scenario, t) -> float:
         col = scenario_negativity(scenario)
-        ref = negativity_general(
-            effective_transform(scenario, boost), cfg.k, cfg.h, M
-        )
-        worst = max(
-            worst,
+        ref = negativity_general(t, cfg.k, cfg.h, M)
+        return max(
             abs(col.deficit_scaled - ref.deficit_scaled),
             abs(col.truncation_tail - ref.truncation_tail),
         )
+
+    kick = kickstart_scenario(0.8, cfg)
+    worst = difference(kick, effective_transform(kick, boost))
+    # each step is dropped before the next is composed
+    for steps, t in enumerate(_transform_steps(round_trip, boost), 1):
+        if steps in prefixes:
+            worst = max(worst, difference(prefixes[steps], t))
     return worst
 
 

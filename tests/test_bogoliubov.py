@@ -182,3 +182,25 @@ def test_identities_without_second_order_diagonal():
         np.zeros((2, 2), dtype=complex),
     )
     assert check_identities(t).order2_diag_residual is None
+
+
+def test_real_blocks_stay_real_and_composition_is_complex():
+    blocks = ("alpha1", "beta1")
+    freqs = np.arange(1.0, 9.0)
+    for t in (
+        massless_boost_transform(8),
+        massive_boost_transform(8, 10.0),
+        identity_transform(8),
+        phase_rotation(0.3, freqs, 8),
+    ):
+        assert all(getattr(t, b).dtype == np.float64 for b in blocks)
+        assert t.order0.dtype == np.complex128
+    boost = massless_boost_transform(8)
+    for t in (compose(boost, boost), compose(identity_transform(8), boost)):
+        assert all(getattr(t, b).dtype == np.complex128 for b in blocks)
+    # anything but float64 is cast to complex
+    for dtype in (np.float32, np.int64, np.complex64):
+        t = PerturbativeTransform(
+            np.ones(2), np.zeros((2, 2), dtype=dtype), np.zeros((2, 2), dtype=dtype)
+        )
+        assert all(getattr(t, b).dtype == np.complex128 for b in blocks)

@@ -116,6 +116,68 @@ def test_coefficients_reproduce_q():
         assert direct == pytest.approx(q_function(3, np.exp(1j * u)), abs=1e-12)
 
 
+def _polylog6_reference(z, tol=1e-14):
+    # term by term, dividing each power by m**6
+    arr = np.asarray(z, dtype=complex)
+    nterms = max(10, math.ceil((1.0 / (5.0 * tol)) ** 0.2))
+    acc = np.zeros(arr.shape, dtype=complex)
+    zp = np.ones(arr.shape, dtype=complex)
+    for m in range(1, nterms + 1):
+        zp = zp * arr
+        acc += zp / m**6
+    return acc
+
+
+def _q_reference(n, z, tol=1e-14):
+    # one polylog series over z and another over z**2, then the residual
+    # window up to the automatic cutoff
+    arr = np.asarray(z, dtype=complex)
+    lead = (4.0 * n * n / math.pi**4) * np.real(
+        _polylog6_reference(arr, tol) - _polylog6_reference(arr * arr, tol) / 64.0
+    )
+    r0 = n // 2
+    acc = np.zeros(arr.shape)
+    zp = arr ** (2 * r0 + 1)
+    z2 = arr * arr
+    for r in range(r0, max(closedform._auto_r_max(n, tol, 1.0), r0) + 1):
+        s = float(2 * r + 1)
+        acc += np.real(zp) * (1.0 / s**5 - n / s**6)
+        zp = zp * z2
+    return lead + (6.0 * n / math.pi**4) * acc
+
+
+def _phase_inputs():
+    rng = np.random.default_rng(11)
+    scalars = [1.0, -1.0, 0.0, 1j, complex(np.exp(0.7j)), np.exp(2.9j)]
+    arrays = [
+        np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape))
+        for shape in [(1,), (16,), (5, 7), (101, 1), (2, 3, 4)]
+    ]
+    return scalars + arrays + [np.array([1.0, -1.0, 0.0, 1j])]
+
+
+def test_polylog6_and_q_equal_the_term_by_term_reference():
+    for z in _phase_inputs():
+        assert np.array_equal(polylog6(z), _polylog6_reference(z))
+        for tol in (1e-14, 1e-9):
+            assert np.array_equal(polylog6(z, tol), _polylog6_reference(z, tol))
+        for n in (1, 2, 3, 4, 7):
+            got = q_function(n, z)
+            assert np.shape(got) == np.shape(z)
+            assert np.array_equal(got, _q_reference(n, z)), (z, n)
+            assert np.array_equal(q_function(n, z, tol=1e-9), _q_reference(n, z, 1e-9))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_explicit_r_max_q_is_the_cosine_series(n):
+    us = np.linspace(0.0, 2.0 * math.pi, 33)
+    for r_max in (n, n + 1, 17, 60):
+        coeffs = q_coefficients(n, r_max).a
+        series = np.cos(np.multiply.outer(us, 1.0 + 2.0 * np.arange(r_max + 1))) @ coeffs
+        assert np.abs(q_function(n, np.exp(1j * us), r_max) - series).max() <= 1e-14
+        assert q_function(n, 1.0, r_max) == pytest.approx(coeffs.sum(), abs=1e-14)
+
+
 def test_coefficients_require_enough_terms():
     with pytest.raises(ValueError):
         q_coefficients(8, 4)
@@ -291,6 +353,25 @@ def test_negativity_forms_share_an_explicit_cutoff(negativity, deficit, deficit_
     assert res.deficit_scaled == deficit(40)
     assert res.deficit_scaled != deficit(None)
     assert abs(deficit(40) - deficit_sum(40)) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_negativity_forms_agree_at_every_explicit_cutoff(k):
+    # both forms are the same series truncated at r_max, so no accepted
+    # cutoff trips the 1e-10 cross-check
+    phases = PhaseTuple.from_angles(0.7, 1.1)
+    for r_max in range(k, 61):
+        one = negativity_one_way(k, 0.01, phases, r_max)
+        two = negativity_two_way(k, 0.01, phases, r_max)
+        assert one.deficit_scaled == one_way_deficit(k, phases.p, r_max)
+        assert two.deficit_scaled == two_way_deficit(k, phases.p, phases.p_prime, r_max)
+        assert abs(
+            one_way_deficit(k, phases.p, r_max) - one_way_deficit_sum(k, phases.p, r_max)
+        ) <= 1e-10
+        assert abs(
+            two_way_deficit(k, phases.p, phases.p_prime, r_max)
+            - two_way_deficit_sum(k, phases.p, phases.p_prime, r_max)
+        ) <= 1e-10
 
 
 @pytest.mark.parametrize("nfactors", [0, 1, 2, 3])

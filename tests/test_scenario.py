@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from cavneg.bogoliubov import (
+    PerturbativeTransform,
     check_identities,
+    compose,
+    identity_transform,
     massive_boost_transform,
     massless_boost_transform,
+    phase_rotation,
 )
 from cavneg.closedform import (
     kickstart_deficit,
@@ -29,6 +33,9 @@ from cavneg.scenario import (
     negativity_general,
     one_way_scenario,
     round_trip_scenario,
+    _accelerated_frequencies,
+    _inertial_frequencies,
+    _transform_steps,
     scenario_negativity,
 )
 from cavneg.spectrum import CavityConfig, acceleration_period, rindler_frequency
@@ -203,6 +210,98 @@ def test_effective_transform_takes_a_prebuilt_boost(shape, M):
     given = effective_transform(s, boost)
     for block in ("order0", "alpha1", "beta1", "alpha2_diag"):
         assert np.array_equal(getattr(given, block), getattr(built, block)), block
+
+
+def _reference_transform(s):
+    """effective_transform as one leg per accelerated segment, each built
+    with its own sign and joined by the public compose."""
+    cfg = s.cfg
+    boost = (
+        massless_boost_transform(cfg.n_max)
+        if cfg.M == 0
+        else massive_boost_transform(cfg.n_max, cfg.M)
+    )
+    alpha_sq, beta_sq = np.real(boost.alpha1) ** 2, np.real(boost.beta1) ** 2
+    total = None
+    for i, seg in enumerate(s.segments):
+        if isinstance(seg, Inertial):
+            freqs = _inertial_frequencies(cfg)
+            if total is None:
+                total = phase_rotation(seg.duration, freqs, cfg.n_max)
+            else:
+                phases = np.exp(1j * freqs * seg.duration)
+                total = PerturbativeTransform(
+                    phases * total.order0,
+                    phases[:, None] * total.alpha1,
+                    phases[:, None] * total.beta1,
+                    phases * total.alpha2_diag,
+                )
+            continue
+        z = np.exp(1j * _accelerated_frequencies(cfg) * seg.duration)
+        if s.kickstart and i == len(s.segments) - 1:
+            leg = PerturbativeTransform(
+                z,
+                seg.sign * z[:, None] * boost.alpha1,
+                seg.sign * z[:, None] * boost.beta1,
+                z * boost.alpha2_diag,
+            )
+        else:
+            leg = PerturbativeTransform(
+                z,
+                seg.sign * boost.alpha1 * (z[:, None] - z[None, :]),
+                seg.sign * boost.beta1 * (z[:, None] - np.conj(z)[None, :]),
+                2.0 * z * boost.alpha2_diag
+                + np.einsum("mn,m->n", alpha_sq, z)
+                - np.einsum("mn,m->n", beta_sq, np.conj(z)),
+            )
+        total = leg if total is None else compose(leg, total)
+    return identity_transform(cfg.n_max) if total is None else total
+
+
+def _reference_cases(cfg):
+    return {
+        **_column_cases(cfg),
+        "two-durations": Scenario(
+            (Inertial(0.2), Accelerated(-1, 0.7), Accelerated(1, 0.3),
+             Inertial(0.5), Accelerated(1, 0.7), Accelerated(-1, 0.3),
+             Accelerated(-1, 0.7)),
+            cfg,
+        ),
+        "kickstart-after-inertial": Scenario(
+            (Inertial(0.4), Accelerated(-1, 0.7), Inertial(0.2), Accelerated(1, 0.7)),
+            cfg,
+            kickstart=True,
+        ),
+    }
+
+
+@pytest.mark.parametrize("n_max", [50, 200])
+@pytest.mark.parametrize("M", [0.0, 10.0, 1000.0])
+def test_effective_transform_equals_the_per_leg_reference(M, n_max):
+    # one build per leg duration, with the sign moved into the composition,
+    # gives the same numbers as one leg per segment
+    cfg = CavityConfig(M=M, h=0.01, k=2, n_max=n_max)
+    for shape, s in _reference_cases(cfg).items():
+        got = effective_transform(s)
+        ref = _reference_transform(s)
+        for block in ("order0", "alpha1", "beta1", "alpha2_diag"):
+            assert np.array_equal(getattr(got, block), getattr(ref, block)), (shape, block)
+
+
+@pytest.mark.parametrize("M", [0.0, 10.0])
+def test_transform_steps_pass_through_the_shorter_trips(M):
+    cfg = CavityConfig(M=M, h=0.01, k=2, n_max=200)
+    steps = list(_transform_steps(round_trip_scenario(0.8, 0.45, 0.3, cfg)))
+    assert len(steps) == 7
+    for step, s in (
+        (1, one_way_scenario(0.8, cfg)),
+        (3, alpha_centauri_scenario(0.8, 0.45, cfg)),
+        (7, round_trip_scenario(0.8, 0.45, 0.3, cfg)),
+    ):
+        ref = effective_transform(s)
+        for block in ("order0", "alpha1", "beta1", "alpha2_diag"):
+            assert np.array_equal(getattr(steps[step - 1], block), getattr(ref, block))
+    assert list(_transform_steps(Scenario((), cfg))) == []
 
 
 def test_effective_transform_rejects_a_boost_of_another_size():
