@@ -181,26 +181,24 @@ def q_function(n: int, z, r_max: int | None = None, tol: float = 1e-14):
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
     arr = _as_phase_array(z)
+    z2 = arr * arr
     if r_max is not None:
         # the polylog pair up to z**(1 + 2 r_max) keeps the odd powers only,
         # so lead and residual window add up to the coefficients a_nr
-        coeffs = q_coefficients(n, r_max).a
         value = np.zeros(arr.shape)
         zp = arr
-        z2 = arr * arr
-        for a in coeffs:
+        for a in q_coefficients(n, r_max).a:
             value += a * np.real(zp)
             zp = zp * z2
         return _maybe_scalar(value, z)
     # one polylog pass over z and z**2 stacked
-    pair = polylog6(np.stack((arr, arr * arr)), tol)
+    pair = polylog6(np.stack((arr, z2)), tol)
     lead = (4.0 * n * n / _PI4) * np.real(pair[0] - pair[1] / 64.0)
     r0 = n // 2
     r_max = max(_auto_r_max(n, tol, 1.0), r0)
     coef = 6.0 * n / _PI4
     acc = np.zeros(arr.shape)
     zp = arr ** (2 * r0 + 1)
-    z2 = arr * arr
     for r in range(r0, r_max + 1):
         s = float(2 * r + 1)
         acc += np.real(zp) * (1.0 / s**5 - n / s**6)

@@ -5,8 +5,8 @@ cross-checks at a handful of phase points).  The full level raises the cutoff
 to 2000, adds doubling convergence, widens the phase grids to 64 points and
 covers the heavy-field masses.  Both levels check the column engine against
 the closed forms and against the full-matrix reference.  On a 2-vCPU
-x86-64 machine (Python 3.11, numpy 2.4) fast takes about 0.7 s and full
-about 3 s; bench/verify_layers.py times them check by check.
+x86-64 machine (Python 3.11, numpy 2.4) fast takes about 0.4 s and full
+about 2.8 s; bench/verify_layers.py times them check by check.
 """
 
 from __future__ import annotations
