@@ -358,20 +358,16 @@ def test_negativity_forms_share_an_explicit_cutoff(negativity, deficit, deficit_
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_negativity_forms_agree_at_every_explicit_cutoff(k):
     # both forms are the same series truncated at r_max, so no accepted
-    # cutoff trips the 1e-10 cross-check
+    # cutoff trips the wrappers' 1e-10 cross-check; they agree to rounding
     phases = PhaseTuple.from_angles(0.7, 1.1)
+    p, pp = phases.p, phases.p_prime
     for r_max in range(k, 61):
         one = negativity_one_way(k, 0.01, phases, r_max)
         two = negativity_two_way(k, 0.01, phases, r_max)
-        assert one.deficit_scaled == one_way_deficit(k, phases.p, r_max)
-        assert two.deficit_scaled == two_way_deficit(k, phases.p, phases.p_prime, r_max)
-        assert abs(
-            one_way_deficit(k, phases.p, r_max) - one_way_deficit_sum(k, phases.p, r_max)
-        ) <= 1e-10
-        assert abs(
-            two_way_deficit(k, phases.p, phases.p_prime, r_max)
-            - two_way_deficit_sum(k, phases.p, phases.p_prime, r_max)
-        ) <= 1e-10
+        assert one.deficit_scaled == one_way_deficit(k, p, r_max)
+        assert two.deficit_scaled == two_way_deficit(k, p, pp, r_max)
+        assert abs(one.deficit_scaled - one_way_deficit_sum(k, p, r_max)) <= 1e-14
+        assert abs(two.deficit_scaled - two_way_deficit_sum(k, p, pp, r_max)) <= 1e-14
 
 
 @pytest.mark.parametrize("nfactors", [0, 1, 2, 3])
