@@ -20,9 +20,9 @@ Storage convention: a transform acting as
 keeps row = outgoing mode m, column = ingoing mode n.  All matrices are dense
 double precision: the boost builders and the zero blocks of the identity and
 of free evolution are real, every other block, composition's included, is
-complex.  First-order blocks are stored per unit h; the
-``h_value`` field is bookkeeping metadata for callers that evaluate at a
-specific h, and composition requires it to match.
+complex.  Every transform is stored per unit h: the first-order blocks
+carry one power of h and the second-order diagonal two, so a caller scales
+by its own h.
 """
 
 from __future__ import annotations
@@ -62,10 +62,8 @@ class PerturbativeTransform:
     alpha1: first-order block of alpha per unit h, n_max x n_max; a float64
         block stays real, anything else is cast to complex.
     beta1: first-order block of beta per unit h, same shape and rule.
-    alpha2_diag: second-order diagonal of alpha, or None when unknown.
-        Real for the boost builders; composition makes it complex.
-    h_value: expansion parameter the transform is evaluated at; 1.0 denotes
-        per-unit-h scaled storage.
+    alpha2_diag: second-order diagonal of alpha per unit h**2, or None when
+        unknown.  Real for the boost builders; composition makes it complex.
 
     Arrays are frozen in place on construction; pass copies if you need to
     keep writing to them.
@@ -75,7 +73,6 @@ class PerturbativeTransform:
     alpha1: np.ndarray
     beta1: np.ndarray
     alpha2_diag: np.ndarray | None = None
-    h_value: float = 1.0
 
     def __post_init__(self) -> None:
         z = np.asarray(self.order0, dtype=complex)
@@ -128,13 +125,13 @@ class IdentityResidual:
     tail_estimate: float
 
 
-def identity_transform(n_max: int, h_value: float = 1.0) -> PerturbativeTransform:
+def identity_transform(n_max: int) -> PerturbativeTransform:
     """The do-nothing transform: unit phases, no mixing."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     zero = np.zeros((n_max, n_max))
     return PerturbativeTransform(
-        np.ones(n_max, dtype=complex), zero, zero, np.zeros(n_max), h_value
+        np.ones(n_max, dtype=complex), zero, zero, np.zeros(n_max)
     )
 
 
@@ -199,7 +196,7 @@ def massless_boost_transform(n_max: int) -> PerturbativeTransform:
     nf = idx.astype(float)
     alpha2_diag = -(math.pi**2 / 240.0) * nf**2
     return PerturbativeTransform(
-        np.ones(n_max, dtype=complex), alpha1, beta1, alpha2_diag, 1.0
+        np.ones(n_max, dtype=complex), alpha1, beta1, alpha2_diag
     )
 
 
@@ -239,8 +236,15 @@ def massive_boost_transform(n_max: int, M: float) -> PerturbativeTransform:
         - 7.0 * M2 * M2 / (16.0 * math.pi**6 * nf**6)
     )
     return PerturbativeTransform(
-        np.ones(n_max, dtype=complex), alpha1, beta1, alpha2_diag, 1.0
+        np.ones(n_max, dtype=complex), alpha1, beta1, alpha2_diag
     )
+
+
+def _boost(n_max: int, M: float) -> PerturbativeTransform:
+    """The boost for field mass M, built by the massless builder at M = 0."""
+    if M == 0:
+        return massless_boost_transform(n_max)
+    return massive_boost_transform(n_max, M)
 
 
 def boost_column(n_max: int, k: int, M: float = 0.0):
@@ -261,9 +265,7 @@ def boost_column(n_max: int, k: int, M: float = 0.0):
     return _massive_entries(idx, idx[k - 1], quart, quart[k - 1], M)
 
 
-def phase_rotation(
-    duration: float, frequencies, n_max: int, h_value: float = 1.0
-) -> PerturbativeTransform:
+def phase_rotation(duration: float, frequencies, n_max: int) -> PerturbativeTransform:
     """Free evolution for a proper duration over the given mode spectrum.
 
     Pure phases z_n = exp(i frequencies[n] duration), no particle creation:
@@ -277,7 +279,7 @@ def phase_rotation(
         )
     z = np.exp(1j * freqs[:n_max] * duration)
     zero = np.zeros((n_max, n_max))
-    return PerturbativeTransform(z, zero, zero, np.zeros(n_max), h_value)
+    return PerturbativeTransform(z, zero, zero, np.zeros(n_max))
 
 
 def compose(
@@ -307,10 +309,6 @@ def _compose(
         raise ValueError(
             f"size mismatch: {second.n_max} vs {first.n_max} modes"
         )
-    if second.h_value != first.h_value:
-        raise ValueError(
-            f"h_value mismatch: {second.h_value} vs {first.h_value}"
-        )
     z2 = second.order0
     z1 = first.order0
     order0 = z2 * z1
@@ -325,7 +323,7 @@ def _compose(
         if sign != 1:
             cross_a, cross_b = -cross_a, -cross_b
         alpha2 = z2 * first.alpha2_diag + second.alpha2_diag * z1 + cross_a + cross_b
-    return PerturbativeTransform(order0, alpha1, beta1, alpha2, first.h_value)
+    return PerturbativeTransform(order0, alpha1, beta1, alpha2)
 
 
 def inverse(t: PerturbativeTransform) -> PerturbativeTransform:
@@ -336,8 +334,19 @@ def inverse(t: PerturbativeTransform) -> PerturbativeTransform:
         np.conj(t.alpha1).T,
         -t.beta1.T,
         alpha2,
-        t.h_value,
     )
+
+
+TAIL_ROWS = 20
+
+
+def _truncation_tail(last, n_max: int):
+    """Weight of the modes beyond n_max, per column, from the weights of the
+    last TAIL_ROWS retained modes, or of all when fewer (the rows of last).
+    Entries fall off like m**-5, so a neglected column sum is roughly their
+    mean times n_max/4; the block mean irons out parity blanks and
+    interference phases, and the factor 3 absorbs their drift."""
+    return 3.0 * last.mean(axis=0) * n_max / 4.0
 
 
 def check_identities(t: PerturbativeTransform) -> IdentityResidual:
@@ -374,13 +383,9 @@ def check_identities(t: PerturbativeTransform) -> IdentityResidual:
         col = power.sum(axis=0) - np.diagonal(power)
         resid = col + 2.0 * np.real(np.conj(z) * t.alpha2_diag)
         order2 = float(np.max(np.abs(resid[:upto])))
-    # Entry magnitudes fall off like m**-5, so each neglected column sum is
-    # roughly the local row mean times n_max/4; the block average irons out
-    # parity blanks and interference phases, factor 3 for their drift.  Only
-    # columns the diagonal residual actually inspects matter; near-diagonal
-    # columns further right hold order-one entries.
-    rows = min(20, n_max)
-    last = np.abs(a1[-rows:, :upto]) ** 2 + np.abs(b1[-rows:, :upto]) ** 2
-    tail = float(3.0 * last.mean(axis=0).max() * n_max / 4.0) if n_max >= 2 else 0.0
+    # Only columns the diagonal residual actually inspects matter;
+    # near-diagonal columns further right hold order-one entries.
+    last = np.abs(a1[-TAIL_ROWS:, :upto]) ** 2 + np.abs(b1[-TAIL_ROWS:, :upto]) ** 2
+    tail = float(_truncation_tail(last, n_max).max()) if n_max >= 2 else 0.0
     return IdentityResidual(order0, order1, order2, n_max, tail)
 

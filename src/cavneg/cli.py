@@ -232,7 +232,7 @@ def main(argv=None) -> int:
         print(f"wrote {nrows} rows -> {spec.output}")
         return 0
     except ArithmeticError as exc:
-        # NumericValidityError and the closed-form cross-check failures
+        # NumericValidityError, and a negative closed-form deficit
         print(f"numeric validity error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

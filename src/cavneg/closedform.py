@@ -25,6 +25,10 @@ The deficits implemented here:
 plus the five-Q rearrangement of the second line and the large-mass limit of
 the single-leg case.  A two-by-two truncation of Q(1, z) is provided for
 quick estimates.
+
+Series cutoffs are fixed at the tails TOL_Q and TOL_SUM unless an explicit
+r_max replaces them.  The negativity wrappers evaluate one form each; the Q
+and product forms police each other in verify.py and the tests.
 """
 
 from __future__ import annotations
@@ -37,10 +41,9 @@ from functools import lru_cache
 import numpy as np
 
 from .scenario import NegativityResult
-from .spectrum import CavityConfig, ValidityReport, rindler_frequency
+from .spectrum import ValidityReport
 
 __all__ = [
-    "QCoefficients",
     "PhaseTuple",
     "polylog6",
     "q_function",
@@ -62,6 +65,9 @@ __all__ = [
 
 _PI4 = math.pi**4
 
+TOL_Q = 1e-14  # tail of the polylog pass and the Q forms
+TOL_SUM = 1e-12  # tail of the product sums and of the tails the wrappers report
+
 # lowest two coefficients of Q(1, .): a_10 = 4/pi**4 and
 # a_11 = 4/(729 pi**4) + (6/pi**4)(1/243 - 1/729) = 16/(729 pi**4)
 A_10 = 4.0 / _PI4
@@ -75,21 +81,22 @@ def _as_phase_array(z):
     return arr
 
 
-def _maybe_scalar(value, template):
-    if np.isscalar(template) or np.asarray(template).ndim == 0:
+def _maybe_scalar(value, *templates):
+    # a Python number when every input was a scalar
+    if all(np.ndim(t) == 0 for t in templates):
         return float(np.real(value)) if np.isrealobj(value) else complex(value)
     return value
 
 
-def polylog6(z, tol: float = 1e-14):
+def polylog6(z):
     """Order-six polylogarithm sum_{m >= 1} z**m / m**6 on the closed disc.
 
-    Direct summation: the tail after N terms is below 1/(5 N**5), so the
-    default tolerance costs about 460 terms.  Accepts complex scalars or
-    arrays; moduli beyond 1 (past rounding slack) are rejected.
+    Direct summation: the tail after N terms is below 1/(5 N**5), so a tail
+    of TOL_Q costs about 460 terms.  Accepts complex scalars or arrays;
+    moduli beyond 1 (past rounding slack) are rejected.
     """
     arr = _as_phase_array(z)
-    nterms = max(10, math.ceil((1.0 / (5.0 * tol)) ** 0.2))
+    nterms = max(10, math.ceil((1.0 / (5.0 * TOL_Q)) ** 0.2))
     acc = np.zeros(arr.shape, dtype=complex)
     zp = np.ones(arr.shape, dtype=complex)
     for m in range(1, nterms + 1):
@@ -102,7 +109,7 @@ def polylog6(z, tol: float = 1e-14):
     return acc
 
 
-def _auto_r_max(n: int, tol: float, product_bound: float = 4.0) -> int:
+def _auto_r_max(n: int, tol: float, product_bound: float) -> int:
     # tail of sum_r a_nr past R, bounded through integral comparison:
     #   (4 n^2/pi^4) (1+2R)^-5 / 10 + (6 n/pi^4) (1+2R)^-4 / 8
     r = max(n, 8)
@@ -135,22 +142,8 @@ def _cutoff(n: int, r_max: int | None, tol: float, nfactors: int) -> tuple:
     return r_max, _a_tail(n, r_max) * bound
 
 
-@dataclass(frozen=True, eq=False)
-class QCoefficients:
-    """Cosine-series coefficients of Q(n, .): a[r] for r = 0 .. r_max."""
-
-    n: int
-    a: np.ndarray
-    r_max: int
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.a, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "a", arr)
-
-
-def q_coefficients(n: int, r_max: int) -> QCoefficients:
-    """Coefficients a_nr with
+def q_coefficients(n: int, r_max: int) -> np.ndarray:
+    """Read-only array of the coefficients a_nr, r = 0 .. r_max, with
 
         a_nr = (4 n**2 / pi**4) / (1+2r)**6
              + [r >= floor(n/2)] (6 n / pi**4) (1/(1+2r)**5 - n/(1+2r)**6),
@@ -166,17 +159,19 @@ def q_coefficients(n: int, r_max: int) -> QCoefficients:
     a = (4.0 * n * n / _PI4) / s**6
     window = r >= n // 2
     a = a + window * (6.0 * n / _PI4) * (1.0 / s**5 - n / s**6)
-    return QCoefficients(n, a, r_max)
+    a.setflags(write=False)
+    return a
 
 
-def q_function(n: int, z, r_max: int | None = None, tol: float = 1e-14):
+def q_function(n: int, z, r_max: int | None = None):
     """Q(n, z) for unit-modulus z, scalar or array.
 
     With r_max omitted, the polylogarithm pair carries most of the value and
-    the residual sum runs from floor(n/2) to a cutoff chosen from tol, with
-    an inverse-fourth-power tail.  An explicit r_max, at least n, truncates
-    both at the odd power 2 r_max + 1, so that Q is the cosine series
-    sum_{r <= r_max} a_nr Re(z**(1+2r)) of q_coefficients(n, r_max).
+    the residual sum runs from floor(n/2) to a cutoff whose
+    inverse-fourth-power tail stays below TOL_Q.  An explicit r_max, at
+    least n, truncates both at the odd power 2 r_max + 1, so that Q is the
+    cosine series sum_{r <= r_max} a_nr Re(z**(1+2r)) of
+    q_coefficients(n, r_max).
     """
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
@@ -187,15 +182,15 @@ def q_function(n: int, z, r_max: int | None = None, tol: float = 1e-14):
         # so lead and residual window add up to the coefficients a_nr
         value = np.zeros(arr.shape)
         zp = arr
-        for a in q_coefficients(n, r_max).a:
+        for a in q_coefficients(n, r_max):
             value += a * np.real(zp)
             zp = zp * z2
         return _maybe_scalar(value, z)
     # one polylog pass over z and z**2 stacked
-    pair = polylog6(np.stack((arr, z2)), tol)
+    pair = polylog6(np.stack((arr, z2)))
     lead = (4.0 * n * n / _PI4) * np.real(pair[0] - pair[1] / 64.0)
     r0 = n // 2
-    r_max = max(_auto_r_max(n, tol, 1.0), r0)
+    r_max = max(_auto_r_max(n, TOL_Q, 1.0), r0)
     coef = 6.0 * n / _PI4
     acc = np.zeros(arr.shape)
     zp = arr ** (2 * r0 + 1)
@@ -212,12 +207,12 @@ def _q_at_one(n: int) -> float:
     return q_function(n, 1.0 + 0.0j)
 
 
-def _q_one_like(n: int, r_max: int | None, tol: float) -> float:
+def _q_one_like(n: int, r_max: int | None) -> float:
     # Q(n, 1) at the cutoff of the Q(n, p) it is subtracted from, so that the
     # difference vanishes exactly at p = 1
-    if r_max is None and tol == 1e-14:
+    if r_max is None:
         return _q_at_one(n)
-    return q_function(n, 1.0 + 0.0j, r_max, tol)
+    return q_function(n, 1.0 + 0.0j, r_max)
 
 
 def q_two_by_two(z):
@@ -255,19 +250,6 @@ class PhaseTuple:
             complex(math.cos(w), math.sin(w)),
         )
 
-    @classmethod
-    def from_durations(
-        cls,
-        tau_bar: float,
-        tau_prime: float,
-        tau_dprime: float,
-        cfg: CavityConfig,
-    ) -> "PhaseTuple":
-        u = rindler_frequency(1, cfg) * tau_bar
-        v = math.pi * tau_prime / cfg.delta
-        w = math.pi * tau_dprime / cfg.delta
-        return cls.from_angles(u, v, w)
-
 
 def kickstart_deficit(k: int) -> float:
     """Deficit when the trajectory ends still accelerating: Q(k, 1),
@@ -275,21 +257,21 @@ def kickstart_deficit(k: int) -> float:
     return _q_at_one(k)
 
 
-def one_way_deficit(k: int, p, r_max: int | None = None, tol: float = 1e-14):
+def one_way_deficit(k: int, p, r_max: int | None = None):
     """Single accelerated leg: 2 [Q(k, 1) - Q(k, p)], vectorized over p."""
     value = 2.0 * (
-        _q_one_like(k, r_max, tol)
-        - np.asarray(q_function(k, p, r_max, tol), dtype=float)
+        _q_one_like(k, r_max)
+        - np.asarray(q_function(k, p, r_max), dtype=float)
     )
     return _maybe_scalar(value, p)
 
 
-def _product_sum(k: int, factors, r_max: int | None, tol: float):
+def _product_sum(k: int, factors, r_max: int | None):
     # sum_r a_kr prod_j |x_j**(1+2r) - 1|**2 over the given unit phases; each
     # factor's powers stay at that factor's own shape, only the product
     # broadcasts
-    r_max, tail = _cutoff(k, r_max, tol, len(factors))
-    coeffs = q_coefficients(k, r_max).a
+    r_max, tail = _cutoff(k, r_max, TOL_SUM, len(factors))
+    coeffs = q_coefficients(k, r_max)
     arrs = [_as_phase_array(x) for x in factors]
     shape = np.broadcast_shapes(*(a.shape for a in arrs))
     # a 0-d factor next to arrays gets one length-one axis per grid axis:
@@ -309,13 +291,13 @@ def _product_sum(k: int, factors, r_max: int | None, tol: float):
     return acc, tail
 
 
-def one_way_deficit_sum(k: int, p, r_max: int | None = None, tol: float = 1e-12):
+def one_way_deficit_sum(k: int, p, r_max: int | None = None):
     """Cosine-series form of the single-leg deficit, for cross-checking."""
-    acc, _ = _product_sum(k, [p], r_max, tol)
+    acc, _ = _product_sum(k, [p], r_max)
     return _maybe_scalar(acc, p)
 
 
-def two_way_deficit(k: int, p, p_prime, r_max: int | None = None, tol: float = 1e-14):
+def two_way_deficit(k: int, p, p_prime, r_max: int | None = None):
     """Out-and-stop trajectory, five-Q form:
 
         2 [2 Q(k,1) - 2 Q(k,p) + Q(k,p') - 2 Q(k,p p') + Q(k,p**2 p')].
@@ -325,32 +307,24 @@ def two_way_deficit(k: int, p, p_prime, r_max: int | None = None, tol: float = 1
     parr = _as_phase_array(p)
     pparr = _as_phase_array(p_prime)
     value = 2.0 * (
-        2.0 * _q_one_like(k, r_max, tol)
-        - 2.0 * np.asarray(q_function(k, parr, r_max, tol), dtype=float)
-        + np.asarray(q_function(k, pparr, r_max, tol), dtype=float)
-        - 2.0 * np.asarray(q_function(k, parr * pparr, r_max, tol), dtype=float)
-        + np.asarray(q_function(k, parr * parr * pparr, r_max, tol), dtype=float)
+        2.0 * _q_one_like(k, r_max)
+        - 2.0 * np.asarray(q_function(k, parr, r_max), dtype=float)
+        + np.asarray(q_function(k, pparr, r_max), dtype=float)
+        - 2.0 * np.asarray(q_function(k, parr * pparr, r_max), dtype=float)
+        + np.asarray(q_function(k, parr * parr * pparr, r_max), dtype=float)
     )
-    if np.asarray(p).ndim == 0 and np.asarray(p_prime).ndim == 0:
-        return float(value)
-    return value
+    return _maybe_scalar(value, p, p_prime)
 
 
-def two_way_deficit_sum(
-    k: int, p, p_prime, r_max: int | None = None, tol: float = 1e-12
-):
+def two_way_deficit_sum(k: int, p, p_prime, r_max: int | None = None):
     """Cosine-series form of the out-and-stop deficit, for cross-checking."""
     parr = _as_phase_array(p)
     pparr = _as_phase_array(p_prime)
-    acc, _ = _product_sum(k, [parr, parr * pparr], r_max, tol)
-    if np.asarray(p).ndim == 0 and np.asarray(p_prime).ndim == 0:
-        return float(acc)
-    return acc
+    acc, _ = _product_sum(k, [parr, parr * pparr], r_max)
+    return _maybe_scalar(acc, p, p_prime)
 
 
-def round_trip_deficit(
-    k: int, p, p_prime, p_dprime, r_max: int | None = None, tol: float = 1e-12
-):
+def round_trip_deficit(k: int, p, p_prime, p_dprime, r_max: int | None = None):
     """Full round trip; only the cosine-series product form is compact:
 
         sum_r a_kr |p**s - 1|**2 |(p p')**s - 1|**2 |(p**2 p' p'')**s - 1|**2.
@@ -361,10 +335,9 @@ def round_trip_deficit(
     pparr = _as_phase_array(p_prime)
     ppparr = _as_phase_array(p_dprime)
     acc, _ = _product_sum(
-        k, [parr, parr * pparr, parr * parr * pparr * ppparr], r_max, tol
+        k, [parr, parr * pparr, parr * parr * pparr * ppparr], r_max
     )
-    scalars = all(np.asarray(x).ndim == 0 for x in (p, p_prime, p_dprime))
-    return float(acc) if scalars else acc
+    return _maybe_scalar(acc, p, p_prime, p_dprime)
 
 
 def massive_limit_deficit(
@@ -423,62 +396,40 @@ def _clamped(deficit: float) -> float:
     return deficit
 
 
-def _cross_check(label: str, first: float, second: float, tol: float = 1e-10) -> None:
-    if abs(first - second) > tol:
-        raise ArithmeticError(
-            f"{label}: the two printed forms disagree, {first!r} vs {second!r}"
-        )
+def _trip_result(k: int, h: float, deficit, r_max: int | None, nfactors: int):
+    # a massless trip's result: clamped deficit, tail of the product-sum cutoff
+    _, tail = _cutoff(k, r_max, TOL_SUM, nfactors)
+    validity = ValidityReport.from_parameters(k, h, 0.0)
+    return NegativityResult.from_deficit(_clamped(float(deficit)), h, k, validity, tail)
 
 
 def negativity_one_way(
     k: int, h: float, phases: PhaseTuple, r_max: int | None = None
 ) -> NegativityResult:
-    """Negativity after one accelerated leg, from the closed form.
-
-    Both equivalent forms are evaluated at the same cutoff and must agree to
-    1e-10; the result carries the Q-difference value.
-    """
-    p = complex(phases.p)
-    d_q = float(one_way_deficit(k, p, r_max))
-    d_sum = float(one_way_deficit_sum(k, p, r_max))
-    _cross_check("one-way deficit", d_q, d_sum)
-    _, tail = _cutoff(k, r_max, 1e-12, 1)
-    validity = ValidityReport.from_parameters(k, h, 0.0)
-    return NegativityResult.from_deficit(_clamped(d_q), h, k, validity, tail)
+    """Negativity after one accelerated leg, from the Q-difference form."""
+    return _trip_result(k, h, one_way_deficit(k, phases.p, r_max), r_max, 1)
 
 
 def negativity_two_way(
     k: int, h: float, phases: PhaseTuple, r_max: int | None = None
 ) -> NegativityResult:
-    """Negativity after out-and-stop, from the closed form (both forms
-    evaluated at the same cutoff and cross-checked)."""
-    p = complex(phases.p)
-    pp = complex(phases.p_prime)
-    d_q = float(two_way_deficit(k, p, pp, r_max))
-    d_sum = float(two_way_deficit_sum(k, p, pp, r_max))
-    _cross_check("two-way deficit", d_q, d_sum)
-    _, tail = _cutoff(k, r_max, 1e-12, 2)
-    validity = ValidityReport.from_parameters(k, h, 0.0)
-    return NegativityResult.from_deficit(_clamped(d_q), h, k, validity, tail)
+    """Negativity after out-and-stop, from the five-Q form."""
+    d = two_way_deficit(k, phases.p, phases.p_prime, r_max)
+    return _trip_result(k, h, d, r_max, 2)
 
 
 def negativity_round_trip(
     k: int, h: float, phases: PhaseTuple, r_max: int | None = None
 ) -> NegativityResult:
     """Negativity after the full round trip, cosine-series product form."""
-    p = complex(phases.p)
-    pp = complex(phases.p_prime)
-    ppp = complex(phases.p_dprime)
-    d = float(round_trip_deficit(k, p, pp, ppp, r_max))
-    _, tail = _cutoff(k, r_max, 1e-12, 3)
-    validity = ValidityReport.from_parameters(k, h, 0.0)
-    return NegativityResult.from_deficit(_clamped(d), h, k, validity, tail)
+    d = round_trip_deficit(k, phases.p, phases.p_prime, phases.p_dprime, r_max)
+    return _trip_result(k, h, d, r_max, 3)
 
 
 def negativity_kickstart(k: int, h: float) -> NegativityResult:
     """Negativity when the trajectory ends under acceleration: deficit Q(k, 1)."""
     validity = ValidityReport.from_parameters(k, h, 0.0)
-    _, tail = _cutoff(k, None, 1e-14, 0)
+    _, tail = _cutoff(k, None, TOL_Q, 0)
     return NegativityResult.from_deficit(kickstart_deficit(k), h, k, validity, tail)
 
 

@@ -32,12 +32,13 @@ from typing import Union
 import numpy as np
 
 from .bogoliubov import (
+    TAIL_ROWS,
     PerturbativeTransform,
+    _boost,
     _compose,
+    _truncation_tail,
     boost_column,
     identity_transform,
-    massive_boost_transform,
-    massless_boost_transform,
     phase_rotation,
 )
 from .spectrum import CavityConfig, ValidityReport, rindler_frequency
@@ -191,7 +192,7 @@ def _accelerated_segment(
             + np.einsum("mn,m->n", alpha_sq, z)
             - np.einsum("mn,m->n", beta_sq, np.conj(z))
         )
-    return PerturbativeTransform(z, alpha1, beta1, alpha2, 1.0)
+    return PerturbativeTransform(z, alpha1, beta1, alpha2)
 
 
 def _apply_phase(phases: np.ndarray, t: PerturbativeTransform) -> PerturbativeTransform:
@@ -203,7 +204,6 @@ def _apply_phase(phases: np.ndarray, t: PerturbativeTransform) -> PerturbativeTr
         phases[:, None] * t.alpha1,
         phases[:, None] * t.beta1,
         alpha2,
-        t.h_value,
     )
 
 
@@ -237,11 +237,7 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
         key = (seg.duration, open_ended)
         if key not in legs:
             if boost is None:
-                boost = (
-                    massless_boost_transform(cfg.n_max)
-                    if cfg.M == 0
-                    else massive_boost_transform(cfg.n_max, cfg.M)
-                )
+                boost = _boost(cfg.n_max, cfg.M)
             if squares is None and not open_ended:
                 squares = np.real(boost.alpha1) ** 2, np.real(boost.beta1) ** 2
             legs[key] = (
@@ -290,14 +286,9 @@ def _column_result(
     acol: np.ndarray, bcol: np.ndarray, k: int, h: float, M: float
 ) -> NegativityResult:
     """Deficit and truncation tail from column k of alpha1 and beta1."""
-    n_max = acol.size
     w = 0.5 * np.abs(acol) ** 2 + np.abs(bcol) ** 2
     deficit = float(w.sum() - w[k - 1])
-    # Entries fall off like m**-5, so the neglected sum is roughly the local
-    # mean times n_max/4; averaging a block of rows irons out interference
-    # phases and parity blanks, and the factor 3 absorbs their drift.
-    block = w[-min(20, n_max):]
-    tail = float(3.0 * np.mean(block) * n_max / 4.0)
+    tail = float(_truncation_tail(w[-TAIL_ROWS:], w.size))
     validity = ValidityReport.from_parameters(k, h, M)
     return NegativityResult.from_deficit(deficit, h, k, validity, tail)
 

@@ -32,6 +32,10 @@ __all__ = [
 C_LIGHT = 299792458.0  # m / s, exact
 HBAR = 1.054571817e-34  # J s, CODATA
 
+# regime thresholds of ValidityReport
+KH_THRESHOLD = 0.1
+MASSIVE_BOUND = 100.0
+
 
 @dataclass(frozen=True)
 class CavityConfig:
@@ -68,12 +72,14 @@ class CavityConfig:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Regime flags for a parameter choice.
+    """Regime flags for a parameter choice, at fixed thresholds.
 
-    perturbative_ok: |k h| is below threshold, so the second-order deficit
-        stays small against the unperturbed value.
-    massive_ok: h M**2 is within the bound under which the large-mass limit
-        remains controlled.
+    perturbative_ok: |k h| < KH_THRESHOLD = 0.1.  k h is the expansion
+        parameter of the massless deficit, which grows like (k h)**2, so
+        the second-order term stays small against the unperturbed value.
+    massive_ok: h M**2 <= MASSIVE_BOUND = 100.  h M**2 is the expansion
+        parameter of the heavy-field deficit, which grows like h**2 M**4;
+        under the bound the large-mass limit remains controlled.
     h_bound_ok: |h| < 2.
     """
 
@@ -82,29 +88,17 @@ class ValidityReport:
     h_bound_ok: bool
 
     @classmethod
-    def from_parameters(
-        cls,
-        k: int,
-        h: float,
-        M: float = 0.0,
-        kh_threshold: float = 0.1,
-        massive_bound: float = 100.0,
-    ) -> "ValidityReport":
+    def from_parameters(cls, k: int, h: float, M: float = 0.0) -> "ValidityReport":
         return cls(
-            perturbative_ok=abs(k * h) < kh_threshold,
-            massive_ok=abs(h) * M * M <= massive_bound,
+            perturbative_ok=abs(k * h) < KH_THRESHOLD,
+            massive_ok=abs(h) * M * M <= MASSIVE_BOUND,
             h_bound_ok=abs(h) < 2.0,
         )
 
 
-def validity_report(
-    cfg: CavityConfig, kh_threshold: float = 0.1, massive_bound: float = 100.0
-) -> ValidityReport:
-    """Flags for a config; thresholds are configurable knobs, the defaults
-    keep the second-order correction safely below the leading term."""
-    return ValidityReport.from_parameters(
-        cfg.k, cfg.h, cfg.M, kh_threshold, massive_bound
-    )
+def validity_report(cfg: CavityConfig) -> ValidityReport:
+    """Flags for a config, at the fixed thresholds of ValidityReport."""
+    return ValidityReport.from_parameters(cfg.k, cfg.h, cfg.M)
 
 
 def mode_frequency(n: int, cfg: CavityConfig) -> float:
@@ -162,8 +156,6 @@ def physical_to_dimensionless(
     mass: float | None = None,
     transverse_wavelength: float | None = None,
     k: int = 1,
-    kh_threshold: float = 0.1,
-    massive_bound: float = 100.0,
 ) -> tuple[float, float, ValidityReport]:
     """Convert laboratory inputs to (h, M) plus a ValidityReport.
 
@@ -196,5 +188,5 @@ def physical_to_dimensionless(
         M = 2.0 * math.pi * delta / transverse_wavelength
     else:
         M = 0.0
-    report = ValidityReport.from_parameters(k, h, M, kh_threshold, massive_bound)
+    report = ValidityReport.from_parameters(k, h, M)
     return h, M, report

@@ -278,7 +278,8 @@ def _coordinate_grids(spec: SweepSpec, params: dict):
     return shape, coords
 
 
-def _tau_bar(u: float, cfg: CavityConfig) -> float:
+def _tau_bar(u, cfg: CavityConfig):
+    """Accelerated proper duration of phase coordinate u, scalar or array."""
     if cfg.M == 0:
         return u / rindler_frequency(1, cfg)
     return 4.0 * cfg.M * cfg.delta * u / math.pi
@@ -313,15 +314,16 @@ def _closed_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: i
     r_max = params["r_max"]
     u, v, w = coords["u"], coords["v"], coords["w"]
     if name == "kickstart":
-        _, tail = closedform._cutoff(k, None, 1e-14, 0)
+        _, tail = closedform._cutoff(k, None, closedform.TOL_Q, 0)
         return np.full(shape, kickstart_deficit(k)), tail
     if M > 0:
         # the full grid, as the heavy-field sum is a matrix product whose
         # rounding may depend on the stack shape
-        tau = 4.0 * M * params["delta"] * np.broadcast_to(u, shape) / math.pi
+        cfg = CavityConfig(delta=params["delta"], M=M)
+        tau = _tau_bar(np.broadcast_to(u, shape), cfg)
         deficit = massive_limit_deficit(k, M, tau, params["delta"], params["n_max"])
         return np.asarray(deficit), closedform._massive_tail(k, M, params["n_max"])
-    _, tail = closedform._cutoff(k, r_max, 1e-12, _N_FACTORS[name])
+    _, tail = closedform._cutoff(k, r_max, closedform.TOL_SUM, _N_FACTORS[name])
     p = np.exp(1j * u)
     if name == "one-way":
         deficit = one_way_deficit(k, p, r_max)
@@ -546,7 +548,7 @@ def estimate_physical(
     )
     if M == 0:
         path = "massless"
-        peak = 4.0 * closedform._q_at_one(k)
+        peak = 4.0 * kickstart_deficit(k)
     elif k / M <= 0.01:
         path = "heavy-field"
         period = 4.0 * M * delta / math.pi
@@ -557,6 +559,12 @@ def estimate_physical(
             f"k/M = {k / M:.3g} sits between the massless and heavy-field "
             "closed forms; no estimate available"
         )
+    degradation = h * h * peak
+    if 0.5 - degradation < 0:  # the negativity would be negative, as in run_sweep
+        raise NumericValidityError(
+            f"peak degradation {degradation:.6g} exceeds 1/2; reduce the "
+            "acceleration or the cavity length"
+        )
     return PhysicalEstimate(
         h=h,
         M=M,
@@ -564,7 +572,7 @@ def estimate_physical(
         validity=report,
         path=path,
         peak_deficit_scaled=peak,
-        peak_degradation=h * h * peak,
+        peak_degradation=degradation,
     )
 
 

@@ -155,9 +155,6 @@ def test_phase_rotation_adds_durations():
 def test_compose_rejects_mismatch():
     with pytest.raises(ValueError):
         compose(massless_boost_transform(10), massless_boost_transform(12))
-    marked = identity_transform(10, h_value=0.5)
-    with pytest.raises(ValueError):
-        compose(marked, identity_transform(10, h_value=0.25))
 
 
 def test_transform_shape_validation():

@@ -32,7 +32,6 @@ from cavneg.closedform import (
     two_way_deficit,
     two_way_deficit_sum,
 )
-from cavneg.spectrum import CavityConfig
 
 
 def test_polylog6_at_one_is_zeta6():
@@ -96,8 +95,8 @@ def test_q_vanishes_at_quarter_turn():
 
 def test_leading_coefficients():
     coeffs = q_coefficients(1, 10)
-    assert coeffs.a[0] == pytest.approx(0.041063929018737341, rel=1e-15)
-    assert coeffs.a[1] == pytest.approx(0.00022531648295603479, rel=1e-15)
+    assert coeffs[0] == pytest.approx(0.041063929018737341, rel=1e-15)
+    assert coeffs[1] == pytest.approx(0.00022531648295603479, rel=1e-15)
     assert A_10 == pytest.approx(4.0 / math.pi**4, rel=1e-16)
     assert A_11 == pytest.approx(16.0 / (729.0 * math.pi**4), rel=1e-16)
 
@@ -105,21 +104,21 @@ def test_leading_coefficients():
 def test_coefficients_positive():
     for n in range(1, 33):
         coeffs = q_coefficients(n, 2000)
-        assert coeffs.a.min() > 0.0
+        assert coeffs.min() > 0.0
 
 
 def test_coefficients_reproduce_q():
     coeffs = q_coefficients(3, 800)
     s = 1.0 + 2.0 * np.arange(801)
     for u in np.linspace(0.0, 2.0 * math.pi, 7):
-        direct = float(np.dot(coeffs.a, np.cos(s * u)))
+        direct = float(np.dot(coeffs, np.cos(s * u)))
         assert direct == pytest.approx(q_function(3, np.exp(1j * u)), abs=1e-12)
 
 
-def _polylog6_reference(z, tol=1e-14):
-    # term by term, dividing each power by m**6
+def _polylog6_reference(z):
+    # term by term, dividing each power by m**6, to a tail below 1e-14
     arr = np.asarray(z, dtype=complex)
-    nterms = max(10, math.ceil((1.0 / (5.0 * tol)) ** 0.2))
+    nterms = max(10, math.ceil((1.0 / (5.0 * 1e-14)) ** 0.2))
     acc = np.zeros(arr.shape, dtype=complex)
     zp = np.ones(arr.shape, dtype=complex)
     for m in range(1, nterms + 1):
@@ -128,18 +127,18 @@ def _polylog6_reference(z, tol=1e-14):
     return acc
 
 
-def _q_reference(n, z, tol=1e-14):
+def _q_reference(n, z):
     # one polylog series over z and another over z**2, then the residual
-    # window up to the automatic cutoff
+    # window up to the automatic cutoff, both to a tail below 1e-14
     arr = np.asarray(z, dtype=complex)
     lead = (4.0 * n * n / math.pi**4) * np.real(
-        _polylog6_reference(arr, tol) - _polylog6_reference(arr * arr, tol) / 64.0
+        _polylog6_reference(arr) - _polylog6_reference(arr * arr) / 64.0
     )
     r0 = n // 2
     acc = np.zeros(arr.shape)
     zp = arr ** (2 * r0 + 1)
     z2 = arr * arr
-    for r in range(r0, max(closedform._auto_r_max(n, tol, 1.0), r0) + 1):
+    for r in range(r0, max(closedform._auto_r_max(n, 1e-14, 1.0), r0) + 1):
         s = float(2 * r + 1)
         acc += np.real(zp) * (1.0 / s**5 - n / s**6)
         zp = zp * z2
@@ -159,20 +158,17 @@ def _phase_inputs():
 def test_polylog6_and_q_equal_the_term_by_term_reference():
     for z in _phase_inputs():
         assert np.array_equal(polylog6(z), _polylog6_reference(z))
-        for tol in (1e-14, 1e-9):
-            assert np.array_equal(polylog6(z, tol), _polylog6_reference(z, tol))
         for n in (1, 2, 3, 4, 7):
             got = q_function(n, z)
             assert np.shape(got) == np.shape(z)
             assert np.array_equal(got, _q_reference(n, z)), (z, n)
-            assert np.array_equal(q_function(n, z, tol=1e-9), _q_reference(n, z, 1e-9))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_explicit_r_max_q_is_the_cosine_series(n):
     us = np.linspace(0.0, 2.0 * math.pi, 33)
     for r_max in (n, n + 1, 17, 60):
-        coeffs = q_coefficients(n, r_max).a
+        coeffs = q_coefficients(n, r_max)
         series = np.cos(np.multiply.outer(us, 1.0 + 2.0 * np.arange(r_max + 1))) @ coeffs
         assert np.abs(q_function(n, np.exp(1j * us), r_max) - series).max() <= 1e-14
         assert q_function(n, 1.0, r_max) == pytest.approx(coeffs.sum(), abs=1e-14)
@@ -202,15 +198,9 @@ def test_phase_tuple_checks_modulus():
         PhaseTuple(1.1, 1.0, 1.0)
 
 
-def test_phase_tuple_from_angles_and_durations():
+def test_phase_tuple_from_angles():
     t = PhaseTuple.from_angles(0.5, 1.0, 1.5)
     assert t.p == pytest.approx(np.exp(0.5j))
-    cfg = CavityConfig(h=1.0)
-    d = PhaseTuple.from_durations(1.0, 0.5, 0.25, cfg)
-    # u = boost frequency times duration; v, w = pi tau / delta
-    assert d.p == pytest.approx(np.exp(1j * 2.8596008673801273), rel=1e-14)
-    assert d.p_prime == pytest.approx(np.exp(1j * math.pi * 0.5), rel=1e-14)
-    assert d.p_dprime == pytest.approx(np.exp(1j * math.pi * 0.25), rel=1e-14)
 
 
 def test_one_way_deficit_values():
@@ -280,7 +270,6 @@ def test_explicit_r_max_keeps_the_zero_at_p_equal_one():
     # vanishes exactly where the trajectory undoes itself
     assert one_way_deficit(1, 1.0, r_max=1) == 0.0
     assert one_way_deficit(3, 1.0, r_max=3) == 0.0
-    assert one_way_deficit(2, 1.0, tol=1e-8) == 0.0
     assert two_way_deficit(1, 1.0, np.exp(0.9j), r_max=2) == 0.0
     p = np.exp(1j * np.array([0.0, 1.0, 2.0 * math.pi]))
     values = one_way_deficit(1, p, r_max=1)
@@ -347,8 +336,8 @@ def test_explicit_r_max_below_k_rejected(call):
     ids=["one-way", "two-way"],
 )
 def test_negativity_forms_share_an_explicit_cutoff(negativity, deficit, deficit_sum):
-    # both printed forms run at the caller's cutoff, so a modest r_max passes
-    # the 1e-10 cross-check and the result is the Q form at that cutoff
+    # the wrapper reports the Q form at the caller's cutoff, and the product
+    # form at that cutoff agrees with it
     res = negativity(2, 0.01, _PHASES, 40)
     assert res.deficit_scaled == deficit(40)
     assert res.deficit_scaled != deficit(None)
@@ -357,8 +346,8 @@ def test_negativity_forms_share_an_explicit_cutoff(negativity, deficit, deficit_
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_negativity_forms_agree_at_every_explicit_cutoff(k):
-    # both forms are the same series truncated at r_max, so no accepted
-    # cutoff trips the wrappers' 1e-10 cross-check; they agree to rounding
+    # both forms are the same series truncated at r_max, so at every accepted
+    # cutoff they agree to rounding
     phases = PhaseTuple.from_angles(0.7, 1.1)
     p, pp = phases.p, phases.p_prime
     for r_max in range(k, 61):
@@ -368,6 +357,30 @@ def test_negativity_forms_agree_at_every_explicit_cutoff(k):
         assert two.deficit_scaled == two_way_deficit(k, p, pp, r_max)
         assert abs(one.deficit_scaled - one_way_deficit_sum(k, p, r_max)) <= 1e-14
         assert abs(two.deficit_scaled - two_way_deficit_sum(k, p, pp, r_max)) <= 1e-14
+
+
+def test_negativity_wrappers_evaluate_the_q_form_only(monkeypatch):
+    # the product forms police the Q forms in verify.py and in this module,
+    # not on every wrapper call
+    def second_form(*args, **kwargs):
+        raise AssertionError("the product form was evaluated")
+
+    monkeypatch.setattr(closedform, "one_way_deficit_sum", second_form)
+    monkeypatch.setattr(closedform, "two_way_deficit_sum", second_form)
+    for r_max in (None, 40):
+        one = negativity_one_way(2, 0.01, _PHASES, r_max)
+        two = negativity_two_way(2, 0.01, _PHASES, r_max)
+        assert one.deficit_scaled == one_way_deficit(2, _PHASES.p, r_max)
+        assert two.deficit_scaled == two_way_deficit(
+            2, _PHASES.p, _PHASES.p_prime, r_max
+        )
+
+
+def test_coefficients_are_a_read_only_array():
+    coeffs = q_coefficients(2, 12)
+    assert isinstance(coeffs, np.ndarray) and coeffs.shape == (13,)
+    with pytest.raises(ValueError):
+        coeffs[0] = 1.0
 
 
 @pytest.mark.parametrize("nfactors", [0, 1, 2, 3])
@@ -388,7 +401,7 @@ def test_cutoff_matches_the_series_rule(k, nfactors):
         closedform._cutoff(k, k - 1, 1e-12, nfactors)
     factors = [np.exp(0.3j)] * max(nfactors, 1)
     if nfactors:
-        assert closedform._product_sum(k, factors, None, 1e-12)[1] == (
+        assert closedform._product_sum(k, factors, None)[1] == (
             closedform._cutoff(k, None, 1e-12, nfactors)[1]
         )
 

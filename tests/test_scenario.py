@@ -7,6 +7,7 @@ import pytest
 
 from cavneg.bogoliubov import (
     PerturbativeTransform,
+    _boost,
     check_identities,
     compose,
     identity_transform,
@@ -302,6 +303,27 @@ def test_transform_steps_pass_through_the_shorter_trips(M):
         for block in ("order0", "alpha1", "beta1", "alpha2_diag"):
             assert np.array_equal(getattr(steps[step - 1], block), getattr(ref, block))
     assert list(_transform_steps(Scenario((), cfg))) == []
+
+
+@pytest.mark.parametrize("M", [0.0, 10.0, 1000.0])
+@pytest.mark.parametrize("n_max", [2, 3, 21, 200])
+def test_truncation_tails_keep_the_block_mean_rule(M, n_max):
+    # both tails are 3 n_max / 4 times the mean weight of the last (at most)
+    # twenty rows; check_identities takes the largest over the inspected
+    # columns
+    cfg = CavityConfig(M=M, h=0.01, k=1, n_max=n_max)
+    rows = min(20, n_max)
+    upto = max(1, n_max // 2)
+    transforms = [effective_transform(s) for s in _column_cases(cfg).values()]
+    transforms.append(_boost(n_max, M))
+    for t in transforms:
+        a, b = t.alpha1, t.beta1
+        w = 0.5 * np.abs(a[:, 0]) ** 2 + np.abs(b[:, 0]) ** 2
+        tail = float(3.0 * np.mean(w[-rows:]) * n_max / 4.0)
+        assert negativity_general(t, 1, cfg.h, M).truncation_tail == tail
+        last = np.abs(a[-rows:, :upto]) ** 2 + np.abs(b[-rows:, :upto]) ** 2
+        tail = float(3.0 * last.mean(axis=0).max() * n_max / 4.0)
+        assert check_identities(t).tail_estimate == tail
 
 
 def test_effective_transform_rejects_a_boost_of_another_size():

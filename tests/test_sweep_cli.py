@@ -596,6 +596,18 @@ def test_cli_estimate(capsys):
     assert main(["--estimate", "--accel", "10"]) == 1
 
 
+def test_cli_estimate_exit_code_for_an_impossible_degradation(capsys):
+    heavy = ["--estimate", "--accel", "1e-5", "--mass", "8.8e-28"]
+    assert main(heavy + ["--delta", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "peak degradation 1.43596e+14 exceeds 1/2" in captured.err
+    assert main(heavy + ["--delta", "1e-3"]) == 0
+    out = capsys.readouterr().out
+    assert "peak degradation (1/2 - negativity) = 0.000143596" in out
+    assert "massive_ok = True" in out
+
+
 def test_cli_custom_segments(tmp_path):
     out = tmp_path / "c.csv"
     code = main(
