@@ -241,7 +241,7 @@ def massive_boost_transform(n_max: int, M: float) -> PerturbativeTransform:
 
 
 def _boost(n_max: int, M: float) -> PerturbativeTransform:
-    """The boost for field mass M, built by the massless builder at M = 0."""
+    """The boost for field mass M: massless_boost_transform at M = 0."""
     if M == 0:
         return massless_boost_transform(n_max)
     return massive_boost_transform(n_max, M)
