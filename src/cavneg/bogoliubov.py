@@ -338,6 +338,7 @@ def inverse(t: PerturbativeTransform) -> PerturbativeTransform:
 
 
 TAIL_ROWS = 20
+_IDENTITY_ROWS = 64  # rows per block of the order-one identity check
 
 
 def _truncation_tail(last, n_max: int):
@@ -371,10 +372,16 @@ def check_identities(t: PerturbativeTransform) -> IdentityResidual:
     b1 = t.beta1
     n_max = t.n_max
     order0 = float(np.max(np.abs(np.abs(z) ** 2 - 1.0)))
-    r1 = z[:, None] * np.conj(a1.T) + a1 * np.conj(z)[None, :]
-    r2 = z[:, None] * b1.T - b1 * z[None, :]
-    order1 = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-    del r1, r2
+    # the order-one residual matrices, a block of _IDENTITY_ROWS rows at a
+    # time: their maximum is exact, so it does not depend on the blocking
+    worst = []
+    for lo in range(0, n_max, _IDENTITY_ROWS):
+        rows = slice(lo, lo + _IDENTITY_ROWS)
+        zr = z[rows, None]
+        r1 = zr * np.conj(a1[:, rows].T) + a1[rows] * np.conj(z)[None, :]
+        r2 = zr * b1[:, rows].T - b1[rows] * z[None, :]
+        worst += [np.max(np.abs(r1)), np.max(np.abs(r2))]
+    order1 = float(np.max(worst))
     upto = max(1, n_max // 2)
     if t.alpha2_diag is None:
         order2 = None

@@ -27,16 +27,23 @@ the single-leg case.  A two-by-two truncation of Q(1, z) is provided for
 quick estimates.
 
 Series cutoffs are fixed at the tails TOL_Q and TOL_SUM unless an explicit
-r_max replaces them.  The negativity wrappers evaluate one form each; the Q
-and product forms police each other in verify.py and the tests.
+r_max replaces them.  Each call runs one series pass over all its phase
+arguments: Q(k, 1) together with every Q of a deficit, the z and z**2 polylog
+chains together with the residual window, all factors of a product sum.  A
+pass forms each power as the product of the one before and its step and adds
+the terms in order, so its values have the bits of a term-by-term loop; a 0-d
+argument runs as a one-element array, so a scalar and the same value inside
+an array give the same bits.  Nothing is cached between calls.  The
+negativity wrappers evaluate one form each; the Q and product forms police
+each other in verify.py and the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -68,6 +75,15 @@ _PI4 = math.pi**4
 TOL_Q = 1e-14  # tail of the polylog pass and the Q forms
 TOL_SUM = 1e-12  # tail of the product sums and of the tails the wrappers report
 
+# the polylog pass: terms for a tail below TOL_Q, and their weights; numpy
+# divides a complex number by a real one as a product with the reciprocal,
+# so weighing by 1/m**6 has the bits of z**m / m**6
+_LI6_TERMS = max(10, math.ceil((1.0 / (5.0 * TOL_Q)) ** 0.2))
+_LI6_WEIGHTS = np.array([1.0 / m**6 for m in range(1, _LI6_TERMS + 1)])
+
+_BLOCK = 1 << 17  # terms x sums up to which a pass stores every power
+_TILE = 16384  # chains per in-place tile of a larger series pass
+
 # lowest two coefficients of Q(1, .): a_10 = 4/pi**4 and
 # a_11 = 4/(729 pi**4) + (6/pi**4)(1/243 - 1/729) = 16/(729 pi**4)
 A_10 = 4.0 / _PI4
@@ -88,25 +104,100 @@ def _maybe_scalar(value, *templates):
     return value
 
 
+def _flat(*args):
+    """The phase arguments as one flat array, with the shape of each: a 0-d
+    argument becomes one element, so no value reaches numpy's scalar complex
+    product, which rounds differently from its array loops."""
+    arrs = [_as_phase_array(a) for a in args]
+    return np.concatenate([a.ravel() for a in arrs]), [a.shape for a in arrs]
+
+
+def _split(flat, shapes):
+    """The inverse of _flat along the last axis: one view per shape."""
+    lead, out, lo = flat.shape[:-1], [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[..., lo : lo + size].reshape(lead + shape))
+        lo += size
+    return out
+
+
+def _power_rows(start, step, nterms):
+    """Rows start * step**j, j < nterms: each row is the product of the row
+    before and step, as a loop forms the powers (numpy's multiply.accumulate
+    rounds differently)."""
+    rows = np.empty((nterms, start.size), dtype=complex)
+    rows[0] = start
+    for prev, row in itertools.pairwise(rows):
+        np.multiply(prev, step, out=row)
+    return rows
+
+
+def _term_sums(out):
+    """Sum of out[1:] over the first axis in term order from +0.0, as a loop
+    of acc += term adds it (add.reduce may sum a single column pairwise);
+    out[0] is overwritten."""
+    out[0] = 0.0
+    return np.add.accumulate(out, axis=0, out=out)[-1]
+
+
+def _series(groups, real=True):
+    """Weighted sums over power chains, one pass for all groups.
+
+    Each group is (start, step, weights) with flat complex start and step of
+    one length; its result is sum_j weights[j] x_j (Re x_j when real) over
+    x_0 = start, x_(j+1) = x_j step, elementwise and in term order.  Small
+    inputs store every power and weigh them in one product; large ones run
+    per-term loops on cache-sized tiles.
+    """
+    dtype = float if real else complex
+    sizes = [g[0].size for g in groups]
+    nterms = max(len(g[2]) for g in groups)
+    if nterms * sum(sizes) > _BLOCK:
+        return [_tiled_series(*g, dtype) for g in groups]
+    rows = _power_rows(
+        np.concatenate([g[0] for g in groups]),
+        np.concatenate([g[1] for g in groups]),
+        nterms,
+    )
+    sums = []
+    for block, (_, _, weights) in zip(_split(rows, [(n,) for n in sizes]), groups):
+        block = block[: len(weights)]
+        out = np.empty((len(weights) + 1, block.shape[1]), dtype=dtype)
+        np.multiply(block.real if real else block, weights[:, None], out=out[1:])
+        sums.append(_term_sums(out))
+    return sums
+
+
+def _tiled_series(start, step, weights, dtype):
+    # one group of _series, term by term on tiles that stay in cache
+    acc = np.zeros(start.size, dtype=dtype)
+    for lo in range(0, start.size, _TILE):
+        x = start[lo : lo + _TILE].copy()
+        s = step[lo : lo + _TILE]
+        a = acc[lo : lo + _TILE]
+        term = np.empty_like(a)
+        xw = x.real if dtype is float else x
+        for w in weights:
+            np.multiply(xw, w, out=term)
+            a += term
+            np.multiply(x, s, out=x)
+    return acc
+
+
 def polylog6(z):
     """Order-six polylogarithm sum_{m >= 1} z**m / m**6 on the closed disc.
 
-    Direct summation: the tail after N terms is below 1/(5 N**5), so a tail
-    of TOL_Q costs about 460 terms.  Accepts complex scalars or arrays;
-    moduli beyond 1 (past rounding slack) are rejected.
+    Direct summation in one series pass over all of z: the tail after N
+    terms is below 1/(5 N**5), so a tail of TOL_Q costs about 460 terms.
+    Accepts complex scalars or arrays; moduli beyond 1 (past rounding slack)
+    are rejected.
     """
-    arr = _as_phase_array(z)
-    nterms = max(10, math.ceil((1.0 / (5.0 * TOL_Q)) ** 0.2))
-    acc = np.zeros(arr.shape, dtype=complex)
-    zp = np.ones(arr.shape, dtype=complex)
-    for m in range(1, nterms + 1):
-        zp = zp * arr
-        # numpy divides a complex number by a real one as a product with the
-        # reciprocal, so this has the bits of zp / m**6 at a product's cost
-        acc += zp * (1.0 / m**6)
-    if np.asarray(z).ndim == 0:
-        return complex(acc)
-    return acc
+    x, (shape,) = _flat(z)
+    (acc,) = _series([(x, x, _LI6_WEIGHTS)], real=False)
+    if np.ndim(z) == 0:
+        return complex(acc[0])
+    return acc.reshape(shape)
 
 
 def _auto_r_max(n: int, tol: float, product_bound: float) -> int:
@@ -163,56 +254,40 @@ def q_coefficients(n: int, r_max: int) -> np.ndarray:
     return a
 
 
+def _q_flat(n: int, x, r_max: int | None):
+    """Q(n, .) over the flat phase array x in one series pass."""
+    if n < 1:
+        raise ValueError(f"mode index must be >= 1, got {n}")
+    x2 = x * x
+    if r_max is not None:
+        # the polylog pair up to x**(1 + 2 r_max) keeps the odd powers only,
+        # so lead and residual window add up to the coefficients a_nr
+        (value,) = _series([(x, x2, q_coefficients(n, r_max))])
+        return value
+    r0 = n // 2
+    r_max = max(_auto_r_max(n, TOL_Q, 1.0), r0)
+    odd = [float(2 * r + 1) for r in range(r0, r_max + 1)]
+    window = np.array([1.0 / s**5 - n / s**6 for s in odd])
+    pair = np.concatenate((x, x2))
+    lead, acc = _series(
+        [(pair, pair, _LI6_WEIGHTS), (x ** (2 * r0 + 1), x2, window)]
+    )
+    lead = (4.0 * n * n / _PI4) * (lead[: x.size] - lead[x.size :] / 64.0)
+    return lead + (6.0 * n / _PI4) * acc
+
+
 def q_function(n: int, z, r_max: int | None = None):
     """Q(n, z) for unit-modulus z, scalar or array.
 
     With r_max omitted, the polylogarithm pair carries most of the value and
     the residual sum runs from floor(n/2) to a cutoff whose
-    inverse-fourth-power tail stays below TOL_Q.  An explicit r_max, at
-    least n, truncates both at the odd power 2 r_max + 1, so that Q is the
-    cosine series sum_{r <= r_max} a_nr Re(z**(1+2r)) of
-    q_coefficients(n, r_max).
+    inverse-fourth-power tail stays below TOL_Q; both come from one series
+    pass over z and z**2.  An explicit r_max, at least n, truncates both at
+    the odd power 2 r_max + 1, so that Q is the cosine series
+    sum_{r <= r_max} a_nr Re(z**(1+2r)) of q_coefficients(n, r_max).
     """
-    if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
-    arr = _as_phase_array(z)
-    z2 = arr * arr
-    if r_max is not None:
-        # the polylog pair up to z**(1 + 2 r_max) keeps the odd powers only,
-        # so lead and residual window add up to the coefficients a_nr
-        value = np.zeros(arr.shape)
-        zp = arr
-        for a in q_coefficients(n, r_max):
-            value += a * np.real(zp)
-            zp = zp * z2
-        return _maybe_scalar(value, z)
-    # one polylog pass over z and z**2 stacked
-    pair = polylog6(np.stack((arr, z2)))
-    lead = (4.0 * n * n / _PI4) * np.real(pair[0] - pair[1] / 64.0)
-    r0 = n // 2
-    r_max = max(_auto_r_max(n, TOL_Q, 1.0), r0)
-    coef = 6.0 * n / _PI4
-    acc = np.zeros(arr.shape)
-    zp = arr ** (2 * r0 + 1)
-    for r in range(r0, r_max + 1):
-        s = float(2 * r + 1)
-        acc += np.real(zp) * (1.0 / s**5 - n / s**6)
-        zp = zp * z2
-    value = lead + coef * acc
-    return _maybe_scalar(value, z)
-
-
-@lru_cache(maxsize=None)
-def _q_at_one(n: int) -> float:
-    return q_function(n, 1.0 + 0.0j)
-
-
-def _q_one_like(n: int, r_max: int | None) -> float:
-    # Q(n, 1) at the cutoff of the Q(n, p) it is subtracted from, so that the
-    # difference vanishes exactly at p = 1
-    if r_max is None:
-        return _q_at_one(n)
-    return q_function(n, 1.0 + 0.0j, r_max)
+    x, (shape,) = _flat(z)
+    return _maybe_scalar(_q_flat(n, x, r_max).reshape(shape), z)
 
 
 def q_two_by_two(z):
@@ -254,40 +329,51 @@ class PhaseTuple:
 def kickstart_deficit(k: int) -> float:
     """Deficit when the trajectory ends still accelerating: Q(k, 1),
     independent of how long the engines have been burning."""
-    return _q_at_one(k)
+    return q_function(k, 1.0)
 
 
 def one_way_deficit(k: int, p, r_max: int | None = None):
     """Single accelerated leg: 2 [Q(k, 1) - Q(k, p)], vectorized over p."""
-    value = 2.0 * (
-        _q_one_like(k, r_max)
-        - np.asarray(q_function(k, p, r_max), dtype=float)
-    )
-    return _maybe_scalar(value, p)
+    x, shapes = _flat(1.0, p)
+    q_one, q_p = _split(_q_flat(k, x, r_max), shapes)
+    return _maybe_scalar(2.0 * (q_one - q_p), p)
 
 
 def _product_sum(k: int, factors, r_max: int | None):
-    # sum_r a_kr prod_j |x_j**(1+2r) - 1|**2 over the given unit phases; each
-    # factor's powers stay at that factor's own shape, only the product
-    # broadcasts
+    # sum_r a_kr prod_j |x_j**(1+2r) - 1|**2 over the given unit phases, with
+    # the powers of every factor in one pass; each factor's powers stay at
+    # that factor's own shape, only the product broadcasts
     r_max, tail = _cutoff(k, r_max, TOL_SUM, len(factors))
     coeffs = q_coefficients(k, r_max)
-    arrs = [_as_phase_array(x) for x in factors]
-    shape = np.broadcast_shapes(*(a.shape for a in arrs))
-    # a 0-d factor next to arrays gets one length-one axis per grid axis:
-    # its powers would otherwise become numpy scalars, whose complex product
-    # rounds differently from the array loops
-    arrs = [a.reshape((1,) * len(shape)) if a.ndim == 0 else a for a in arrs]
+    x, shapes = _flat(*factors)
+    shape = np.broadcast_shapes(*shapes)
+    shapes = [(1,) * (len(shape) - len(s)) + s for s in shapes]
+    if len(coeffs) * math.prod(shape) <= _BLOCK:
+        powers = _power_rows(x, x * x, len(coeffs))
+        factor_rows = _split(np.abs(powers - 1.0) ** 2, shapes)
+        term = coeffs.reshape((-1,) + (1,) * len(shape))
+        for f in factor_rows[:-1]:
+            term = term * f
+        out = np.empty((len(coeffs) + 1,) + shape)
+        np.multiply(term, factor_rows[-1], out=out[1:])
+        return _term_sums(out), tail
+    # large grids: one term at a time on preallocated buffers
+    step = x * x
+    diff = np.empty_like(x)
+    weight = np.empty(x.size)
+    first, *rest = _split(weight, shapes)
+    lead = np.empty(first.shape)
+    term = np.empty(shape)
     acc = np.zeros(shape)
-    powers = [a.copy() for a in arrs]
-    squares = [a * a for a in arrs]
-    for r in range(r_max + 1):
-        term = coeffs[r]
-        for xp in powers:
-            term = term * np.abs(xp - 1.0) ** 2
-        acc += term
-        for j, sq in enumerate(squares):
-            powers[j] = powers[j] * sq
+    for c in coeffs:
+        np.subtract(x, 1.0, out=diff)
+        np.abs(diff, out=weight)
+        np.square(weight, out=weight)
+        product = np.multiply(c, first, out=lead)
+        for f in rest:
+            product = np.multiply(product, f, out=term)
+        acc += product
+        np.multiply(x, step, out=x)
     return acc, tail
 
 
@@ -306,13 +392,9 @@ def two_way_deficit(k: int, p, p_prime, r_max: int | None = None):
     """
     parr = _as_phase_array(p)
     pparr = _as_phase_array(p_prime)
-    value = 2.0 * (
-        2.0 * _q_one_like(k, r_max)
-        - 2.0 * np.asarray(q_function(k, parr, r_max), dtype=float)
-        + np.asarray(q_function(k, pparr, r_max), dtype=float)
-        - 2.0 * np.asarray(q_function(k, parr * pparr, r_max), dtype=float)
-        + np.asarray(q_function(k, parr * parr * pparr, r_max), dtype=float)
-    )
+    x, shapes = _flat(1.0, parr, pparr, parr * pparr, parr * parr * pparr)
+    q1, qp, qpp, qppp, qp2pp = _split(_q_flat(k, x, r_max), shapes)
+    value = 2.0 * (2.0 * q1 - 2.0 * qp + qpp - 2.0 * qppp + qp2pp)
     return _maybe_scalar(value, p, p_prime)
 
 

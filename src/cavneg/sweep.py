@@ -100,6 +100,11 @@ BASE_FIELDS = (
 )
 BOTH_FIELDS = BASE_FIELDS + ("deficit_general", "abs_difference")
 
+# largest k/M the heavy-field closed form accepts: against the engine (n_max
+# 400, u in {0.3, 1.0, 1.7}) its worst relative error is 6e-3 at k/M = 0.01,
+# 2.2e-2 at 0.03 (fig5b), 0.11 at 0.05, 0.36 at 0.1 and 0.93 at 1/3
+_MAX_K_OVER_M = 0.05
+
 _DEFAULT_FIXED = {
     "k": 1,
     "h": 0.01,
@@ -256,6 +261,12 @@ def _validated(spec: SweepSpec) -> dict:
         params["k_list"] = ks
     else:
         params["k_list"] = (params["k"],)
+    k_over_m = max(params["k_list"]) / params["M"] if params["M"] > 0 else 0.0
+    if k_over_m > _MAX_K_OVER_M and spec.mode != "general":
+        raise ConfigError(
+            f"k/M = {k_over_m:.3g} is above {_MAX_K_OVER_M}, where the heavy-field "
+            "closed form is no longer accurate; use mode=general"
+        )
     if params["r_max"] is not None and params["r_max"] < max(params["k_list"]):
         raise ConfigError(
             f"r_max must be at least k = {max(params['k_list'])}, got {params['r_max']}"

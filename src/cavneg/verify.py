@@ -171,9 +171,10 @@ def _two_by_two_check(corrupt_a11: float) -> CheckResult:
     def small(zz):
         return A_10 * np.real(zz) + 0.5 * a11 * np.real(zz**3)
 
-    exact = 2.0 * (kickstart_deficit(1) - np.asarray(q_function(1, z)))
+    q_one = kickstart_deficit(1)
+    exact = 2.0 * (q_one - np.asarray(q_function(1, z)))
     approx = 2.0 * (small(1.0 + 0.0j) - small(z))
-    scale = 2.0 * kickstart_deficit(1)
+    scale = 2.0 * q_one
     residual = float(abs(exact - approx).max()) / scale
     return CheckResult("two-by-two-replacement-bound", residual, 0.007)
 

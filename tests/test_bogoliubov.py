@@ -172,6 +172,28 @@ def test_transform_arrays_read_only():
         t.alpha1[0, 0] = 1.0
 
 
+def _identity_cases(n_max):
+    # a boost and an out-and-back chain at M = 0 and M = 10
+    cases = []
+    for M in (0.0, 10.0):
+        boost = massive_boost_transform(n_max, M) if M else massless_boost_transform(n_max)
+        freqs = np.sqrt(M * M + (math.pi * np.arange(1, n_max + 1)) ** 2)
+        coast = phase_rotation(1.3, freqs, n_max)
+        cases += [boost, compose(inverse(boost), compose(coast, boost))]
+    return cases
+
+
+def test_identity_residuals_equal_the_full_matrix_expression():
+    # the order-one residuals go row block by row block; their maximum must
+    # equal the one over the whole residual matrices
+    for t in _identity_cases(200):
+        z, a1, b1 = t.order0, t.alpha1, t.beta1
+        r1 = z[:, None] * np.conj(a1.T) + a1 * np.conj(z)[None, :]
+        r2 = z[:, None] * b1.T - b1 * z[None, :]
+        res = check_identities(t)
+        assert res.order1_residual == float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+
+
 def test_identities_without_second_order_diagonal():
     t = PerturbativeTransform(
         np.ones(2, dtype=complex),

@@ -463,6 +463,24 @@ def test_scalar_phase_next_to_arrays_is_bit_identical_to_the_full_mesh():
         assert np.array_equal(fn(3, *args), fn(3, *full)), fn.__name__
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_scalar_phases_equal_the_same_values_inside_arrays(k):
+    # a scalar call must round like the array kernel, element for element
+    rng = np.random.default_rng(29)
+    p, pp, ppp = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (3, 300)))
+    cases = (
+        (one_way_deficit, (p,)),
+        (one_way_deficit_sum, (p,)),
+        (two_way_deficit, (p, pp)),
+        (two_way_deficit_sum, (p, pp)),
+        (round_trip_deficit, (p, pp, ppp)),
+    )
+    for fn, args in cases:
+        arrays = fn(k, *args)
+        scalars = [fn(k, *(a[i] for a in args)) for i in range(p.size)]
+        assert np.array_equal(arrays, scalars), fn.__name__
+
+
 def test_scalar_phases_give_python_floats():
     p, pp, ppp = np.exp(0.4j), complex(np.exp(1.7j)), np.exp(-0.8j)
     values = (

@@ -587,6 +587,22 @@ def test_cli_rejects_bad_numbers(tmp_path, capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode,code", [("closed-form", 1), ("both", 1), ("general", 0)])
+def test_cli_refuses_the_heavy_field_closed_form_at_small_mass(tmp_path, capsys, mode, code):
+    # at k/M = 2 the closed form wrote 4.2e-6 where the engine gives 0.039
+    argv = ["--scenario", "one-way", "--k", "1", "--axis", "u=0.5:1.5:2",
+            "--mode", mode, "--n-max", "400"]
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--M", "0.5", "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "use mode=general" in capsys.readouterr().err
+    # k/M = 0.05 is the largest ratio the closed form accepts
+    assert main(argv + ["--M", "20", "--out", str(out)]) == 0
+    assert len(rows_of(out.read_text(encoding="utf-8"))) == 2
+    capsys.readouterr()
+
+
 def test_cli_estimate(capsys):
     assert main(["--estimate", "--accel", "10", "--delta", "10",
                  "--wavelength", "500e-9"]) == 0
