@@ -59,7 +59,7 @@ def _inputs() -> dict:
     us = np.linspace(0.15, 2.0 * math.pi - 0.15, 16)
     return {
         "scalar": (np.exp(0.7j), np.exp(1.9j), np.exp(2.9j)),
-        "16": (np.exp(1j * us), np.exp(1j * np.roll(us, 5)), np.exp(1j * np.roll(us, 10))),
+        "16": tuple(np.exp(1j * np.roll(us, shift)) for shift in (0, 5, 10)),
         "grid": grid,
     }
 
@@ -164,13 +164,13 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     for case, row in report["after"].items():
-        line = f"{case}: {row['call_s'] * 1e3:.3f} ms, first {row['first_s'] * 1e3:.3f} ms"
+        line = f"{case}: {row['call_s'] * 1e3:.3f} ms (first {row['first_s'] * 1e3:.3f})"
         if "before" in report:
             before = report["before"][case]
             same = "same bits" if before["sha256"] == row["sha256"] else "bits differ"
             line += (
-                f" (before {before['call_s'] * 1e3:.3f} ms, "
-                f"first {before['first_s'] * 1e3:.3f} ms, {same})"
+                f", before {before['call_s'] * 1e3:.3f} ms "
+                f"(first {before['first_s'] * 1e3:.3f}), {same}"
             )
         print(line)
     print(f"wrote {args.out}")

@@ -348,8 +348,9 @@ def _product_sum(k: int, factors, r_max: int | None):
     x, shapes = _flat(*factors)
     shape = np.broadcast_shapes(*shapes)
     shapes = [(1,) * (len(shape) - len(s)) + s for s in shapes]
+    step = x * x
     if len(coeffs) * math.prod(shape) <= _BLOCK:
-        powers = _power_rows(x, x * x, len(coeffs))
+        powers = _power_rows(x, step, len(coeffs))
         factor_rows = _split(np.abs(powers - 1.0) ** 2, shapes)
         term = coeffs.reshape((-1,) + (1,) * len(shape))
         for f in factor_rows[:-1]:
@@ -358,7 +359,6 @@ def _product_sum(k: int, factors, r_max: int | None):
         np.multiply(term, factor_rows[-1], out=out[1:])
         return _term_sums(out), tail
     # large grids: one term at a time on preallocated buffers
-    step = x * x
     diff = np.empty_like(x)
     weight = np.empty(x.size)
     first, *rest = _split(weight, shapes)

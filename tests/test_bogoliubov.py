@@ -176,7 +176,10 @@ def _identity_cases(n_max):
     # a boost and an out-and-back chain at M = 0 and M = 10
     cases = []
     for M in (0.0, 10.0):
-        boost = massive_boost_transform(n_max, M) if M else massless_boost_transform(n_max)
+        if M:
+            boost = massive_boost_transform(n_max, M)
+        else:
+            boost = massless_boost_transform(n_max)
         freqs = np.sqrt(M * M + (math.pi * np.arange(1, n_max + 1)) ** 2)
         coast = phase_rotation(1.3, freqs, n_max)
         cases += [boost, compose(inverse(boost), compose(coast, boost))]

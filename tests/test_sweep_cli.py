@@ -588,7 +588,9 @@ def test_cli_rejects_bad_numbers(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("mode,code", [("closed-form", 1), ("both", 1), ("general", 0)])
-def test_cli_refuses_the_heavy_field_closed_form_at_small_mass(tmp_path, capsys, mode, code):
+def test_cli_refuses_the_heavy_field_closed_form_at_small_mass(
+    tmp_path, capsys, mode, code
+):
     # at k/M = 2 the closed form wrote 4.2e-6 where the engine gives 0.039
     argv = ["--scenario", "one-way", "--k", "1", "--axis", "u=0.5:1.5:2",
             "--mode", mode, "--n-max", "400"]
