@@ -12,7 +12,9 @@ pays for anything a call caches) and the median time of a call after it
 - ``grid``: the 101 x 101 sparse mesh of the fig3/fig4 presets, p on the
   first axis and p' on the second; ``two_way_deficit`` gets (p, p') as in
   fig3, ``round_trip_deficit`` adds fig4b's p'' = exp(2 pi i / 3), and the
-  one-phase functions get the 10,201 products p p'.
+  one-phase functions get the 10,201 products p p';
+- ``grid400``: the same mesh at 400 x 400, for ``round_trip_deficit`` only,
+  which there runs its product sum on tiles of the mesh.
 
 Each case also records the SHA-256 of its result's bytes, so that a report
 with a baseline shows whether the values stayed bit for bit.  The report
@@ -49,18 +51,22 @@ import numpy as np
 from presets_layers import ROOT, environment, extract_src
 
 REPEATS = 7
-CALLS = {"scalar": 15, "16": 15, "grid": 3}  # calls per case and round
+CALLS = {"scalar": 15, "16": 15, "grid": 3, "grid400": 1}  # calls per case and round
 
 
 def _inputs() -> dict:
     """Phase arguments (p, p', p'') of each input size."""
-    u = np.linspace(0.0, 2.0 * math.pi, 101)
-    grid = (np.exp(1j * u)[:, None], np.exp(1j * u)[None, :], np.exp(2j * math.pi / 3))
+
+    def grid(points):
+        u = np.linspace(0.0, 2.0 * math.pi, points)
+        return np.exp(1j * u)[:, None], np.exp(1j * u)[None, :], np.exp(2j * math.pi / 3)
+
     us = np.linspace(0.15, 2.0 * math.pi - 0.15, 16)
     return {
         "scalar": (np.exp(0.7j), np.exp(1.9j), np.exp(2.9j)),
         "16": tuple(np.exp(1j * np.roll(us, shift)) for shift in (0, 5, 10)),
-        "grid": grid,
+        "grid": grid(101),
+        "grid400": grid(400),
     }
 
 
@@ -69,16 +75,19 @@ def _cases(cf) -> list:
     cases = [("kickstart_deficit", "scalar", lambda: cf.kickstart_deficit(1))]
     for size, (p, pp, ppp) in _inputs().items():
         z = p * pp
-        cases += [
-            ("q_function", size, lambda z=z: cf.q_function(1, z)),
-            ("one_way_deficit", size, lambda z=z: cf.one_way_deficit(1, z)),
-            ("two_way_deficit", size, lambda p=p, pp=pp: cf.two_way_deficit(1, p, pp)),
+        if size != "grid400":
+            cases += [
+                ("q_function", size, lambda z=z: cf.q_function(1, z)),
+                ("one_way_deficit", size, lambda z=z: cf.one_way_deficit(1, z)),
+                ("two_way_deficit", size, lambda p=p, pp=pp: cf.two_way_deficit(1, p, pp)),
+            ]
+        cases.append(
             (
                 "round_trip_deficit",
                 size,
                 lambda p=p, pp=pp, ppp=ppp: cf.round_trip_deficit(1, p, pp, ppp),
-            ),
-        ]
+            )
+        )
     return cases
 
 

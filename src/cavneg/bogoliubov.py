@@ -135,6 +135,13 @@ def identity_transform(n_max: int) -> PerturbativeTransform:
     )
 
 
+def _cube(x):
+    """x**3 for a float array of exact integers.  While x * x stays exact,
+    below 2**53, the cube is rounded once: correctly rounded and odd in x,
+    where numpy's ** 3 misrounds a few percent of such entries."""
+    return x * x * x
+
+
 def _massless_entries(mm, nn):
     """First-order massless boost entries for broadcastable mode indices."""
     diff = mm - nn
@@ -143,11 +150,8 @@ def _massless_entries(mm, nn):
     pi2 = math.pi**2
     safe_diff = np.where(odd, diff, 1).astype(float)
     total = (mm + nn).astype(float)
-    # Cubes of integers by multiplication: the square is exact, so each cube
-    # is rounded once, and for n_max up to 2e4 it equals ** 3 bit for bit at
-    # a tenth of the cost.
-    alpha1 = np.where(odd, -2.0 * root / (pi2 * (safe_diff * safe_diff * safe_diff)), 0.0)
-    beta1 = np.where(odd, 2.0 * root / (pi2 * (total * total * total)), 0.0)
+    alpha1 = np.where(odd, -2.0 * root / (pi2 * _cube(safe_diff)), 0.0)
+    beta1 = np.where(odd, 2.0 * root / (pi2 * _cube(total)), 0.0)
     return alpha1, beta1
 
 
@@ -164,8 +168,10 @@ def _massive_entries(mm, nn, qm, qn, M: float):
     pi4 = math.pi**4
     m2 = (mm * mm).astype(float)
     n2 = (nn * nn).astype(float)
-    # cube in float: the integer cube overflows 64 bits near n_max ~ 2000
-    cube = np.where(odd, m2 - n2, 1.0) ** 3
+    # the cube in float, as the integer cube overflows 64 bits near n_max ~
+    # 2000; x * x is exact for n_max below 9700, and the exact cube keeps
+    # alpha1 antisymmetric and beta1 symmetric bit for bit
+    cube = _cube(np.where(odd, m2 - n2, 1.0))
     common = np.where(odd, -4.0 * (mm * nn).astype(float) / (pi4 * cube), 0.0)
     ssum = common * (pi2 * (n2 + 3.0 * m2) + 4.0 * M * M) * qn / qm
     sdiff = common * (pi2 * (m2 + 3.0 * n2) + 4.0 * M * M) * qm / qn
@@ -298,12 +304,22 @@ def compose(
 
 
 def _compose(
-    second: PerturbativeTransform, first: PerturbativeTransform, sign: int
+    second: PerturbativeTransform,
+    first: PerturbativeTransform,
+    sign: int,
+    out=None,
 ) -> PerturbativeTransform:
     """compose() with the first-order blocks of ``second`` taken times sign,
     +1 or -1, without forming them.  Negation is exact, so sign -1 gives the
     values of composing the negated transform; the second-order diagonal of
     ``second`` enters unchanged, as it does for a boost leg of either sign.
+
+    out, when given, is a triple of writable complex n_max x n_max arrays
+    (alpha1, beta1, work): the first-order blocks of the result are written
+    into the first two, work is scratch, and the result holds read-only views
+    of them.  first's blocks may be views of that same pair, since the cross
+    terms of the diagonal are read before anything is written.  Without out
+    the three arrays are fresh.
     """
     if second.n_max != first.n_max:
         raise ValueError(
@@ -312,10 +328,6 @@ def _compose(
     z2 = second.order0
     z1 = first.order0
     order0 = z2 * z1
-    # the sign rides on the phase vectors, whose negation is exact and cheap
-    z1s = z1 if sign == 1 else -z1
-    alpha1 = z2[:, None] * first.alpha1 + second.alpha1 * z1s[None, :]
-    beta1 = z2[:, None] * first.beta1 + second.beta1 * np.conj(z1s)[None, :]
     alpha2 = None
     if second.alpha2_diag is not None and first.alpha2_diag is not None:
         cross_a = np.einsum("nm,mn->n", second.alpha1, first.alpha1)
@@ -323,7 +335,20 @@ def _compose(
         if sign != 1:
             cross_a, cross_b = -cross_a, -cross_b
         alpha2 = z2 * first.alpha2_diag + second.alpha2_diag * z1 + cross_a + cross_b
-    return PerturbativeTransform(order0, alpha1, beta1, alpha2)
+    if out is None:
+        out = tuple(np.empty(first.alpha1.shape, dtype=complex) for _ in range(3))
+    alpha1, beta1, work = out
+    # the sign rides on the phase vectors, whose negation is exact and cheap
+    z1s = z1 if sign == 1 else -z1
+    # A = z2 A1 + A2 z1s and B = z2 B1 + B2 conj(z1s), in that operand order
+    for block, prev, seg, phase in (
+        (alpha1, first.alpha1, second.alpha1, z1s),
+        (beta1, first.beta1, second.beta1, np.conj(z1s)),
+    ):
+        np.multiply(z2[:, None], prev, out=block)
+        np.multiply(seg, phase[None, :], out=work)
+        np.add(block, work, out=block)
+    return PerturbativeTransform(order0, alpha1.view(), beta1.view(), alpha2)
 
 
 def inverse(t: PerturbativeTransform) -> PerturbativeTransform:

@@ -39,7 +39,6 @@ from .bogoliubov import (
     _truncation_tail,
     boost_column,
     identity_transform,
-    phase_rotation,
 )
 from .spectrum import CavityConfig, ValidityReport, rindler_frequency
 
@@ -195,18 +194,6 @@ def _accelerated_segment(
     return PerturbativeTransform(z, alpha1, beta1, alpha2)
 
 
-def _apply_phase(phases: np.ndarray, t: PerturbativeTransform) -> PerturbativeTransform:
-    """Left-compose a pure phase rotation; same as compose() with a diagonal
-    second factor but skips the arithmetic on its zero blocks."""
-    alpha2 = None if t.alpha2_diag is None else phases * t.alpha2_diag
-    return PerturbativeTransform(
-        phases * t.order0,
-        phases[:, None] * t.alpha1,
-        phases[:, None] * t.beta1,
-        alpha2,
-    )
-
-
 def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
     """Yield the end-to-end transform after each segment of s, in order.
 
@@ -214,12 +201,21 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
     its first use; a later use of the opposite sign negates its first-order
     blocks inside the composition instead of copying them.  boost is as for
     effective_transform.
+
+    The walk owns one writable pair of n_max x n_max first-order blocks and
+    one scratch block: the first accelerated leg is copied into the pair (an
+    inertial start leaves it zero), inertial phases multiply it in place and
+    each composition updates it in place.  So every yielded transform's
+    alpha1 and beta1 are read-only views that hold their values only until
+    the next step is drawn; copy them to keep them longer.
     """
     cfg = s.cfg
     if boost is not None and boost.n_max != cfg.n_max:
         raise ValueError(
             f"boost has n_max = {boost.n_max}, the scenario needs {cfg.n_max}"
         )
+    n = cfg.n_max
+    out = None  # (alpha1, beta1, work) once the first segment is reached
     total = None
     squares = None
     legs = {}
@@ -228,9 +224,15 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
         if isinstance(seg, Inertial):
             phases = np.exp(1j * _inertial_frequencies(cfg) * seg.duration)
             if total is None:
-                total = phase_rotation(seg.duration, _inertial_frequencies(cfg), cfg.n_max)
+                out = tuple(np.zeros((n, n), dtype=complex) for _ in range(3))
+                order0, alpha2 = phases, np.zeros(n)
             else:
-                total = _apply_phase(phases, total)
+                # left-compose the pure phases: compose() with a diagonal
+                # second factor, without the arithmetic on its zero blocks
+                for block in out[:2]:
+                    np.multiply(phases[:, None], block, out=block)
+                order0, alpha2 = phases * total.order0, phases * total.alpha2_diag
+            total = PerturbativeTransform(order0, out[0].view(), out[1].view(), alpha2)
             yield total
             continue
         open_ended = s.kickstart and i == last
@@ -245,7 +247,13 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
                 seg.sign,
             )
         leg, leg_sign = legs[key]
-        total = leg if total is None else _compose(leg, total, seg.sign * leg_sign)
+        if total is None:
+            out = (leg.alpha1.copy(), leg.beta1.copy(), np.empty((n, n), dtype=complex))
+            total = PerturbativeTransform(
+                leg.order0, out[0].view(), out[1].view(), leg.alpha2_diag
+            )
+        else:
+            total = _compose(leg, total, seg.sign * leg_sign, out)
         yield total
 
 
@@ -268,6 +276,7 @@ def effective_transform(
     ValueError.
     """
     total = None
+    # the last step's blocks are never written again once the walk ends
     for total in _transform_steps(s, boost):
         pass
     if total is None:

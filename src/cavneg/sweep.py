@@ -36,6 +36,7 @@ import numpy as np
 
 from . import closedform
 from .closedform import (
+    _MAX_K_OVER_M,
     kickstart_deficit,
     massive_limit_deficit,
     one_way_deficit,
@@ -99,11 +100,6 @@ BASE_FIELDS = (
     "truncation_tail",
 )
 BOTH_FIELDS = BASE_FIELDS + ("deficit_general", "abs_difference")
-
-# largest k/M the heavy-field closed form accepts: against the engine (n_max
-# 400, u in {0.3, 1.0, 1.7}) its worst relative error is 6e-3 at k/M = 0.01,
-# 2.2e-2 at 0.03 (fig5b), 0.11 at 0.05, 0.36 at 0.1 and 0.93 at 1/3
-_MAX_K_OVER_M = 0.05
 
 _DEFAULT_FIXED = {
     "k": 1,

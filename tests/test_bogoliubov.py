@@ -12,6 +12,7 @@ import pytest
 
 from cavneg.bogoliubov import (
     PerturbativeTransform,
+    _cube,
     boost_column,
     check_identities,
     compose,
@@ -78,6 +79,25 @@ def test_massive_keeps_symmetry():
     t = massive_boost_transform(30, 7.0)
     np.testing.assert_allclose(t.alpha1, -t.alpha1.T, atol=1e-18)
     np.testing.assert_allclose(t.beta1, t.beta1.T, atol=1e-18)
+
+
+@pytest.mark.parametrize("n_max", [500, 2000])
+@pytest.mark.parametrize("M", [10.0, 1000.0])
+def test_massive_symmetry_is_exact(M, n_max):
+    # a correctly rounded cube of m**2 - n**2 is odd in it, so the blocks
+    # are antisymmetric and symmetric bit for bit
+    t = massive_boost_transform(n_max, M)
+    assert np.array_equal(t.alpha1, -t.alpha1.T)
+    assert np.array_equal(t.beta1, t.beta1.T)
+
+
+def test_cube_is_correctly_rounded():
+    # x = m**2 - n**2 over a spread of mode pairs up to 2000, where ** 3
+    # misrounds a few percent
+    m, n = np.meshgrid(np.arange(1, 2001, 13), np.arange(2, 2001, 11))
+    x = (m * m - n * n).ravel()
+    exact = np.array([float(int(v) ** 3) for v in x])
+    assert np.array_equal(_cube(x.astype(float)), exact)
 
 
 def test_massive_reduces_to_massless():

@@ -406,6 +406,34 @@ def test_cutoff_matches_the_series_rule(k, nfactors):
         )
 
 
+def _product_sum_reference(k, factors):
+    # term by term over whole arrays: c |x1**s - 1|**2 |x2**s - 1|**2 ...
+    coeffs = q_coefficients(k, closedform._cutoff(k, None, 1e-12, len(factors))[0])
+    xs = [np.asarray(f, dtype=complex) for f in factors]
+    steps = [x * x for x in xs]
+    acc = 0.0
+    for c in coeffs:
+        term = c
+        for x in xs:
+            term = term * np.abs(x - 1.0) ** 2
+        acc = acc + term
+        xs = [x * step for x, step in zip(xs, steps)]
+    return acc
+
+
+def test_tiled_product_sums_equal_the_term_by_term_reference():
+    # 150 x 150 points split into tiles along the first axis; a 1 x 20000
+    # row has one point on that axis and tiles along the second
+    for rows, cols in ((150, 150), (1, 20000)):
+        p = np.exp(1j * np.linspace(0.1, 6.2, rows))[:, None]
+        pp = np.exp(1j * np.linspace(0.3, 5.9, cols))[None, :]
+        ppp = np.exp(0.7j)
+        got = round_trip_deficit(1, p, pp, ppp)
+        ref = _product_sum_reference(1, [p, p * pp, p * p * pp * ppp])
+        assert got.shape == (rows, cols)
+        assert np.array_equal(got, ref), (rows, cols)
+
+
 def test_negativity_tails_come_from_the_cutoff_rule():
     phases = PhaseTuple.from_angles(0.7, 1.1, 2.3)
     for fn, nfactors in (
@@ -542,9 +570,18 @@ def test_heavy_field_input_validation():
         massive_limit_deficit(1, -3.0, 1.0)
 
 
+def test_heavy_field_rejects_k_over_m_above_the_sweep_limit():
+    # 0.05 is accepted, as sweeps accept it; 0.3 is far outside the limit
+    assert float(massive_limit_deficit(5, 100.0, 10.0)) > 0.0
+    with pytest.raises(ValueError, match="k/M = 0.3"):
+        massive_limit_deficit(30, 100.0, 10.0)
+    with pytest.raises(ValueError, match="k/M = 0.3"), pytest.warns(UserWarning):
+        negativity_massive_limit(30, 1e-5, 100.0, 10.0)
+
+
 def test_heavy_field_wrapper_warns_when_k_not_small():
     with pytest.warns(UserWarning):
-        negativity_massive_limit(30, 1e-5, 100.0, 10.0)
+        negativity_massive_limit(3, 1e-5, 100.0, 10.0)
     res = negativity_massive_limit(1, 1e-5, 1000.0, 300.0, n_max=200)
     assert res.deficit_scaled == pytest.approx(187759976.44397464, rel=1e-11)
     assert res.negativity == 0.5 - 1e-10 * res.deficit_scaled

@@ -291,18 +291,38 @@ def test_effective_transform_equals_the_per_leg_reference(M, n_max):
 
 @pytest.mark.parametrize("M", [0.0, 10.0])
 def test_transform_steps_pass_through_the_shorter_trips(M):
+    # each step is compared as it is drawn: its blocks are views of the
+    # walk's buffers, which the next step overwrites
     cfg = CavityConfig(M=M, h=0.01, k=2, n_max=200)
-    steps = list(_transform_steps(round_trip_scenario(0.8, 0.45, 0.3, cfg)))
-    assert len(steps) == 7
-    for step, s in (
-        (1, one_way_scenario(0.8, cfg)),
-        (3, alpha_centauri_scenario(0.8, 0.45, cfg)),
-        (7, round_trip_scenario(0.8, 0.45, 0.3, cfg)),
-    ):
-        ref = effective_transform(s)
-        for block in ("order0", "alpha1", "beta1", "alpha2_diag"):
-            assert np.array_equal(getattr(steps[step - 1], block), getattr(ref, block))
+    refs = {
+        1: one_way_scenario(0.8, cfg),
+        3: alpha_centauri_scenario(0.8, 0.45, cfg),
+        7: round_trip_scenario(0.8, 0.45, 0.3, cfg),
+    }
+    drawn = 0
+    for drawn, step in enumerate(_transform_steps(round_trip_scenario(0.8, 0.45, 0.3, cfg)), 1):
+        if drawn in refs:
+            ref = effective_transform(refs[drawn])
+            for block in ("order0", "alpha1", "beta1", "alpha2_diag"):
+                assert np.array_equal(getattr(step, block), getattr(ref, block))
+    assert drawn == 7
     assert list(_transform_steps(Scenario((), cfg))) == []
+
+
+@pytest.mark.parametrize("M", [0.0, 10.0])
+def test_effective_transform_outlives_a_second_walk(M):
+    # every walk owns its buffers, so a result stays put when the same
+    # boost serves another scenario
+    cfg = CavityConfig(M=M, h=0.01, k=2, n_max=200)
+    boost = _boost(cfg.n_max, M)
+    cases = _column_cases(cfg)
+    first = effective_transform(cases["round-trip"], boost)
+    kept = {b: np.array(getattr(first, b)) for b in ("order0", "alpha1", "beta1", "alpha2_diag")}
+    for s in cases.values():
+        effective_transform(s, boost)
+    for block, values in kept.items():
+        assert np.array_equal(getattr(first, block), values), block
+        assert not getattr(first, block).flags.writeable, block
 
 
 @pytest.mark.parametrize("M", [0.0, 10.0, 1000.0])

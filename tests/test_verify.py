@@ -1,8 +1,14 @@
 """The verification suite and its negative control."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
-from cavneg.verify import run_verification
+import cavneg
+from cavneg.verify import _PERIODICITY_TAUS, run_verification
 
 # Names and thresholds of the fast level, in report order; the two order-2
 # thresholds are computed from the boost blocks.
@@ -58,3 +64,26 @@ def test_corrupted_coefficient_is_caught():
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         run_verification("paranoid")
+
+
+def test_periodicity_taus_are_the_seeded_draw():
+    drawn = np.random.default_rng(20240817).uniform(0.2, 2.0, 3)
+    assert _PERIODICITY_TAUS == tuple(float(tau) for tau in drawn)
+
+
+def test_fast_suite_leaves_numpy_random_unimported():
+    # importing numpy.random would add to every cold pass; only a fresh
+    # interpreter shows whether anything pulls it in
+    src = os.path.dirname(os.path.dirname(cavneg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "import sys\n"
+        "from cavneg.verify import run_verification\n"
+        "assert run_verification('fast').passed\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
