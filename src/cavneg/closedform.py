@@ -363,26 +363,27 @@ def _product_sum(k: int, factors, r_max: int | None):
         np.multiply(term, factor_rows[-1], out=out[1:])
         return _term_sums(out), tail
     # large grids: one term at a time, on tiles along the first axis with
-    # more than one point, each small enough to stay in cache
-    factors = _split(x, shapes)
+    # more than one point, each small enough to stay in cache; a factor that
+    # is constant along that axis repeats its powers on every tile
     acc = np.zeros(shape)
     axis = next((i for i, n in enumerate(shape) if n > 1), None)
-    if axis is None:  # a single point
-        _product_tile(coeffs, factors, acc)
+    rows = 1 if axis is None else max(1, _TILE // math.prod(shape[axis + 1 :]))
+    if axis is None or rows >= shape[axis]:
+        _product_tile(coeffs, x, shapes, acc)
         return acc, tail
-    rows = max(1, _TILE // math.prod(shape[axis + 1 :]))
+    factors = _split(x, shapes)
     for lo in range(0, shape[axis], rows):
         cut = (slice(None),) * axis + (slice(lo, lo + rows),)
         tile = [f[cut] if f.shape[axis] > 1 else f for f in factors]
-        _product_tile(coeffs, tile, acc[cut])
+        x = np.concatenate([f.ravel() for f in tile])
+        _product_tile(coeffs, x, [f.shape for f in tile], acc[cut])
     return acc, tail
 
 
-def _product_tile(coeffs, factors, acc):
-    # the large-grid loop of _product_sum on one tile, added into acc in
-    # place; a factor that does not vary across tiles repeats its powers
-    x = np.concatenate([f.ravel() for f in factors])
-    shapes = [f.shape for f in factors]
+def _product_tile(coeffs, x, shapes, acc):
+    # the large-grid loop of _product_sum on one tile: x holds its factors
+    # flat, of the given shapes, and is advanced in place; the sum is added
+    # into acc in place
     step = x * x
     diff = np.empty_like(x)
     weight = np.empty(x.size)
