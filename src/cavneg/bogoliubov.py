@@ -318,7 +318,7 @@ def _compose(
     (alpha1, beta1, work): the first-order blocks of the result are written
     into the first two, work is scratch, and the result holds read-only views
     of them.  first's blocks may be views of that same pair, since the cross
-    terms of the diagonal are read before anything is written.  Without out
+    terms of the diagonal are read before the pair is written.  Without out
     the three arrays are fresh.
     """
     if second.n_max != first.n_max:
@@ -328,16 +328,17 @@ def _compose(
     z2 = second.order0
     z1 = first.order0
     order0 = z2 * z1
-    alpha2 = None
-    if second.alpha2_diag is not None and first.alpha2_diag is not None:
-        cross_a = np.einsum("nm,mn->n", second.alpha1, first.alpha1)
-        cross_b = np.einsum("nm,mn->n", second.beta1, np.conj(first.beta1))
-        if sign != 1:
-            cross_a, cross_b = -cross_a, -cross_b
-        alpha2 = z2 * first.alpha2_diag + second.alpha2_diag * z1 + cross_a + cross_b
     if out is None:
         out = tuple(np.empty(first.alpha1.shape, dtype=complex) for _ in range(3))
     alpha1, beta1, work = out
+    alpha2 = None
+    if second.alpha2_diag is not None and first.alpha2_diag is not None:
+        cross_a = np.einsum("nm,mn->n", second.alpha1, first.alpha1)
+        # conj(B1) goes to the scratch block, which the products below reuse
+        cross_b = np.einsum("nm,mn->n", second.beta1, np.conj(first.beta1, out=work))
+        if sign != 1:
+            cross_a, cross_b = -cross_a, -cross_b
+        alpha2 = z2 * first.alpha2_diag + second.alpha2_diag * z1 + cross_a + cross_b
     # the sign rides on the phase vectors, whose negation is exact and cheap
     z1s = z1 if sign == 1 else -z1
     # A = z2 A1 + A2 z1s and B = z2 B1 + B2 conj(z1s), in that operand order
