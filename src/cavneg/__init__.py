@@ -46,19 +46,12 @@ from .scenario import (
     scenario_negativity,
 )
 from .closedform import (
-    PhaseTuple,
     kickstart_deficit,
     massive_limit_deficit,
-    negativity_kickstart,
-    negativity_massive_limit,
-    negativity_one_way,
-    negativity_round_trip,
-    negativity_two_way,
     one_way_deficit,
     polylog6,
     q_coefficients,
     q_function,
-    q_two_by_two,
     round_trip_deficit,
     two_way_deficit,
 )
@@ -109,19 +102,12 @@ __all__ = [
     "one_way_scenario",
     "round_trip_scenario",
     "scenario_negativity",
-    "PhaseTuple",
     "kickstart_deficit",
     "massive_limit_deficit",
-    "negativity_kickstart",
-    "negativity_massive_limit",
-    "negativity_one_way",
-    "negativity_round_trip",
-    "negativity_two_way",
     "one_way_deficit",
     "polylog6",
     "q_coefficients",
     "q_function",
-    "q_two_by_two",
     "round_trip_deficit",
     "two_way_deficit",
     "Axis",

@@ -232,7 +232,8 @@ def main(argv=None) -> int:
         print(f"wrote {nrows} rows -> {spec.output}")
         return 0
     except ArithmeticError as exc:
-        # NumericValidityError, and a negative closed-form deficit
+        # NumericValidityError, and a closed-form deficit below -1e-10,
+        # which sweep._closed_grid refuses
         print(f"numeric validity error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -23,8 +23,7 @@ The deficits implemented here:
                                    |(p**2 p' p'')**s - 1|**2
 
 plus the five-Q rearrangement of the second line and the large-mass limit of
-the single-leg case.  A two-by-two truncation of Q(1, z) is provided for
-quick estimates.
+the single-leg case.
 
 Series cutoffs are fixed at the tails TOL_Q and TOL_SUM unless an explicit
 r_max replaces them.  Each call runs one series pass over all its phase
@@ -34,28 +33,21 @@ pass forms each power as the product of the one before and its step and adds
 the terms in order, so its values have the bits of a term-by-term loop; a 0-d
 argument runs as a one-element array, so a scalar and the same value inside
 an array give the same bits.  Nothing is cached between calls.  The
-negativity wrappers evaluate one form each; the Q and product forms police
-each other in verify.py and the tests.
+functions return deficits only: the sweep turns them into CSV rows, and the
+Q and product forms police each other in verify.py and the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import NegativityResult
-from .spectrum import ValidityReport
-
 __all__ = [
-    "PhaseTuple",
     "polylog6",
     "q_function",
     "q_coefficients",
-    "q_two_by_two",
     "kickstart_deficit",
     "one_way_deficit",
     "one_way_deficit_sum",
@@ -63,17 +55,12 @@ __all__ = [
     "two_way_deficit_sum",
     "round_trip_deficit",
     "massive_limit_deficit",
-    "negativity_one_way",
-    "negativity_two_way",
-    "negativity_round_trip",
-    "negativity_kickstart",
-    "negativity_massive_limit",
 ]
 
 _PI4 = math.pi**4
 
 TOL_Q = 1e-14  # tail of the polylog pass and the Q forms
-TOL_SUM = 1e-12  # tail of the product sums and of the tails the wrappers report
+TOL_SUM = 1e-12  # tail of the product sums and of the tails the sweep reports
 
 # the polylog pass: terms for a tail below TOL_Q, and their weights; numpy
 # divides a complex number by a real one as a product with the reciprocal,
@@ -295,42 +282,6 @@ def q_function(n: int, z, r_max: int | None = None):
     return _maybe_scalar(_q_flat(n, x, r_max).reshape(shape), z)
 
 
-def q_two_by_two(z):
-    """Two lowest modes only: Q(1, z) collapses to a_10 Re(z) + a_11 Re(z**3)/2."""
-    arr = _as_phase_array(z)
-    value = A_10 * np.real(arr) + 0.5 * A_11 * np.real(arr**3)
-    return _maybe_scalar(value, z)
-
-
-@dataclass(frozen=True)
-class PhaseTuple:
-    """Unit-modulus phase triple (p, p', p'') of a trajectory.
-
-    p = exp(i u) with u the boost frequency times the accelerated duration,
-    p' = exp(i pi tau' / delta) for the outbound coast, p'' likewise for the
-    stay at the destination.
-    """
-
-    p: complex = 1.0 + 0.0j
-    p_prime: complex = 1.0 + 0.0j
-    p_dprime: complex = 1.0 + 0.0j
-
-    def __post_init__(self) -> None:
-        for name in ("p", "p_prime", "p_dprime"):
-            val = complex(getattr(self, name))
-            if abs(abs(val) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must have unit modulus, got {val!r}")
-            object.__setattr__(self, name, val)
-
-    @classmethod
-    def from_angles(cls, u: float = 0.0, v: float = 0.0, w: float = 0.0) -> "PhaseTuple":
-        return cls(
-            complex(math.cos(u), math.sin(u)),
-            complex(math.cos(v), math.sin(v)),
-            complex(math.cos(w), math.sin(w)),
-        )
-
-
 def kickstart_deficit(k: int) -> float:
     """Deficit when the trajectory ends still accelerating: Q(k, 1),
     independent of how long the engines have been burning."""
@@ -495,77 +446,4 @@ def _massive_tail(k: int, M: float, n_max: int) -> float:
     edge = float(n_max)
     return (256.0 * k * k / math.pi**8) * M**4 * 2.0 * edge**2 / (
         7.0 * (edge * edge - k * k) ** 5 * edge
-    )
-
-
-def _clamped(deficit: float) -> float:
-    # the five-Q differences land within rounding of zero on the vanishing
-    # loci and may come out at -1e-17; anything more negative is a bug
-    if deficit < 0:
-        if deficit < -1e-10:
-            raise ArithmeticError(f"deficit came out negative: {deficit}")
-        return 0.0
-    return deficit
-
-
-def _trip_result(k: int, h: float, deficit, r_max: int | None, nfactors: int):
-    # a massless trip's result: clamped deficit, tail of the product-sum cutoff
-    _, tail = _cutoff(k, r_max, TOL_SUM, nfactors)
-    validity = ValidityReport.from_parameters(k, h, 0.0)
-    return NegativityResult.from_deficit(_clamped(float(deficit)), h, k, validity, tail)
-
-
-def negativity_one_way(
-    k: int, h: float, phases: PhaseTuple, r_max: int | None = None
-) -> NegativityResult:
-    """Negativity after one accelerated leg, from the Q-difference form."""
-    return _trip_result(k, h, one_way_deficit(k, phases.p, r_max), r_max, 1)
-
-
-def negativity_two_way(
-    k: int, h: float, phases: PhaseTuple, r_max: int | None = None
-) -> NegativityResult:
-    """Negativity after out-and-stop, from the five-Q form."""
-    d = two_way_deficit(k, phases.p, phases.p_prime, r_max)
-    return _trip_result(k, h, d, r_max, 2)
-
-
-def negativity_round_trip(
-    k: int, h: float, phases: PhaseTuple, r_max: int | None = None
-) -> NegativityResult:
-    """Negativity after the full round trip, cosine-series product form."""
-    d = round_trip_deficit(k, phases.p, phases.p_prime, phases.p_dprime, r_max)
-    return _trip_result(k, h, d, r_max, 3)
-
-
-def negativity_kickstart(k: int, h: float) -> NegativityResult:
-    """Negativity when the trajectory ends under acceleration: deficit Q(k, 1)."""
-    validity = ValidityReport.from_parameters(k, h, 0.0)
-    _, tail = _cutoff(k, None, TOL_Q, 0)
-    return NegativityResult.from_deficit(kickstart_deficit(k), h, k, validity, tail)
-
-
-def negativity_massive_limit(
-    k: int,
-    h: float,
-    M: float,
-    tau_bar: float,
-    delta: float = 1.0,
-    n_max: int = 200,
-) -> NegativityResult:
-    """Negativity after one accelerated leg of a heavy field.
-
-    Valid deep in the regime k much smaller than M with h M**2 within the
-    usual bound; a ratio k/M above 0.01 draws a warning, and one above 0.05
-    raises ValueError, as massive_limit_deficit does.
-    """
-    if M > 0 and k / M > 0.01:
-        warnings.warn(
-            f"k/M = {k / M:.3g} strains the heavy-field expansion",
-            stacklevel=2,
-        )
-    deficit = float(massive_limit_deficit(k, M, tau_bar, delta, n_max))
-    validity = ValidityReport.from_parameters(k, h, M)
-    return NegativityResult.from_deficit(
-        deficit, h, k, validity, _massive_tail(k, M, n_max)
     )

@@ -131,24 +131,6 @@ class NegativityResult:
     validity: ValidityReport
     truncation_tail: float
 
-    @classmethod
-    def from_deficit(
-        cls,
-        deficit_scaled: float,
-        h: float,
-        k: int,
-        validity: ValidityReport,
-        truncation_tail: float = 0.0,
-    ) -> "NegativityResult":
-        return cls(
-            negativity=0.5 - h * h * deficit_scaled,
-            deficit_scaled=deficit_scaled,
-            h_used=h,
-            k_used=k,
-            validity=validity,
-            truncation_tail=truncation_tail,
-        )
-
 
 def _inertial_frequencies(cfg: CavityConfig) -> np.ndarray:
     n = np.arange(1, cfg.n_max + 1, dtype=float)
@@ -202,12 +184,15 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
     blocks inside the composition instead of copying them.  boost is as for
     effective_transform.
 
-    The walk owns one writable pair of n_max x n_max first-order blocks and
-    one scratch block: the first accelerated leg is copied into the pair (an
-    inertial start leaves it zero), inertial phases multiply it in place and
-    each composition updates it in place.  So every yielded transform's
-    alpha1 and beta1 are read-only views that hold their values only until
-    the next step is drawn; copy them to keep them longer.
+    The first step is the first accelerated leg itself, or pure phases with
+    real zero blocks for an inertial start; both are read-only and never
+    written.  The walk allocates one writable pair of n_max x n_max
+    first-order blocks and one scratch block at its first later step, so a
+    one-segment walk allocates none: inertial phases are written from the
+    previous step's blocks into the pair, in place once those blocks are
+    views of it, and each composition writes the pair in place.  So every
+    yielded transform's alpha1 and beta1 hold their values only until the
+    next step is drawn; copy them to keep them longer.
     """
     cfg = s.cfg
     if boost is not None and boost.n_max != cfg.n_max:
@@ -215,7 +200,7 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
             f"boost has n_max = {boost.n_max}, the scenario needs {cfg.n_max}"
         )
     n = cfg.n_max
-    out = None  # (alpha1, beta1, work) once the first segment is reached
+    out = None  # (alpha1, beta1, work) from the first step that writes
     total = None
     squares = None
     legs = {}
@@ -224,15 +209,22 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
         if isinstance(seg, Inertial):
             phases = np.exp(1j * _inertial_frequencies(cfg) * seg.duration)
             if total is None:
-                out = tuple(np.zeros((n, n), dtype=complex) for _ in range(3))
-                order0, alpha2 = phases, np.zeros(n)
-            else:
-                # left-compose the pure phases: compose() with a diagonal
-                # second factor, without the arithmetic on its zero blocks
-                for block in out[:2]:
-                    np.multiply(phases[:, None], block, out=block)
-                order0, alpha2 = phases * total.order0, phases * total.alpha2_diag
-            total = PerturbativeTransform(order0, out[0].view(), out[1].view(), alpha2)
+                zero = np.zeros((n, n))
+                total = PerturbativeTransform(phases, zero, zero, np.zeros(n))
+                yield total
+                continue
+            if out is None:
+                out = tuple(np.empty((n, n), dtype=complex) for _ in range(3))
+            # left-compose the pure phases: compose() with a diagonal second
+            # factor, without the arithmetic on its zero blocks
+            for block, prev in zip(out[:2], (total.alpha1, total.beta1)):
+                np.multiply(phases[:, None], prev, out=block)
+            total = PerturbativeTransform(
+                phases * total.order0,
+                out[0].view(),
+                out[1].view(),
+                phases * total.alpha2_diag,
+            )
             yield total
             continue
         open_ended = s.kickstart and i == last
@@ -248,11 +240,11 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
             )
         leg, leg_sign = legs[key]
         if total is None:
-            out = (leg.alpha1.copy(), leg.beta1.copy(), np.empty((n, n), dtype=complex))
-            total = PerturbativeTransform(
-                leg.order0, out[0].view(), out[1].view(), leg.alpha2_diag
-            )
+            # no earlier segment: the leg has this segment's sign
+            total = leg
         else:
+            if out is None:
+                out = tuple(np.empty((n, n), dtype=complex) for _ in range(3))
             total = _compose(leg, total, seg.sign * leg_sign, out)
         yield total
 
@@ -298,8 +290,14 @@ def _column_result(
     w = 0.5 * np.abs(acol) ** 2 + np.abs(bcol) ** 2
     deficit = float(w.sum() - w[k - 1])
     tail = float(_truncation_tail(w[-TAIL_ROWS:], w.size))
-    validity = ValidityReport.from_parameters(k, h, M)
-    return NegativityResult.from_deficit(deficit, h, k, validity, tail)
+    return NegativityResult(
+        negativity=0.5 - h * h * deficit,
+        deficit_scaled=deficit,
+        h_used=h,
+        k_used=k,
+        validity=ValidityReport.from_parameters(k, h, M),
+        truncation_tail=tail,
+    )
 
 
 def negativity_general(

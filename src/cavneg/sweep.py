@@ -315,30 +315,44 @@ _N_FACTORS = {"one-way": 1, "alpha-centauri": 2, "round-trip": 3}
 
 
 def _closed_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: int):
-    """Vectorized closed-form deficit over the whole grid, plus a tail bound."""
+    """Vectorized closed-form deficit over the whole grid, plus a tail bound.
+
+    The five-Q differences land within rounding of zero on the vanishing
+    loci and may come out at -1e-17, which the rows keep; a deficit below
+    -1e-10 is a bug and raises ArithmeticError.
+    """
     name = spec.scenario
     M = params["M"]
     r_max = params["r_max"]
     u, v, w = coords["u"], coords["v"], coords["w"]
     if name == "kickstart":
         _, tail = closedform._cutoff(k, None, closedform.TOL_Q, 0)
-        return np.full(shape, kickstart_deficit(k)), tail
-    if M > 0:
+        deficit = np.full(shape, kickstart_deficit(k))
+    elif M > 0:
         # the full grid, as the heavy-field sum is a matrix product whose
         # rounding may depend on the stack shape
         cfg = CavityConfig(delta=params["delta"], M=M)
         tau = _tau_bar(np.broadcast_to(u, shape), cfg)
-        deficit = massive_limit_deficit(k, M, tau, params["delta"], params["n_max"])
-        return np.asarray(deficit), closedform._massive_tail(k, M, params["n_max"])
-    _, tail = closedform._cutoff(k, r_max, closedform.TOL_SUM, _N_FACTORS[name])
-    p = np.exp(1j * u)
-    if name == "one-way":
-        deficit = one_way_deficit(k, p, r_max)
-    elif name == "alpha-centauri":
-        deficit = two_way_deficit(k, p, np.exp(1j * v), r_max)
+        deficit = np.asarray(
+            massive_limit_deficit(k, M, tau, params["delta"], params["n_max"])
+        )
+        tail = closedform._massive_tail(k, M, params["n_max"])
     else:
-        deficit = round_trip_deficit(k, p, np.exp(1j * v), np.exp(1j * w), r_max)
-    return np.broadcast_to(deficit, shape), tail
+        _, tail = closedform._cutoff(k, r_max, closedform.TOL_SUM, _N_FACTORS[name])
+        p = np.exp(1j * u)
+        if name == "one-way":
+            deficit = one_way_deficit(k, p, r_max)
+        elif name == "alpha-centauri":
+            deficit = two_way_deficit(k, p, np.exp(1j * v), r_max)
+        else:
+            deficit = round_trip_deficit(k, p, np.exp(1j * v), np.exp(1j * w), r_max)
+        deficit = np.broadcast_to(deficit, shape)
+    lowest = float(np.min(deficit))
+    if lowest < -1e-10:
+        raise ArithmeticError(
+            f"closed-form deficit came out negative at k = {k}: {lowest!r}"
+        )
+    return deficit, tail
 
 
 def _general_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: int):

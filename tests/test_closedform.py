@@ -5,7 +5,10 @@ Frozen reference numbers come from an independent 40-digit evaluation of the
 printed series.
 """
 
+import ast
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,20 +17,13 @@ from cavneg import closedform
 from cavneg.closedform import (
     A_10,
     A_11,
-    PhaseTuple,
     kickstart_deficit,
     massive_limit_deficit,
-    negativity_kickstart,
-    negativity_massive_limit,
-    negativity_one_way,
-    negativity_round_trip,
-    negativity_two_way,
     one_way_deficit,
     one_way_deficit_sum,
     polylog6,
     q_coefficients,
     q_function,
-    q_two_by_two,
     round_trip_deficit,
     two_way_deficit,
     two_way_deficit_sum,
@@ -185,24 +181,6 @@ def test_sum_term_share():
     assert share == pytest.approx(0.00458722101186, rel=1e-8)
 
 
-def test_two_by_two_truncation():
-    assert q_two_by_two(1.0 + 0.0j) == pytest.approx(0.041176587260215358, rel=1e-14)
-    z = np.exp(0.9j)
-    expected = A_10 * math.cos(0.9) + 0.5 * A_11 * math.cos(2.7)
-    assert q_two_by_two(z) == pytest.approx(expected, rel=1e-14)
-
-
-def test_phase_tuple_checks_modulus():
-    PhaseTuple(1.0, -1.0, 1j)
-    with pytest.raises(ValueError):
-        PhaseTuple(1.1, 1.0, 1.0)
-
-
-def test_phase_tuple_from_angles():
-    t = PhaseTuple.from_angles(0.5, 1.0, 1.5)
-    assert t.p == pytest.approx(np.exp(0.5j))
-
-
 def test_one_way_deficit_values():
     assert float(one_way_deficit(1, 1.0)) == 0.0
     assert float(one_way_deficit(1, -1.0)) == pytest.approx(
@@ -263,6 +241,9 @@ def test_round_trip_zero_loci():
     assert abs(float(round_trip_deficit(1, p, pp, np.exp(1j * w)))) < 1e-14
     assert abs(float(round_trip_deficit(1, 1.0, pp, np.exp(0.3j)))) < 1e-14
     assert float(round_trip_deficit(1, p, pp, np.exp(0.3j))) > 1e-5
+    # p = 1 at the angles (0, 1, 2)
+    p, pp, ppp = (complex(math.cos(u), math.sin(u)) for u in (0.0, 1.0, 2.0))
+    assert round_trip_deficit(1, p, pp, ppp) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_explicit_r_max_keeps_the_zero_at_p_equal_one():
@@ -278,7 +259,7 @@ def test_explicit_r_max_keeps_the_zero_at_p_equal_one():
     assert one_way_deficit(1, -1.0, r_max=1) != one_way_deficit(1, -1.0)
 
 
-_PHASES = PhaseTuple.from_angles(0.7, 1.1, 2.3)
+_P, _PP = np.exp(0.7j), np.exp(1.1j)
 
 
 @pytest.mark.parametrize(
@@ -293,9 +274,6 @@ _PHASES = PhaseTuple.from_angles(0.7, 1.1, 2.3)
             3, np.exp(0.7j), np.exp(1.1j), np.exp(2.3j), r_max=r
         ),
         lambda r: closedform._cutoff(3, r, 1e-12, 1),
-        lambda r: negativity_one_way(3, 0.01, _PHASES, r),
-        lambda r: negativity_two_way(3, 0.01, _PHASES, r),
-        lambda r: negativity_round_trip(3, 0.01, _PHASES, r),
     ],
     ids=[
         "q_function",
@@ -305,9 +283,6 @@ _PHASES = PhaseTuple.from_angles(0.7, 1.1, 2.3)
         "two_way_deficit_sum",
         "round_trip_deficit",
         "_cutoff",
-        "negativity_one_way",
-        "negativity_two_way",
-        "negativity_round_trip",
     ],
 )
 def test_explicit_r_max_below_k_rejected(call):
@@ -320,27 +295,23 @@ def test_explicit_r_max_below_k_rejected(call):
 
 
 @pytest.mark.parametrize(
-    "negativity, deficit, deficit_sum",
+    "deficit, deficit_sum",
     [
         (
-            negativity_one_way,
-            lambda r: one_way_deficit(2, _PHASES.p, r),
-            lambda r: one_way_deficit_sum(2, _PHASES.p, r),
+            lambda r: one_way_deficit(2, _P, r),
+            lambda r: one_way_deficit_sum(2, _P, r),
         ),
         (
-            negativity_two_way,
-            lambda r: two_way_deficit(2, _PHASES.p, _PHASES.p_prime, r),
-            lambda r: two_way_deficit_sum(2, _PHASES.p, _PHASES.p_prime, r),
+            lambda r: two_way_deficit(2, _P, _PP, r),
+            lambda r: two_way_deficit_sum(2, _P, _PP, r),
         ),
     ],
     ids=["one-way", "two-way"],
 )
-def test_negativity_forms_share_an_explicit_cutoff(negativity, deficit, deficit_sum):
-    # the wrapper reports the Q form at the caller's cutoff, and the product
-    # form at that cutoff agrees with it
-    res = negativity(2, 0.01, _PHASES, 40)
-    assert res.deficit_scaled == deficit(40)
-    assert res.deficit_scaled != deficit(None)
+def test_negativity_forms_share_an_explicit_cutoff(deficit, deficit_sum):
+    # the caller's cutoff moves the Q form off its automatic one, and the
+    # product form at that cutoff agrees with it
+    assert deficit(40) != deficit(None)
     assert abs(deficit(40) - deficit_sum(40)) <= 1e-10
 
 
@@ -348,32 +319,11 @@ def test_negativity_forms_share_an_explicit_cutoff(negativity, deficit, deficit_
 def test_negativity_forms_agree_at_every_explicit_cutoff(k):
     # both forms are the same series truncated at r_max, so at every accepted
     # cutoff they agree to rounding
-    phases = PhaseTuple.from_angles(0.7, 1.1)
-    p, pp = phases.p, phases.p_prime
     for r_max in range(k, 61):
-        one = negativity_one_way(k, 0.01, phases, r_max)
-        two = negativity_two_way(k, 0.01, phases, r_max)
-        assert one.deficit_scaled == one_way_deficit(k, p, r_max)
-        assert two.deficit_scaled == two_way_deficit(k, p, pp, r_max)
-        assert abs(one.deficit_scaled - one_way_deficit_sum(k, p, r_max)) <= 1e-14
-        assert abs(two.deficit_scaled - two_way_deficit_sum(k, p, pp, r_max)) <= 1e-14
-
-
-def test_negativity_wrappers_evaluate_the_q_form_only(monkeypatch):
-    # the product forms police the Q forms in verify.py and in this module,
-    # not on every wrapper call
-    def second_form(*args, **kwargs):
-        raise AssertionError("the product form was evaluated")
-
-    monkeypatch.setattr(closedform, "one_way_deficit_sum", second_form)
-    monkeypatch.setattr(closedform, "two_way_deficit_sum", second_form)
-    for r_max in (None, 40):
-        one = negativity_one_way(2, 0.01, _PHASES, r_max)
-        two = negativity_two_way(2, 0.01, _PHASES, r_max)
-        assert one.deficit_scaled == one_way_deficit(2, _PHASES.p, r_max)
-        assert two.deficit_scaled == two_way_deficit(
-            2, _PHASES.p, _PHASES.p_prime, r_max
-        )
+        one = one_way_deficit(k, _P, r_max)
+        two = two_way_deficit(k, _P, _PP, r_max)
+        assert abs(one - one_way_deficit_sum(k, _P, r_max)) <= 1e-14
+        assert abs(two - two_way_deficit_sum(k, _P, _PP, r_max)) <= 1e-14
 
 
 def test_coefficients_are_a_read_only_array():
@@ -432,22 +382,6 @@ def test_tiled_product_sums_equal_the_term_by_term_reference():
         ref = _product_sum_reference(1, [p, p * pp, p * p * pp * ppp])
         assert got.shape == (rows, cols)
         assert np.array_equal(got, ref), (rows, cols)
-
-
-def test_negativity_tails_come_from_the_cutoff_rule():
-    phases = PhaseTuple.from_angles(0.7, 1.1, 2.3)
-    for fn, nfactors in (
-        (negativity_one_way, 1),
-        (negativity_two_way, 2),
-        (negativity_round_trip, 3),
-    ):
-        for r_max in (None, 2000):
-            res = fn(2, 0.01, phases, r_max)
-            _, tail = closedform._cutoff(2, r_max, 1e-12, nfactors)
-            assert res.truncation_tail == tail
-    assert negativity_kickstart(2, 0.01).truncation_tail == closedform._a_tail(
-        2, closedform._auto_r_max(2, 1e-14, 1.0)
-    )
 
 
 def _phase_axes():
@@ -523,24 +457,8 @@ def test_scalar_phases_give_python_floats():
 
 def test_kickstart_deficit_is_q_at_one():
     assert kickstart_deficit(1) == pytest.approx(0.041312862903979008, rel=1e-11)
+    assert kickstart_deficit(2) == pytest.approx(0.16469416119296436, rel=1e-11)
     assert kickstart_deficit(3) == pytest.approx(0.37014389486695609, rel=1e-11)
-
-
-def test_negativity_wrappers():
-    phases = PhaseTuple.from_angles(math.pi, 0.0, 0.0)
-    res = negativity_one_way(1, 0.01, phases)
-    assert res.negativity == 0.5 - 1e-4 * res.deficit_scaled
-    assert res.deficit_scaled == pytest.approx(0.16525145161591603, rel=1e-11)
-    assert res.k_used == 1 and res.h_used == 0.01
-
-    res2 = negativity_two_way(1, 0.01, phases)
-    assert res2.deficit_scaled == pytest.approx(0.66100580646366409, rel=1e-11)
-
-    res3 = negativity_round_trip(1, 0.01, PhaseTuple.from_angles(0.0, 1.0, 2.0))
-    assert res3.deficit_scaled == pytest.approx(0.0, abs=1e-14)
-
-    res4 = negativity_kickstart(2, 0.01)
-    assert res4.deficit_scaled == pytest.approx(0.16469416119296436, rel=1e-11)
 
 
 def test_heavy_field_deficit_values():
@@ -575,13 +493,16 @@ def test_heavy_field_rejects_k_over_m_above_the_sweep_limit():
     assert float(massive_limit_deficit(5, 100.0, 10.0)) > 0.0
     with pytest.raises(ValueError, match="k/M = 0.3"):
         massive_limit_deficit(30, 100.0, 10.0)
-    with pytest.raises(ValueError, match="k/M = 0.3"), pytest.warns(UserWarning):
-        negativity_massive_limit(30, 1e-5, 100.0, 10.0)
 
 
-def test_heavy_field_wrapper_warns_when_k_not_small():
-    with pytest.warns(UserWarning):
-        negativity_massive_limit(3, 1e-5, 100.0, 10.0)
-    res = negativity_massive_limit(1, 1e-5, 1000.0, 300.0, n_max=200)
-    assert res.deficit_scaled == pytest.approx(187759976.44397464, rel=1e-11)
-    assert res.negativity == 0.5 - 1e-10 * res.deficit_scaled
+def test_closedform_imports_only_the_standard_library_and_numpy():
+    # the module returns deficits; the sweep and the engine build results
+    tree = ast.parse(Path(closedform.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    assert {m for m in modules if m.split(".")[0] not in allowed} == set()

@@ -1,6 +1,7 @@
 """Trajectory assembly and the general negativity pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,6 +308,24 @@ def test_transform_steps_pass_through_the_shorter_trips(M):
                 assert np.array_equal(getattr(step, block), getattr(ref, block))
     assert drawn == 7
     assert list(_transform_steps(Scenario((), cfg))) == []
+
+
+@pytest.mark.parametrize("trip", ["one-way", "kickstart"])
+def test_one_segment_walk_allocates_no_buffer_pair(trip):
+    # the leg is the walk's only step, so no n_max x n_max pair or scratch
+    # block is allocated: at n_max 500 the walk peaks at 14.3 MB (one-way)
+    # and 8.3 MB (kickstart), where a copied pair and a scratch block add 12
+    cfg = CavityConfig(h=0.01, k=2, n_max=500)
+    boost = _boost(cfg.n_max, 0.0)
+    build = one_way_scenario if trip == "one-way" else kickstart_scenario
+    s = build(0.8, cfg)
+    tracemalloc.start()
+    try:
+        effective_transform(s, boost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("M", [0.0, 10.0])

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from cavneg import sweep
+from cavneg import closedform, sweep
 from cavneg.cli import main, parse_segments, read_config
 from cavneg.scenario import Accelerated, Inertial
 from cavneg.sweep import (
@@ -220,6 +220,49 @@ def test_numeric_validity_guards():
     # h = 1.8 pushes the peak deficit over the 1/2 budget
     with pytest.raises(NumericValidityError):
         run_sweep(one_way_spec(fixed={"k": 1, "h": 1.8}))
+
+
+def test_negative_closed_form_deficit_is_refused(monkeypatch, tmp_path, capsys):
+    spec = SweepSpec(
+        scenario="alpha-centauri",
+        axes=(Axis("u", 0.0, 1.0, 3),),
+        fixed={"k": 1, "h": 0.01},
+    )
+    # rounding on the vanishing loci is kept as written
+    monkeypatch.setattr(sweep, "two_way_deficit", lambda *args: -1e-17)
+    assert {r["deficit_scaled"] for r in rows_of(run_sweep(spec))} == {"-1e-17"}
+    monkeypatch.setattr(sweep, "two_way_deficit", lambda *args: -1e-9)
+    with pytest.raises(ArithmeticError, match="negative"):
+        run_sweep(spec)
+    out = tmp_path / "x.csv"
+    argv = ["--scenario", "alpha-centauri", "--axis", "u=0:1:3", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "deficit came out negative" in capsys.readouterr().err
+
+
+def test_closed_form_tails_come_from_the_cutoff_rule():
+    for k in (1, 2):
+        for scenario, nfactors in (
+            ("one-way", 1),
+            ("alpha-centauri", 2),
+            ("round-trip", 3),
+        ):
+            for r_max in (None, 2000):
+                fixed = {"k": k, "h": 0.01}
+                if r_max is not None:
+                    fixed["r_max"] = r_max
+                spec = SweepSpec(
+                    scenario=scenario, axes=(Axis("u", 0.1, 2.0, 2),), fixed=fixed
+                )
+                _, tail = closedform._cutoff(k, r_max, closedform.TOL_SUM, nfactors)
+                for row in rows_of(run_sweep(spec)):
+                    assert float(row["truncation_tail"]) == tail, (scenario, r_max)
+        spec = SweepSpec(scenario="kickstart", axes=(Axis("u", 0.1, 2.0, 2),),
+                         fixed={"k": k, "h": 0.01})
+        _, tail = closedform._cutoff(k, None, closedform.TOL_Q, 0)
+        for row in rows_of(run_sweep(spec)):
+            assert float(row["truncation_tail"]) == tail
 
 
 def test_unknown_fixed_key_rejected():
