@@ -33,13 +33,11 @@ from .bogoliubov import (
 from .scenario import (
     Accelerated,
     Inertial,
-    NegativityResult,
     Scenario,
     TrajectorySegment,
     alpha_centauri_scenario,
     effective_transform,
     kickstart_scenario,
-    log_negativity,
     negativity_general,
     one_way_scenario,
     round_trip_scenario,
@@ -91,13 +89,11 @@ __all__ = [
     "phase_rotation",
     "Accelerated",
     "Inertial",
-    "NegativityResult",
     "Scenario",
     "TrajectorySegment",
     "alpha_centauri_scenario",
     "effective_transform",
     "kickstart_scenario",
-    "log_negativity",
     "negativity_general",
     "one_way_scenario",
     "round_trip_scenario",

@@ -62,8 +62,8 @@ class PerturbativeTransform:
     alpha1: first-order block of alpha per unit h, n_max x n_max; a float64
         block stays real, anything else is cast to complex.
     beta1: first-order block of beta per unit h, same shape and rule.
-    alpha2_diag: second-order diagonal of alpha per unit h**2, or None when
-        unknown.  Real for the boost builders; composition makes it complex.
+    alpha2_diag: second-order diagonal of alpha per unit h**2, length n_max.
+        Real for the boost builders; composition makes it complex.
 
     Arrays are frozen in place on construction; pass copies if you need to
     keep writing to them.
@@ -72,7 +72,7 @@ class PerturbativeTransform:
     order0: np.ndarray
     alpha1: np.ndarray
     beta1: np.ndarray
-    alpha2_diag: np.ndarray | None = None
+    alpha2_diag: np.ndarray
 
     def __post_init__(self) -> None:
         z = np.asarray(self.order0, dtype=complex)
@@ -86,14 +86,11 @@ class PerturbativeTransform:
                 f"alpha1 and beta1 must be {n} x {n} to match order0, "
                 f"got {a1.shape} and {b1.shape}"
             )
-        a2 = self.alpha2_diag
-        if a2 is not None:
-            a2 = np.asarray(a2)
-            if a2.shape != (n,):
-                raise ValueError(f"alpha2_diag must have length {n}, got {a2.shape}")
+        a2 = np.asarray(self.alpha2_diag)
+        if a2.shape != (n,):
+            raise ValueError(f"alpha2_diag must have length {n}, got {a2.shape}")
         for arr in (z, a1, b1, a2):
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
         object.__setattr__(self, "order0", z)
         object.__setattr__(self, "alpha1", a1)
         object.__setattr__(self, "beta1", b1)
@@ -112,16 +109,14 @@ class IdentityResidual:
     order1_residual: first-order deviation of alpha alpha+ - beta beta+ = 1
         and alpha beta^T - beta alpha^T = 0, combined.
     order2_diag_residual: second-order deviation on the diagonal of the first
-        identity, or None when the transform carries no alpha2_diag.
-    truncation: the n_max used.
+        identity.
     tail_estimate: estimated contribution of modes beyond n_max, from the
         cubic decay of the first-order entries.
     """
 
     order0_residual: float
     order1_residual: float
-    order2_diag_residual: float | None
-    truncation: int
+    order2_diag_residual: float
     tail_estimate: float
 
 
@@ -296,9 +291,7 @@ def compose(
     The chain rule for transforms acting as out = A in + B conj(in) is
     A = A2 A1 + B2 conj(B1), B = A2 B1 + B2 conj(A1); expanded order by
     order this keeps the off-diagonal blocks first order and the alpha
-    diagonal through second order.  The second-order diagonal is propagated
-    when both operands carry one and dropped otherwise.  The blocks of the
-    result are complex.
+    diagonal through second order.  The blocks of the result are complex.
     """
     return _compose(second, first, 1)
 
@@ -331,14 +324,12 @@ def _compose(
     if out is None:
         out = tuple(np.empty(first.alpha1.shape, dtype=complex) for _ in range(3))
     alpha1, beta1, work = out
-    alpha2 = None
-    if second.alpha2_diag is not None and first.alpha2_diag is not None:
-        cross_a = np.einsum("nm,mn->n", second.alpha1, first.alpha1)
-        # conj(B1) goes to the scratch block, which the products below reuse
-        cross_b = np.einsum("nm,mn->n", second.beta1, np.conj(first.beta1, out=work))
-        if sign != 1:
-            cross_a, cross_b = -cross_a, -cross_b
-        alpha2 = z2 * first.alpha2_diag + second.alpha2_diag * z1 + cross_a + cross_b
+    cross_a = np.einsum("nm,mn->n", second.alpha1, first.alpha1)
+    # conj(B1) goes to the scratch block, which the products below reuse
+    cross_b = np.einsum("nm,mn->n", second.beta1, np.conj(first.beta1, out=work))
+    if sign != 1:
+        cross_a, cross_b = -cross_a, -cross_b
+    alpha2 = z2 * first.alpha2_diag + second.alpha2_diag * z1 + cross_a + cross_b
     # the sign rides on the phase vectors, whose negation is exact and cheap
     z1s = z1 if sign == 1 else -z1
     # A = z2 A1 + A2 z1s and B = z2 B1 + B2 conj(z1s), in that operand order
@@ -354,12 +345,11 @@ def _compose(
 
 def inverse(t: PerturbativeTransform) -> PerturbativeTransform:
     """Two-sided inverse at the retained orders: (alpha+, -beta^T)."""
-    alpha2 = None if t.alpha2_diag is None else np.conj(t.alpha2_diag)
     return PerturbativeTransform(
         np.conj(t.order0),
         np.conj(t.alpha1).T,
         -t.beta1.T,
-        alpha2,
+        np.conj(t.alpha2_diag),
     )
 
 
@@ -391,7 +381,7 @@ def check_identities(t: PerturbativeTransform) -> IdentityResidual:
             + 2 Re(conj(z_n) alpha2_diag[n]) = 0,
 
     evaluated for n up to n_max / 2 so the truncated column sums retain
-    headroom; transforms without alpha2_diag report None there.
+    headroom.
     """
     z = t.order0
     a1 = t.alpha1
@@ -409,16 +399,13 @@ def check_identities(t: PerturbativeTransform) -> IdentityResidual:
         worst += [np.max(np.abs(r1)), np.max(np.abs(r2))]
     order1 = float(np.max(worst))
     upto = max(1, n_max // 2)
-    if t.alpha2_diag is None:
-        order2 = None
-    else:
-        power = np.abs(a1) ** 2 - np.abs(b1) ** 2
-        col = power.sum(axis=0) - np.diagonal(power)
-        resid = col + 2.0 * np.real(np.conj(z) * t.alpha2_diag)
-        order2 = float(np.max(np.abs(resid[:upto])))
+    power = np.abs(a1) ** 2 - np.abs(b1) ** 2
+    col = power.sum(axis=0) - np.diagonal(power)
+    resid = col + 2.0 * np.real(np.conj(z) * t.alpha2_diag)
+    order2 = float(np.max(np.abs(resid[:upto])))
     # Only columns the diagonal residual actually inspects matter;
     # near-diagonal columns further right hold order-one entries.
     last = np.abs(a1[-TAIL_ROWS:, :upto]) ** 2 + np.abs(b1[-TAIL_ROWS:, :upto]) ** 2
     tail = float(_truncation_tail(last, n_max).max()) if n_max >= 2 else 0.0
-    return IdentityResidual(order0, order1, order2, n_max, tail)
+    return IdentityResidual(order0, order1, order2, tail)
 

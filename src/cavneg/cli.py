@@ -221,7 +221,7 @@ def main(argv=None) -> int:
                 args.delta,
                 mass=args.mass,
                 transverse_wavelength=args.wavelength,
-                k=args.k or 1,
+                k=1 if args.k is None else args.k,
             )
             print(format_estimate(est))
             return 0

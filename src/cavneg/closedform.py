@@ -410,7 +410,9 @@ def massive_limit_deficit(
     evaluated as pi**2 (k**2 - n**2) / (sum of the square roots) to dodge the
     cancellation that dominates at large M.  Approximately periodic in
     tau_bar with period 4 M delta / pi.  A ratio k/M above 0.05, where the
-    limit is no longer accurate, raises ValueError.
+    limit is no longer accurate, raises ValueError, and so does n_max below
+    2k, the engine's rule k <= n_max / 2, as the sum would stop short of the
+    modes around k that dominate it.
     """
     if M <= 0:
         raise ValueError("the heavy-field limit needs M > 0; use the massless forms")
@@ -423,10 +425,10 @@ def massive_limit_deficit(
         )
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
+    if n_max < 2 * k:
+        raise ValueError(f"n_max must be at least 2k = {2 * k}, got {n_max}")
     start = 1 if k % 2 == 0 else 2
     n = np.arange(start, n_max + 1, 2, dtype=float)
-    if n.size == 0:
-        raise ValueError(f"n_max = {n_max} leaves no modes of parity opposite to {k}")
     wk = math.sqrt(M * M + (math.pi * k) ** 2)
     wn = np.sqrt(M * M + (np.pi * n) ** 2)
     dw = (math.pi**2) * (k * k - n * n) / (wk + wn)

@@ -9,18 +9,17 @@ A kickstart scenario drops the final boost back, describing a trajectory that
 ends while still accelerating.
 
 The second-order negativity of a scenario reads column k of the end-to-end
-transform only: for an excitation in mode k,
+transform only: for an excitation in mode k it is 1/2 - h**2 * deficit, with
 
-    negativity = 1/2 - h**2 * sum_{n != k} (|alpha1[n, k]|**2 / 2
-                                            + |beta1[n, k]|**2)
+    deficit = sum_{n != k} (|alpha1[n, k]|**2 / 2 + |beta1[n, k]|**2)
 
-where the sum, the scaled deficit, is independent of h because the transform
-blocks are stored per unit h.  scenario_negativity carries that column
-through the segments in O(n_max) each; effective_transform composes the full
-n_max x n_max blocks and, through negativity_general, is the reference the
-column path is checked against.  It builds each accelerated leg once per
-distinct duration, since a leg of the opposite sign differs only in the sign
-of its first-order blocks.
+independent of h because the transform blocks are stored per unit h.  The
+engine returns the pair (deficit, truncation tail), as the closed forms do.
+scenario_negativity carries that column through the segments in O(n_max)
+each; effective_transform composes the full n_max x n_max blocks and,
+through negativity_general, is the reference the column path is checked
+against.  It builds each accelerated leg once per distinct duration, since a
+leg of the opposite sign differs only in the sign of its first-order blocks.
 """
 
 from __future__ import annotations
@@ -40,18 +39,16 @@ from .bogoliubov import (
     boost_column,
     identity_transform,
 )
-from .spectrum import CavityConfig, ValidityReport, rindler_frequency
+from .spectrum import CavityConfig, rindler_frequency
 
 __all__ = [
     "Accelerated",
     "Inertial",
     "TrajectorySegment",
     "Scenario",
-    "NegativityResult",
     "effective_transform",
     "negativity_general",
     "scenario_negativity",
-    "log_negativity",
     "one_way_scenario",
     "alpha_centauri_scenario",
     "round_trip_scenario",
@@ -113,23 +110,6 @@ class Scenario:
         if self.kickstart and (not segs or not isinstance(segs[-1], Accelerated)):
             raise ValueError("a kickstart scenario must end with an Accelerated segment")
         object.__setattr__(self, "segments", segs)
-
-
-@dataclass(frozen=True)
-class NegativityResult:
-    """Negativity of the mode pair after a scenario.
-
-    negativity equals 1/2 - h_used**2 * deficit_scaled exactly; the scaled
-    deficit is non-negative and independent of h.  truncation_tail estimates
-    the absolute deficit error from the mode cutoff.
-    """
-
-    negativity: float
-    deficit_scaled: float
-    h_used: float
-    k_used: int
-    validity: ValidityReport
-    truncation_tail: float
 
 
 def _inertial_frequencies(cfg: CavityConfig) -> np.ndarray:
@@ -283,40 +263,31 @@ def _check_column(k: int, n_max: int) -> None:
         )
 
 
-def _column_result(
-    acol: np.ndarray, bcol: np.ndarray, k: int, h: float, M: float
-) -> NegativityResult:
-    """Deficit and truncation tail from column k of alpha1 and beta1."""
+def _column_result(acol: np.ndarray, bcol: np.ndarray, k: int) -> tuple:
+    """(deficit, truncation tail) from column k of alpha1 and beta1."""
     w = 0.5 * np.abs(acol) ** 2 + np.abs(bcol) ** 2
     deficit = float(w.sum() - w[k - 1])
     tail = float(_truncation_tail(w[-TAIL_ROWS:], w.size))
-    return NegativityResult(
-        negativity=0.5 - h * h * deficit,
-        deficit_scaled=deficit,
-        h_used=h,
-        k_used=k,
-        validity=ValidityReport.from_parameters(k, h, M),
-        truncation_tail=tail,
-    )
+    return deficit, tail
 
 
-def negativity_general(
-    t: PerturbativeTransform, k: int, h: float, M: float = 0.0
-) -> NegativityResult:
-    """Second-order negativity for an excitation in mode k.
+def negativity_general(t: PerturbativeTransform, k: int) -> tuple:
+    """Scaled negativity deficit and its truncation tail for an excitation
+    in mode k, as the pair (deficit, tail) of floats.
 
     Sums |alpha1[n, k]|**2 / 2 + |beta1[n, k]|**2 over n != k down column k
     of the transform; k must stay at or below n_max / 2 so the truncated sum
-    retains headroom.  M only feeds the validity flags.
+    retains headroom.  The negativity is 1/2 - h**2 * deficit.
     """
     _check_column(k, t.n_max)
-    return _column_result(t.alpha1[:, k - 1], t.beta1[:, k - 1], k, h, M)
+    return _column_result(t.alpha1[:, k - 1], t.beta1[:, k - 1], k)
 
 
-def scenario_negativity(s: Scenario) -> NegativityResult:
-    """Second-order negativity of a scenario from column k alone.
+def scenario_negativity(s: Scenario) -> tuple:
+    """Scaled negativity deficit and its truncation tail of a scenario, as
+    the pair (deficit, tail) of floats, from column k alone.
 
-    Equals negativity_general(effective_transform(s), k, h, M) but carries
+    Equals negativity_general(effective_transform(s), k) but carries
     only column k of alpha1 and beta1 through the segments, in O(n_max) per
     segment.  At first order column k of a composition needs column k of
     each factor and the order-0 phase z_k of the earlier one:
@@ -357,16 +328,7 @@ def scenario_negativity(s: Scenario) -> NegativityResult:
         a = z * a + a_seg * Z[k - 1]
         b = z * b + b_seg * np.conj(Z[k - 1])
         Z = z * Z
-    return _column_result(a, b, k, cfg.h, cfg.M)
-
-
-def log_negativity(result: NegativityResult) -> float:
-    """ln(1 + negativity), an upper bound on distillable entanglement."""
-    if result.negativity < 0:
-        raise ValueError(
-            "negativity fell below zero, the parameters left the perturbative range"
-        )
-    return math.log1p(result.negativity)
+    return _column_result(a, b, k)
 
 
 def one_way_scenario(tau_bar: float, cfg: CavityConfig) -> Scenario:

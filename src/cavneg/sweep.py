@@ -371,8 +371,8 @@ def _general_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: 
         )
         for i in range(u.size)
     ]
-    deficit = np.array([r.deficit_scaled for r in results]).reshape(shape)
-    tail = max((r.truncation_tail for r in results), default=0.0)
+    deficit = np.array([d for d, _ in results]).reshape(shape)
+    tail = max((t for _, t in results), default=0.0)
     return deficit, tail
 
 
@@ -574,7 +574,8 @@ def estimate_physical(
         path = "heavy-field"
         period = 4.0 * M * delta / math.pi
         tau = np.linspace(0.0, period, 2049)
-        peak = float(np.max(massive_limit_deficit(k, M, tau, delta)))
+        # the function's default n_max of 200, or 2k where it needs more
+        peak = float(np.max(massive_limit_deficit(k, M, tau, delta, max(200, 2 * k))))
     else:
         raise ConfigError(
             f"k/M = {k / M:.3g} sits between the massless and heavy-field "

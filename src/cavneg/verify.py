@@ -230,14 +230,14 @@ def _pipeline_checks(n_max: int, npoints: int, ks) -> list:
         for label, scenario_at, closed in cases:
             closed = np.asarray(closed, dtype=float)
             worst = max(
-                abs(scenario_negativity(scenario_at(i)).deficit_scaled - closed[i])
+                abs(scenario_negativity(scenario_at(i))[0] - closed[i])
                 for i in range(npoints)
             )
             checks.append(
                 CheckResult(f"pipeline-vs-closed-{label}-k{k}-n{n_max}", worst, tol)
             )
-        kick = scenario_negativity(kickstart_scenario(0.8 / omega, cfg))
-        worst_kick = abs(kick.deficit_scaled - kickstart_deficit(k))
+        kick, _ = scenario_negativity(kickstart_scenario(0.8 / omega, cfg))
+        worst_kick = abs(kick - kickstart_deficit(k))
         checks.append(
             CheckResult(f"pipeline-vs-closed-kickstart-k{k}-n{n_max}", worst_kick, tol)
         )
@@ -266,11 +266,8 @@ def _column_vs_matrix(boost, M: float) -> float:
 
     def difference(scenario, t) -> float:
         col = scenario_negativity(scenario)
-        ref = negativity_general(t, cfg.k, cfg.h, M)
-        return max(
-            abs(col.deficit_scaled - ref.deficit_scaled),
-            abs(col.truncation_tail - ref.truncation_tail),
-        )
+        ref = negativity_general(t, cfg.k)
+        return max(abs(c - r) for c, r in zip(col, ref))
 
     kick = kickstart_scenario(0.8, cfg)
     worst = difference(kick, effective_transform(kick, boost))
@@ -310,9 +307,9 @@ def _periodicity_check(n_max: int = 200) -> CheckResult:
     period = acceleration_period(cfg)
     worst = 0.0
     for tau in _PERIODICITY_TAUS:
-        a = scenario_negativity(one_way_scenario(tau, cfg))
-        b = scenario_negativity(one_way_scenario(tau + period, cfg))
-        worst = max(worst, abs(a.deficit_scaled - b.deficit_scaled))
+        a, _ = scenario_negativity(one_way_scenario(tau, cfg))
+        b, _ = scenario_negativity(one_way_scenario(tau + period, cfg))
+        worst = max(worst, abs(a - b))
     return CheckResult(f"one-way-periodicity-n{n_max}", worst, 1e-11)
 
 
@@ -322,13 +319,9 @@ def _doubling_check() -> CheckResult:
     cfg_lo = CavityConfig(n_max=1000)
     cfg_hi = CavityConfig(n_max=2000)
     omega = rindler_frequency(1, cfg_lo)
-    lo = scenario_negativity(one_way_scenario(u / omega, cfg_lo))
-    hi = scenario_negativity(one_way_scenario(u / omega, cfg_hi))
-    return CheckResult(
-        "one-way-doubling-convergence",
-        abs(hi.deficit_scaled - lo.deficit_scaled),
-        lo.truncation_tail + 1e-12,
-    )
+    lo, lo_tail = scenario_negativity(one_way_scenario(u / omega, cfg_lo))
+    hi, _ = scenario_negativity(one_way_scenario(u / omega, cfg_hi))
+    return CheckResult("one-way-doubling-convergence", abs(hi - lo), lo_tail + 1e-12)
 
 
 def _diagonal_extrapolation_check() -> CheckResult:
@@ -360,8 +353,8 @@ def _heavy_field_engine_check() -> CheckResult:
     worst = 0.0
     for tau in (0.3 * M, 0.9 * M):
         closed = float(massive_limit_deficit(k, M, tau, 1.0, n_max))
-        res = scenario_negativity(one_way_scenario(tau, cfg))
-        worst = max(worst, abs(res.deficit_scaled - closed) / max(closed, 1.0))
+        deficit, _ = scenario_negativity(one_way_scenario(tau, cfg))
+        worst = max(worst, abs(deficit - closed) / max(closed, 1.0))
     return CheckResult("heavy-field-closed-vs-pipeline-M1000", worst, 1e-3)
 
 

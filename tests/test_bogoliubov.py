@@ -181,7 +181,7 @@ def test_transform_shape_validation():
     z = np.ones(4, dtype=complex)
     good = np.zeros((4, 4), dtype=complex)
     with pytest.raises(ValueError):
-        PerturbativeTransform(z, np.zeros((3, 4), dtype=complex), good)
+        PerturbativeTransform(z, np.zeros((3, 4), dtype=complex), good, np.zeros(4))
     with pytest.raises(ValueError):
         PerturbativeTransform(z, good, good, alpha2_diag=np.zeros(3, dtype=complex))
 
@@ -217,15 +217,6 @@ def test_identity_residuals_equal_the_full_matrix_expression():
         assert res.order1_residual == float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
 
-def test_identities_without_second_order_diagonal():
-    t = PerturbativeTransform(
-        np.ones(2, dtype=complex),
-        np.zeros((2, 2), dtype=complex),
-        np.zeros((2, 2), dtype=complex),
-    )
-    assert check_identities(t).order2_diag_residual is None
-
-
 def test_real_blocks_stay_real_and_composition_is_complex():
     blocks = ("alpha1", "beta1")
     freqs = np.arange(1.0, 9.0)
@@ -243,6 +234,9 @@ def test_real_blocks_stay_real_and_composition_is_complex():
     # anything but float64 is cast to complex
     for dtype in (np.float32, np.int64, np.complex64):
         t = PerturbativeTransform(
-            np.ones(2), np.zeros((2, 2), dtype=dtype), np.zeros((2, 2), dtype=dtype)
+            np.ones(2),
+            np.zeros((2, 2), dtype=dtype),
+            np.zeros((2, 2), dtype=dtype),
+            np.zeros(2),
         )
         assert all(getattr(t, b).dtype == np.complex128 for b in blocks)

@@ -486,6 +486,10 @@ def test_heavy_field_input_validation():
         massive_limit_deficit(1, 0.0, 1.0)
     with pytest.raises(ValueError):
         massive_limit_deficit(1, -3.0, 1.0)
+    # the sum must reach past mode 2k, the engine's rule k <= n_max / 2
+    with pytest.raises(ValueError, match="at least 2k = 60, got 59"):
+        massive_limit_deficit(30, 1000.0, 1.0, 1.0, 59)
+    assert float(massive_limit_deficit(30, 1000.0, 1.0, 1.0, 60)) > 0.0
 
 
 def test_heavy_field_rejects_k_over_m_above_the_sweep_limit():
@@ -496,7 +500,7 @@ def test_heavy_field_rejects_k_over_m_above_the_sweep_limit():
 
 
 def test_closedform_imports_only_the_standard_library_and_numpy():
-    # the module returns deficits; the sweep and the engine build results
+    # the module returns deficits, as the engine does; the sweep builds rows
     tree = ast.parse(Path(closedform.__file__).read_text(encoding="utf-8"))
     modules = set()
     for node in ast.walk(tree):

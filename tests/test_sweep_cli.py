@@ -657,6 +657,27 @@ def test_cli_estimate(capsys):
     assert main(["--estimate", "--accel", "10"]) == 1
 
 
+def test_cli_estimate_mode_index(capsys):
+    # k = 0 is refused, not run as k = 1
+    assert main(["--estimate", "--accel", "9.81", "--delta", "1", "--k", "0"]) == 1
+    assert "mode index must be >= 1, got 0" in capsys.readouterr().err
+    # at M ~ 28428 the heavy-field sum for k = 250 runs past mode 2k = 500
+    assert main(["--estimate", "--accel", "1e-5", "--delta", "1",
+                 "--mass", "1e-38", "--k", "250"]) == 0
+    assert "peak deficit_scaled = 1.7632e+10" in capsys.readouterr().out
+
+
+def test_cli_heavy_field_sweep_refuses_n_max_below_2k(tmp_path, capsys):
+    out = tmp_path / "h.csv"
+    argv = ["--scenario", "one-way", "--M", "1000", "--k", "30", "--h", "1e-5",
+            "--axis", "u=0:1:3", "--out", str(out)]
+    assert main(argv + ["--n-max", "20"]) == 1
+    assert "n_max must be at least 2k = 60, got 20" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--n-max", "60"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_estimate_exit_code_for_an_impossible_degradation(capsys):
     heavy = ["--estimate", "--accel", "1e-5", "--mass", "8.8e-28"]
     assert main(heavy + ["--delta", "1"]) == 2
