@@ -8,6 +8,12 @@ Writes a JSON report with, for each preset fig2-fig5b:
   coordinate grids, the validity check, the row formatting and the join;
 - ``total_s``: the median time of the whole ``run_sweep`` call;
 - the row count, the CSV size in bytes and the CSV's SHA-256;
+- ``q_phases`` and ``q_phases_distinct``: how many phase arguments the Q
+  series pass (``closedform._q_flat``) received over the run, and how many
+  of them were bitwise distinct within their call, from an untimed second
+  run;
+- ``negativities_distinct``: how many distinct negativity cells the CSV
+  holds, counted per k block;
 - the environment: nproc, Python and numpy versions, git SHA and whether
   src/ differs from it.
 
@@ -42,6 +48,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRESETS = ("fig2", "fig3", "fig4a", "fig4b", "fig4c", "fig5a", "fig5b")
 REPEATS = 7
+COUNTS = ("q_phases", "q_phases_distinct", "negativities_distinct")
 
 
 def _git(*args: str) -> str | None:
@@ -78,6 +85,34 @@ def _time_once(name: str) -> dict:
     return {"total_s": total, "closed_s": spent[0], "text": text}
 
 
+def _counts(name: str, text: str) -> dict:
+    """Phase arguments of the Q series pass over an untimed run, and the
+    distinct negativities of the CSV text of the timed one."""
+    from cavneg import closedform, sweep
+
+    inner = closedform._q_flat
+    phases = [0, 0]
+
+    def counted(n, x, r_max):
+        phases[0] += x.size
+        phases[1] += len(np.unique(x.view(np.int64).reshape(-1, 2), axis=0))
+        return inner(n, x, r_max)
+
+    closedform._q_flat = counted
+    try:
+        sweep.run_sweep(sweep.preset_spec(name))
+    finally:
+        closedform._q_flat = inner
+    header, *rows = text.splitlines()
+    column = header.split(",").index("negativity")
+    cells = {(row.split(",")[1], row.split(",")[column]) for row in rows}
+    return {
+        "q_phases": phases[0],
+        "q_phases_distinct": phases[1],
+        "negativities_distinct": len(cells),
+    }
+
+
 def _child(src: str) -> None:
     # one round: every preset once, in a fresh interpreter importing src
     sys.path.insert(0, src)
@@ -88,8 +123,10 @@ def _child(src: str) -> None:
     out = {}
     for name in PRESETS:
         run = _time_once(name)
-        data = run.pop("text").encode("utf-8")
+        text = run.pop("text")
+        data = text.encode("utf-8")
         run.update(
+            **_counts(name, text),
             rows=data.count(b"\n") - 1,
             csv_bytes=len(data),
             sha256=hashlib.sha256(data).hexdigest(),
@@ -123,10 +160,11 @@ def _summary(rounds: list) -> dict:
             "rows": runs[0]["rows"],
             "csv_bytes": runs[0]["csv_bytes"],
             "sha256": runs[0]["sha256"],
+            **{key: runs[0][key] for key in COUNTS},
         }
     presets["all"] = {
         key: sum(presets[name][key] for name in PRESETS)
-        for key in ("total_s", "closed_s", "rows_s", "rows", "csv_bytes")
+        for key in ("total_s", "closed_s", "rows_s", "rows", "csv_bytes") + COUNTS
     }
     return presets
 
@@ -199,7 +237,9 @@ def main(argv=None) -> int:
             print(
                 f"{label} {name}: total {row['total_s'] * 1e3:.1f} ms, "
                 f"closed {row['closed_s'] * 1e3:.1f} ms, "
-                f"rows {row['rows_s'] * 1e3:.1f} ms ({row['rows']} rows)"
+                f"rows {row['rows_s'] * 1e3:.1f} ms ({row['rows']} rows, "
+                f"{row['negativities_distinct']} distinct negativities, "
+                f"{row['q_phases_distinct']} of {row['q_phases']} Q phases distinct)"
             )
     print(f"wrote {args.out}")
     return 0

@@ -232,8 +232,9 @@ def main(argv=None) -> int:
         print(f"wrote {nrows} rows -> {spec.output}")
         return 0
     except ArithmeticError as exc:
-        # NumericValidityError, and a closed-form deficit below -1e-10,
-        # which sweep._closed_grid refuses
+        # NumericValidityError, a closed-form deficit below -1e-10 or NaN,
+        # which sweep._closed_grid refuses, and a heavy-field M whose fourth
+        # power overflows
         print(f"numeric validity error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -26,15 +26,17 @@ plus the five-Q rearrangement of the second line and the large-mass limit of
 the single-leg case.
 
 Series cutoffs are fixed at the tails TOL_Q and TOL_SUM unless an explicit
-r_max replaces them.  Each call runs one series pass over all its phase
-arguments: Q(k, 1) together with every Q of a deficit, the z and z**2 polylog
-chains together with the residual window, all factors of a product sum.  A
-pass forms each power as the product of the one before and its step and adds
-the terms in order, so its values have the bits of a term-by-term loop; a 0-d
-argument runs as a one-element array, so a scalar and the same value inside
-an array give the same bits.  Nothing is cached between calls.  The
-functions return deficits only: the sweep turns them into CSV rows, and the
-Q and product forms police each other in verify.py and the tests.
+r_max replaces them.  Each call runs one series pass: the Q forms over the
+bitwise-distinct values of all their phase arguments (Q(k, 1) together with
+every Q of a deficit, the z and z**2 polylog chains together with the
+residual window), scattered back to every position; a product sum over all
+its factors.  A pass forms each power as the product of the one before and
+its step and adds the terms in order, elementwise, so its values have the
+bits of a term-by-term loop on each value alone; a 0-d argument runs as a
+one-element array, so a scalar and the same value inside an array give the
+same bits.  Nothing is cached between calls.  The functions return deficits
+only: the sweep turns them into CSV rows, and the Q and product forms police
+each other in verify.py and the tests.
 """
 
 from __future__ import annotations
@@ -246,16 +248,35 @@ def q_coefficients(n: int, r_max: int) -> np.ndarray:
     return a
 
 
+def _distinct(x):
+    """The bitwise-distinct values of the flat float or complex array x and
+    the index that rebuilds x from them.  The key is the exact bytes of each
+    value, so 0.0 and -0.0, or 1+0j and 1-0j, stay apart (np.unique merges
+    them).  The stable sort of lexsort serves every caller, as a second sort
+    kernel would map more code into memory."""
+    key = x.view(np.int64).reshape(x.size, x.itemsize // 8)
+    order = np.lexsort(key.T)
+    ranked = key[order]
+    first = np.empty(x.size, dtype=bool)
+    first[:1] = True
+    np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    inverse = np.empty(x.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return x[order[first]], inverse
+
+
 def _q_flat(n: int, x, r_max: int | None):
-    """Q(n, .) over the flat phase array x in one series pass."""
+    """Q(n, .) over the flat phase array x: one series pass over the
+    distinct values of x, scattered back to its positions."""
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
+    x, inverse = _distinct(x)
     x2 = x * x
     if r_max is not None:
         # the polylog pair up to x**(1 + 2 r_max) keeps the odd powers only,
         # so lead and residual window add up to the coefficients a_nr
         (value,) = _series([(x, x2, q_coefficients(n, r_max))])
-        return value
+        return value[inverse]
     r0 = n // 2
     r_max = max(_auto_r_max(n, TOL_Q, 1.0), r0)
     odd = [float(2 * r + 1) for r in range(r0, r_max + 1)]
@@ -265,7 +286,7 @@ def _q_flat(n: int, x, r_max: int | None):
         [(pair, pair, _LI6_WEIGHTS), (x ** (2 * r0 + 1), x2, window)]
     )
     lead = (4.0 * n * n / _PI4) * (lead[: x.size] - lead[x.size :] / 64.0)
-    return lead + (6.0 * n / _PI4) * acc
+    return (lead + (6.0 * n / _PI4) * acc)[inverse]
 
 
 def q_function(n: int, z, r_max: int | None = None):
@@ -412,7 +433,8 @@ def massive_limit_deficit(
     tau_bar with period 4 M delta / pi.  A ratio k/M above 0.05, where the
     limit is no longer accurate, raises ValueError, and so does n_max below
     2k, the engine's rule k <= n_max / 2, as the sum would stop short of the
-    modes around k that dominate it.
+    modes around k that dominate it.  An M whose fourth power overflows a
+    float raises OverflowError.
     """
     if M <= 0:
         raise ValueError("the heavy-field limit needs M > 0; use the massless forms")
@@ -427,13 +449,17 @@ def massive_limit_deficit(
         raise ValueError(f"delta must be positive, got {delta}")
     if n_max < 2 * k:
         raise ValueError(f"n_max must be at least 2k = {2 * k}, got {n_max}")
+    try:
+        m4 = M**4
+    except OverflowError:
+        raise OverflowError(f"M = {M!r} is too large: M**4 overflows a float") from None
     start = 1 if k % 2 == 0 else 2
     n = np.arange(start, n_max + 1, 2, dtype=float)
     wk = math.sqrt(M * M + (math.pi * k) ** 2)
     wn = np.sqrt(M * M + (np.pi * n) ** 2)
     dw = (math.pi**2) * (k * k - n * n) / (wk + wn)
     amp = n * n / (k * k - n * n) ** 6
-    pref = (256.0 * k * k / math.pi**8) * M**4
+    pref = (256.0 * k * k / math.pi**8) * m4
     t = np.asarray(tau_bar, dtype=float)
     osc = 1.0 - np.cos(np.multiply.outer(t, dw) / delta)
     value = pref * (osc @ amp)

@@ -20,9 +20,10 @@ Coordinates stay broadcastable (a swept phase varies along its own axis
 only), so the closed forms evaluate each per-axis phase at its own size and
 only products of phases fill the grid.  Rows are written column-wise and
 streamed: scenario, k, h, M, method and tail are formatted once per k block,
-each swept coordinate once per axis value and an unswept one once; only the
-deficit, the negativity and its log1p (plus the general value and the
-difference in both mode) are formatted per row.
+each swept coordinate once per axis value and an unswept one once.  Per row
+only the deficit is formatted, and the negativity and its log1p once per
+distinct negativity bit pattern; in both mode the negativity, its log1p,
+the general value and the difference are formatted per row.
 """
 
 from __future__ import annotations
@@ -319,7 +320,7 @@ def _closed_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: i
 
     The five-Q differences land within rounding of zero on the vanishing
     loci and may come out at -1e-17, which the rows keep; a deficit below
-    -1e-10 is a bug and raises ArithmeticError.
+    -1e-10, or a NaN, is a bug and raises ArithmeticError.
     """
     name = spec.scenario
     M = params["M"]
@@ -348,9 +349,9 @@ def _closed_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: i
             deficit = round_trip_deficit(k, p, np.exp(1j * v), np.exp(1j * w), r_max)
         deficit = np.broadcast_to(deficit, shape)
     lowest = float(np.min(deficit))
-    if lowest < -1e-10:
+    if not lowest >= -1e-10:  # NaN fails this too
         raise ArithmeticError(
-            f"closed-form deficit came out negative at k = {k}: {lowest!r}"
+            f"closed-form deficit came out negative or NaN at k = {k}: {lowest!r}"
         )
     return deficit, tail
 
@@ -388,21 +389,24 @@ def _coordinate_cells(spec: SweepSpec, params: dict):
 def _block_rows(spec, params, k, method, tail, deficit, negativity, general):
     """CSV lines of one k block, streamed in row order.
 
-    Cells that are the same on every row are formatted once per block; per
-    row only the deficit, the negativity and its logarithm (plus the general
-    value and the difference in both mode) go through repr.
+    Cells that are the same on every row are formatted once per block.  Per
+    row the deficit goes through repr.  Without a general column the
+    negativity and its logarithm go through repr once per distinct
+    negativity bit pattern, so 0.0 and -0.0 keep their own cells; in both
+    mode they, the general value and the difference go through repr per row.
     """
     head = f"{spec.scenario},{k},{params['h']!r},{params['M']!r}"
     rest = f"{method},{float(tail)!r}"
     log1p = math.log1p
     cells = _coordinate_cells(spec, params)
     d = deficit.ravel().tolist()
-    neg = negativity.ravel().tolist()
     if general is None:
+        values, index = closedform._distinct(negativity.ravel())
+        pairs = [f"{n!r},{log1p(n)!r}" for n in values.tolist()]
         return (
-            f"{head},{c},{x!r},{n!r},{log1p(n)!r},{rest}"
-            for c, x, n in zip(cells, d, neg)
+            f"{head},{c},{x!r},{pairs[i]},{rest}" for c, x, i in zip(cells, d, index)
         )
+    neg = negativity.ravel().tolist()
     g = general.ravel().tolist()
     diff = np.abs(deficit - general).ravel().tolist()
     return (

@@ -455,6 +455,36 @@ def test_scalar_phases_give_python_floats():
     assert all(type(x) is float for x in values)
 
 
+# 1+0j and 1-0j compare equal, and so do -1+0j and -1-0j, but their bits differ
+_SIGNED_UNITS = np.array([1 + 0j, complex(1, -0.0), -1 + 0j, complex(-1, -0.0)])
+
+
+def test_distinct_values_keep_their_bits():
+    x = np.concatenate([_SIGNED_UNITS, _SIGNED_UNITS[::-1], np.full(3, np.exp(0.3j))])
+    values, inverse = closedform._distinct(x)
+    assert values.size == 5
+    assert np.array_equal(values[inverse].view(np.int64), x.view(np.int64))
+    values, inverse = closedform._distinct(np.array([], dtype=complex))
+    assert values.size == 0 and inverse.size == 0
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_repeated_phases_equal_their_own_one_element_calls(k):
+    # the Q forms run their series on the distinct phases only; each element
+    # keeps the bits of a call on its value alone
+    rng = np.random.default_rng(31)
+    u = rng.choice(np.linspace(0.0, 2.0 * math.pi, 9), size=40)
+    p = np.concatenate([np.exp(1j * u), _SIGNED_UNITS, _SIGNED_UNITS[::-1]])
+    pp = np.roll(p, 7)
+    for fn, args in ((q_function, (p,)), (one_way_deficit, (p,)),
+                     (two_way_deficit, (p, pp))):
+        values = fn(k, *args)
+        alone = [fn(k, *(a[i : i + 1] for a in args))[0] for i in range(p.size)]
+        assert np.array_equal(
+            values.view(np.int64), np.array(alone).view(np.int64)
+        ), fn.__name__
+
+
 def test_kickstart_deficit_is_q_at_one():
     assert kickstart_deficit(1) == pytest.approx(0.041312862903979008, rel=1e-11)
     assert kickstart_deficit(2) == pytest.approx(0.16469416119296436, rel=1e-11)
@@ -490,6 +520,9 @@ def test_heavy_field_input_validation():
     with pytest.raises(ValueError, match="at least 2k = 60, got 59"):
         massive_limit_deficit(30, 1000.0, 1.0, 1.0, 59)
     assert float(massive_limit_deficit(30, 1000.0, 1.0, 1.0, 60)) > 0.0
+    # M**4 overflows a float: the error names M
+    with pytest.raises(OverflowError, match=r"M = 1e\+100"):
+        massive_limit_deficit(1, 1e100, 1.0)
 
 
 def test_heavy_field_rejects_k_over_m_above_the_sweep_limit():

@@ -241,6 +241,31 @@ def test_negative_closed_form_deficit_is_refused(monkeypatch, tmp_path, capsys):
     assert "deficit came out negative" in capsys.readouterr().err
 
 
+def test_nan_closed_form_deficit_is_refused(monkeypatch, tmp_path, capsys):
+    spec = SweepSpec(
+        scenario="alpha-centauri",
+        axes=(Axis("u", 0.0, 1.0, 3),),
+        fixed={"k": 1, "h": 0.01},
+    )
+    monkeypatch.setattr(sweep, "two_way_deficit", lambda *args: math.nan)
+    with pytest.raises(ArithmeticError, match="NaN"):
+        run_sweep(spec)
+    out = tmp_path / "x.csv"
+    argv = ["--scenario", "alpha-centauri", "--axis", "u=0:1:3", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "deficit came out negative or NaN" in capsys.readouterr().err
+
+
+def test_cli_heavy_field_mass_whose_fourth_power_overflows(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["--scenario", "one-way", "--M", "1e100", "--axis", "u=0:1:3",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "M = 1e+100 is too large" in capsys.readouterr().err
+
+
 def test_closed_form_tails_come_from_the_cutoff_rule():
     for k in (1, 2):
         for scenario, nfactors in (
@@ -476,6 +501,44 @@ HUGE_PHASES = SweepSpec(
 )
 def test_row_writer_matches_per_cell_formatting(spec):
     assert run_sweep(spec) == reference_csv(spec)
+
+
+def test_rows_with_repeated_negativities_match_per_cell_formatting():
+    # a full period on both axes repeats values on the zero loci and across
+    # the mirror symmetry, so the row writer formats far fewer negativities
+    # than it writes rows
+    spec = SweepSpec(
+        scenario="alpha-centauri",
+        axes=(Axis("u", 0.0, 2 * math.pi, 13), Axis("v", 0.0, 2 * math.pi, 13)),
+        fixed={"h": 0.01},
+    )
+    text = run_sweep(spec)
+    negativities = [row["negativity"] for row in rows_of(text)]
+    assert len(set(negativities)) < len(negativities) / 2
+    assert text == reference_csv(spec)
+
+
+def test_signed_zero_deficits_are_written_as_their_own_repr(monkeypatch):
+    spec = SweepSpec(scenario="one-way", axes=(Axis("u", 0.0, 1.0, 6),))
+    monkeypatch.setattr(
+        sweep, "one_way_deficit", lambda k, p, r_max: np.array([0.0, -0.0] * 3)
+    )
+    text = run_sweep(spec)
+    rows = rows_of(text)
+    assert [row["deficit_scaled"] for row in rows] == ["0.0", "-0.0"] * 3
+    assert {row["negativity"] for row in rows} == {"0.5"}
+    assert text == reference_csv(spec)
+
+
+def test_row_writer_keeps_signed_zero_negativities_apart():
+    spec = SweepSpec(scenario="one-way", axes=(Axis("u", 0.0, 1.0, 4),))
+    params = sweep._validated(spec)
+    negativity = np.array([0.0, -0.0, -0.0, 0.0])
+    rows = sweep._block_rows(
+        spec, params, 1, "closed-form", 0.0, np.zeros(4), negativity, None
+    )
+    cells = [row.split(",")[8:10] for row in rows]
+    assert cells == [["0.0", "0.0"], ["-0.0", "-0.0"], ["-0.0", "-0.0"], ["0.0", "0.0"]]
 
 
 def test_row_writer_cases_reach_exponent_notation():
