@@ -21,9 +21,9 @@ only), so the closed forms evaluate each per-axis phase at its own size and
 only products of phases fill the grid.  Rows are written column-wise and
 streamed: scenario, k, h, M, method and tail are formatted once per k block,
 each swept coordinate once per axis value and an unswept one once.  Per row
-only the deficit is formatted, and the negativity and its log1p once per
-distinct negativity bit pattern; in both mode the negativity, its log1p,
-the general value and the difference are formatted per row.
+the deficit is formatted, and in both mode the general value and the
+difference too; the negativity and its log1p are formatted once per
+distinct negativity bit pattern.
 """
 
 from __future__ import annotations
@@ -390,28 +390,27 @@ def _block_rows(spec, params, k, method, tail, deficit, negativity, general):
     """CSV lines of one k block, streamed in row order.
 
     Cells that are the same on every row are formatted once per block.  Per
-    row the deficit goes through repr.  Without a general column the
-    negativity and its logarithm go through repr once per distinct
-    negativity bit pattern, so 0.0 and -0.0 keep their own cells; in both
-    mode they, the general value and the difference go through repr per row.
+    row the deficit goes through repr, and in both mode the general value
+    and the difference too.  The negativity and its logarithm go through
+    repr once per distinct negativity bit pattern, so 0.0 and -0.0 keep
+    their own cells.
     """
     head = f"{spec.scenario},{k},{params['h']!r},{params['M']!r}"
     rest = f"{method},{float(tail)!r}"
     log1p = math.log1p
     cells = _coordinate_cells(spec, params)
     d = deficit.ravel().tolist()
+    values, index = closedform._distinct(negativity.ravel())
+    pairs = [f"{n!r},{log1p(n)!r}" for n in values.tolist()]
     if general is None:
-        values, index = closedform._distinct(negativity.ravel())
-        pairs = [f"{n!r},{log1p(n)!r}" for n in values.tolist()]
         return (
             f"{head},{c},{x!r},{pairs[i]},{rest}" for c, x, i in zip(cells, d, index)
         )
-    neg = negativity.ravel().tolist()
     g = general.ravel().tolist()
     diff = np.abs(deficit - general).ravel().tolist()
     return (
-        f"{head},{c},{x!r},{n!r},{log1p(n)!r},{rest},{y!r},{e!r}"
-        for c, x, n, y, e in zip(cells, d, neg, g, diff)
+        f"{head},{c},{x!r},{pairs[i]},{rest},{y!r},{e!r}"
+        for c, x, i, y, e in zip(cells, d, index, g, diff)
     )
 
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -446,6 +447,14 @@ HUGE_PHASES = SweepSpec(
     axes=(Axis("u", 1e16, 3e17, 3),),
     fixed={"h": 1e-5, "w": -2.5e-7},
 )
+# a full period on both axes repeats negativities on the zero loci and
+# across the mirror symmetry, so the row writer formats far fewer of them
+# than it writes rows
+REPEATED_NEGATIVITIES = SweepSpec(
+    scenario="alpha-centauri",
+    axes=(Axis("u", 0.0, 2 * math.pi, 13), Axis("v", 0.0, 2 * math.pi, 13)),
+    fixed={"h": 0.01, "n_max": 60},
+)
 
 
 @pytest.mark.parametrize(
@@ -470,6 +479,8 @@ HUGE_PHASES = SweepSpec(
         SweepSpec(scenario="kickstart", k_list=(1, 4)),
         TINY_PHASES,
         HUGE_PHASES,
+        REPEATED_NEGATIVITIES,
+        replace(REPEATED_NEGATIVITIES, mode="both"),
         # heavy field, M = 1000.0, two axes
         SweepSpec(
             scenario="one-way",
@@ -503,19 +514,10 @@ def test_row_writer_matches_per_cell_formatting(spec):
     assert run_sweep(spec) == reference_csv(spec)
 
 
-def test_rows_with_repeated_negativities_match_per_cell_formatting():
-    # a full period on both axes repeats values on the zero loci and across
-    # the mirror symmetry, so the row writer formats far fewer negativities
-    # than it writes rows
-    spec = SweepSpec(
-        scenario="alpha-centauri",
-        axes=(Axis("u", 0.0, 2 * math.pi, 13), Axis("v", 0.0, 2 * math.pi, 13)),
-        fixed={"h": 0.01},
-    )
-    text = run_sweep(spec)
-    negativities = [row["negativity"] for row in rows_of(text)]
+def test_full_period_grid_repeats_negativities():
+    rows = rows_of(run_sweep(REPEATED_NEGATIVITIES))
+    negativities = [row["negativity"] for row in rows]
     assert len(set(negativities)) < len(negativities) / 2
-    assert text == reference_csv(spec)
 
 
 def test_signed_zero_deficits_are_written_as_their_own_repr(monkeypatch):
