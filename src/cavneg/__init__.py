@@ -13,7 +13,6 @@ from .spectrum import (
     CavityConfig,
     ValidityReport,
     acceleration_period,
-    mode_frequency,
     physical_to_dimensionless,
     rindler_frequency,
     validity_report,
@@ -34,7 +33,6 @@ from .scenario import (
     Accelerated,
     Inertial,
     Scenario,
-    TrajectorySegment,
     alpha_centauri_scenario,
     effective_transform,
     kickstart_scenario,
@@ -73,7 +71,6 @@ __all__ = [
     "CavityConfig",
     "ValidityReport",
     "acceleration_period",
-    "mode_frequency",
     "physical_to_dimensionless",
     "rindler_frequency",
     "validity_report",
@@ -90,7 +87,6 @@ __all__ = [
     "Accelerated",
     "Inertial",
     "Scenario",
-    "TrajectorySegment",
     "alpha_centauri_scenario",
     "effective_transform",
     "kickstart_scenario",

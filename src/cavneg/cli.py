@@ -8,6 +8,7 @@ regime where results mean anything), 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .scenario import Accelerated, Inertial
@@ -19,7 +20,7 @@ from .sweep import (
     parse_axis,
     parse_number,
     preset_spec,
-    run_sweep,
+    write_sweep,
     PRESETS,
     SCENARIOS,
     SweepSpec,
@@ -41,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the cavneg flags; main() shares one, see _parser()."""
     p = _Parser(
         prog="cavneg",
         description=(
@@ -82,6 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass", type=parse_number, help="field mass, kg")
     p.add_argument("--wavelength", type=parse_number, help="transverse wavelength, m")
     return p
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process, built on first use.  Sharing it is safe:
+    # parse_args leaves the parser unchanged, and its choices come from
+    # module constants, so no call carries state into the next.
+    return build_parser()
 
 
 def parse_segments(text: str):
@@ -202,9 +212,8 @@ def _build_spec(args, settings: dict) -> SweepSpec:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -227,8 +236,7 @@ def main(argv=None) -> int:
             return 0
         settings = read_config(args.config) if args.config else {}
         spec = _build_spec(args, settings)
-        text = run_sweep(spec)
-        nrows = text.count("\n") - 1
+        nrows = write_sweep(spec)
         print(f"wrote {nrows} rows -> {spec.output}")
         return 0
     except ArithmeticError as exc:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .spectrum import CavityConfig, rindler_frequency
 __all__ = [
     "Accelerated",
     "Inertial",
-    "TrajectorySegment",
     "Scenario",
     "effective_transform",
     "negativity_general",
@@ -85,9 +83,6 @@ class Inertial:
 
     def __post_init__(self) -> None:
         _check_duration(self.duration)
-
-
-TrajectorySegment = Union[Accelerated, Inertial]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ __all__ = [
     "CavityConfig",
     "ValidityReport",
     "validity_report",
-    "mode_frequency",
     "rindler_frequency",
     "acceleration_period",
     "physical_to_dimensionless",
@@ -99,13 +98,6 @@ class ValidityReport:
 def validity_report(cfg: CavityConfig) -> ValidityReport:
     """Flags for a config, at the fixed thresholds of ValidityReport."""
     return ValidityReport.from_parameters(cfg.k, cfg.h, cfg.M)
-
-
-def mode_frequency(n: int, cfg: CavityConfig) -> float:
-    """Inertial frequency of mode n, sqrt(M**2 + pi**2 n**2) / delta."""
-    if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
-    return math.sqrt(cfg.M * cfg.M + (math.pi * n) ** 2) / cfg.delta
 
 
 def rindler_frequency(n: int, cfg: CavityConfig) -> float:

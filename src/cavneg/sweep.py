@@ -23,7 +23,8 @@ streamed: scenario, k, h, M, method and tail are formatted once per k block,
 each swept coordinate once per axis value and an unswept one once.  Per row
 the deficit is formatted, and in both mode the general value and the
 difference too; the negativity and its log1p are formatted once per
-distinct negativity bit pattern.
+distinct negativity bit pattern.  run_sweep joins the rows into one string;
+write_sweep sends them to the output file a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ __all__ = [
     "PRESETS",
     "preset_spec",
     "run_sweep",
+    "write_sweep",
     "parse_number",
     "parse_axis",
     "estimate_physical",
@@ -357,7 +359,12 @@ def _closed_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: i
 
 
 def _general_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: int):
-    """Column-engine deficit at every grid point, plus the largest tail."""
+    """Column-engine deficit at every grid point, plus the largest tail.
+
+    A NaN deficit, which the engine gives where its boost entries overflow
+    (M = 1e200), raises NumericValidityError; in both mode it would
+    otherwise reach the rows through the general and difference columns.
+    """
     cfg = CavityConfig(
         delta=params["delta"],
         M=params["M"],
@@ -373,6 +380,11 @@ def _general_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: 
         for i in range(u.size)
     ]
     deficit = np.array([d for d, _ in results]).reshape(shape)
+    if np.isnan(deficit).any():
+        raise NumericValidityError(
+            f"the engine deficit came out NaN at k = {k} for M = {cfg.M!r}, "
+            f"h = {cfg.h!r}, n_max = {cfg.n_max}"
+        )
     tail = max((t for _, t in results), default=0.0)
     return deficit, tail
 
@@ -414,17 +426,17 @@ def _block_rows(spec, params, k, method, tail, deficit, negativity, general):
     )
 
 
-def run_sweep(spec: SweepSpec) -> str:
-    """Evaluate the grid and return the CSV text (writing spec.output if set).
+def _sweep_lines(spec: SweepSpec):
+    """The CSV lines of a sweep, header first, as a lazy iterator.
 
-    One row per grid point per k; with mode=both each row carries the
-    closed-form value, the pipeline value, and their absolute difference.
+    Every k block is computed and validated before this returns, so a sweep
+    that fails raises here and nothing downstream has written a byte.
     """
     params = _validated(spec)
     shape, coords = _coordinate_grids(spec, params)
     h = params["h"]
     fields = BOTH_FIELDS if spec.mode == "both" else BASE_FIELDS
-    lines = [",".join(fields)]
+    blocks = []
     for k in params["k_list"]:
         closed = general = None
         if spec.mode in ("closed-form", "both"):
@@ -438,25 +450,64 @@ def run_sweep(spec: SweepSpec) -> str:
         else:
             deficit, tail, method = closed, closed_tail + general_tail, "both"
         negativity = 0.5 - h * h * deficit
-        if np.any(negativity < 0):
+        if not np.all(negativity >= 0):  # NaN fails this too
             raise NumericValidityError(
-                f"h = {h} drives the negativity negative at k = {k}; "
+                f"h = {h} drives the negativity negative or NaN at k = {k}; "
                 "reduce h or the deficit scale"
             )
-        lines.extend(
+        blocks.append(
             _block_rows(
                 spec, params, k, method, tail, deficit, negativity,
                 general if spec.mode == "both" else None,
             )
         )
-    text = "\n".join(lines) + "\n"
+    return itertools.chain([",".join(fields)], *blocks)
+
+
+def _write(path: str, chunks) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise OSError(f"cannot write sweep output to {path!r}: {exc}") from exc
+
+
+def run_sweep(spec: SweepSpec) -> str:
+    """Evaluate the grid and return the CSV text (writing spec.output if set).
+
+    One row per grid point per k; with mode=both each row carries the
+    closed-form value, the pipeline value, and their absolute difference.
+    """
+    text = "\n".join(_sweep_lines(spec)) + "\n"
     if spec.output:
-        try:
-            with open(spec.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write sweep output to {spec.output!r}: {exc}") from exc
+        _write(spec.output, (text,))
     return text
+
+
+# rows per write call when a sweep streams to its output file
+_CHUNK_ROWS = 1024
+
+
+def write_sweep(spec: SweepSpec) -> int:
+    """Evaluate the grid like run_sweep, stream the CSV to spec.output a chunk
+    of rows at a time and return the number of rows written.
+
+    The file holds the same bytes run_sweep returns, and it is opened only
+    after every k block has been computed and validated.
+    """
+    if not spec.output:
+        raise ConfigError("write_sweep needs an output path")
+    lines = _sweep_lines(spec)
+    written = 0
+
+    def chunks():
+        nonlocal written
+        while batch := list(itertools.islice(lines, _CHUNK_ROWS)):
+            written += len(batch)
+            yield "\n".join(batch) + "\n"
+
+    _write(spec.output, chunks())
+    return written - 1  # the header is not a row
 
 
 TWO_PI = 2.0 * math.pi

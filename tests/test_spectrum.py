@@ -10,28 +10,10 @@ from cavneg.spectrum import (
     CavityConfig,
     ValidityReport,
     acceleration_period,
-    mode_frequency,
     physical_to_dimensionless,
     rindler_frequency,
     validity_report,
 )
-
-
-def test_massless_mode_frequency_is_pi_n_over_delta():
-    cfg = CavityConfig(delta=2.0)
-    assert mode_frequency(3, cfg) == pytest.approx(3.0 * math.pi / 2.0, rel=1e-15)
-
-
-def test_massive_mode_frequency():
-    # sqrt(M^2 + pi^2 n^2) / delta at M = 1000, n = 1
-    cfg = CavityConfig(M=1000.0)
-    assert mode_frequency(1, cfg) == pytest.approx(1000.0049347900245, rel=1e-14)
-
-
-def test_mode_frequency_rejects_bad_index():
-    cfg = CavityConfig()
-    with pytest.raises(ValueError):
-        mode_frequency(0, cfg)
 
 
 def test_rindler_frequency_value():

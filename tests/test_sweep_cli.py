@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavneg import closedform, sweep
+from cavneg import cli, closedform, sweep
 from cavneg.cli import main, parse_segments, read_config
 from cavneg.scenario import Accelerated, Inertial
 from cavneg.sweep import (
@@ -24,6 +24,7 @@ from cavneg.sweep import (
     parse_number,
     preset_spec,
     run_sweep,
+    write_sweep,
 )
 
 
@@ -258,6 +259,28 @@ def test_nan_closed_form_deficit_is_refused(monkeypatch, tmp_path, capsys):
     assert "deficit came out negative or NaN" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_nan_engine_deficit(tmp_path, capsys):
+    # the engine's boost entries overflow at M = 1e200
+    out = tmp_path / "x.csv"
+    argv = ["--scenario", "one-way", "--mode", "general", "--M", "1e200",
+            "--h", "1e-300", "--n-max", "40", "--axis", "u=0:1:2", "--out", str(out)]
+    with np.errstate(invalid="ignore"):
+        assert main(argv) == 2
+    assert not out.exists()
+    assert "engine deficit came out NaN at k = 1" in capsys.readouterr().err
+
+
+def test_both_mode_refuses_a_nan_engine_deficit(monkeypatch, tmp_path, capsys):
+    # the closed form stays finite, so only the general column would hold NaN
+    monkeypatch.setattr(sweep, "scenario_negativity", lambda scenario: (math.nan, 0.0))
+    out = tmp_path / "x.csv"
+    argv = ["--scenario", "one-way", "--mode", "both", "--n-max", "40",
+            "--axis", "u=0:1:2", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "engine deficit came out NaN" in capsys.readouterr().err
+
+
 def test_cli_heavy_field_mass_whose_fourth_power_overflows(tmp_path, capsys):
     out = tmp_path / "x.csv"
     argv = ["--scenario", "one-way", "--M", "1e100", "--axis", "u=0:1:3",
@@ -322,6 +345,20 @@ def test_output_file_written(tmp_path):
 def test_unwritable_output_raises_with_path():
     with pytest.raises(OSError, match="no/such/dir"):
         run_sweep(one_way_spec(output="/no/such/dir/out.csv"))
+    with pytest.raises(OSError, match="no/such/dir"):
+        write_sweep(one_way_spec(output="/no/such/dir/out.csv"))
+    with pytest.raises(ConfigError, match="output path"):
+        write_sweep(one_way_spec())
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 21, 22, 1024])
+def test_streamed_file_equals_the_returned_text(monkeypatch, tmp_path, chunk):
+    # two k blocks of 21 rows behind the header, cut at every chunk size
+    monkeypatch.setattr(sweep, "_CHUNK_ROWS", chunk)
+    spec = one_way_spec(k_list=(1, 2), output=str(tmp_path / "s.csv"))
+    assert write_sweep(spec) == 42
+    text = run_sweep(replace(spec, output=None))
+    assert (tmp_path / "s.csv").read_bytes() == text.encode("utf-8")
 
 
 def test_default_output_dir_env(monkeypatch, tmp_path):
@@ -390,9 +427,13 @@ PRESET_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
-def test_preset_csv_digest(name):
+def test_preset_csv_digest(name, tmp_path):
     text = run_sweep(preset_spec(name))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PRESET_DIGESTS[name]
+    # the streamed file of the command line holds the same bytes
+    out = tmp_path / f"{name}.csv"
+    assert write_sweep(preset_spec(name, output=str(out))) == text.count("\n") - 1
+    assert out.read_bytes() == text.encode("utf-8")
 
 
 def _format_value(value) -> str:
@@ -776,6 +817,54 @@ def test_cli_env_output_dir(tmp_path, monkeypatch, capsys):
     assert main(["--scenario", "one-way", "--axis", "u=0:1:3"]) == 0
     capsys.readouterr()
     assert (tmp_path / "one-way.csv").exists()
+
+
+# ---------------------------------------------------------------- shared parser
+
+
+def test_main_shares_one_parser_and_build_parser_makes_new_ones():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()
+
+
+def test_back_to_back_main_calls_equal_calls_with_fresh_parsers(tmp_path, capsys):
+    # the append action of --axis, a --k that the next call leaves unset, and
+    # presets with and without axis overrides
+    runs = [
+        ["--scenario", "alpha-centauri", "--axis", "u=0:pi:3", "--axis", "v=0:2pi:4",
+         "--k", "2"],
+        ["--scenario", "one-way", "--axis", "u=0:1:3"],
+        ["--preset", "fig2"],
+        ["--preset", "fig4a", "--axis", "u=0:1:2", "--axis", "v=0:1:3"],
+        ["--scenario", "round-trip", "--axis", "w=0:pi:2", "--h", "0.02"],
+        ["--scenario", "one-way", "--mode", "both", "--n-max", "60", "--k", "3",
+         "--axis", "u=0.5:1:2"],
+        ["--preset", "fig2", "--k", "2"],
+    ]
+
+    def run(argv, out):
+        assert main(argv + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    shared = [run(argv, tmp_path / f"shared{i}.csv") for i, argv in enumerate(runs)]
+    fresh = []
+    for i, argv in enumerate(runs):
+        cli._parser.cache_clear()
+        fresh.append(run(argv, tmp_path / f"fresh{i}.csv"))
+    assert shared == fresh
+    assert [len(rows_of(b.decode())) for b in shared] == [12, 3, 201, 6, 2, 2, 201]
+    capsys.readouterr()
+
+
+def test_usage_error_leaves_the_shared_parser_usable(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["--scenario", "one-way", "--axis", "u=0:1:3", "--frobnicate"]) == 1
+    assert main(["--scenario", "nowhere", "--k", "2"]) == 1
+    assert main(["--scenario", "one-way", "--axis", "u=0:1:3", "--out", str(out)]) == 0
+    rows = rows_of(out.read_text(encoding="utf-8"))
+    assert [r["k"] for r in rows] == ["1"] * 3
+    assert "wrote 3 rows" in capsys.readouterr().out
 
 
 def test_cli_verify_fast_passes(capsys):
