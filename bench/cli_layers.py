@@ -25,7 +25,23 @@ The report holds, per tree and workload, the median over rounds of each stage
 summed over the jobs of a pass, the median of each job's stages, and the
 cyclic garbage collector's work during a pass (``gc_s``, and the collections
 of each generation), which the stages include wherever it fell. The wrappers
-that time the stages add about a microsecond per call.
+that time the stages add about a microsecond per call. It also holds, per
+pass:
+
+- ``setup``: the pass's set-up split into ``numpy_import`` (the import that
+  first loads numpy, wherever cavneg makes it), ``cavneg_import`` (the rest of
+  importing ``cavneg`` and ``cavneg.cli``) and ``parser_build`` (one
+  ``build_parser()``);
+- ``threads``: the native threads of the process after set-up, read from
+  ``/proc/self/task`` (null where that is missing);
+- ``cpu_minus_wall_s``: process CPU time minus wall time over the jobs, which
+  is above zero when a second thread burns CPU beside the program.
+
+A pass process imports neither numpy nor argparse before cavneg, as a
+``perfbench`` pass does, so the set-up split and the threads are those a user
+sees. The report's environment records whether Python writes bytecode: where
+it does not (``PYTHONDONTWRITEBYTECODE``), every pass compiles cavneg from
+source, and ``cavneg_import`` includes that compile.
 
 Run from the repository root:
 
@@ -40,7 +56,7 @@ phases from seed N + r. Times are medians in seconds over the rounds.
 
 from __future__ import annotations
 
-import argparse
+import builtins
 import contextlib
 import functools
 import gc
@@ -53,8 +69,7 @@ import sys
 import tempfile
 import time
 
-from presets_layers import ROOT, environment, extract_src
-
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from workloads import make_jobs  # noqa: E402
 
@@ -71,6 +86,7 @@ STAGES = (
     "other",
     "total_s",
 )
+SETUP_PARTS = ("numpy_import", "cavneg_import", "parser_build", "total_s")
 
 
 class _Clock:
@@ -158,15 +174,49 @@ def _stages(spent: dict, total: float) -> dict:
     return out
 
 
-def _child(src: str, workload: str, seed: int, workdir: str) -> None:
-    # one pass: every job of the workload once, in a fresh interpreter
-    sys.path.insert(0, src)
-    import cavneg
-    from cavneg import cli
+def _setup(src: str):
+    """Import cavneg from src and build one parser, as the benchmark's set-up
+    does; return the cli module and the seconds of each part."""
+    numpy_s = 0.0
+    real_import = builtins.__import__
 
+    def timed_import(name, *args, **kwargs):
+        # times the one import statement that loads numpy, nested imports included
+        nonlocal numpy_s
+        if name.partition(".")[0] != "numpy" or "numpy" in sys.modules:
+            return real_import(name, *args, **kwargs)
+        t0 = time.perf_counter()
+        try:
+            return real_import(name, *args, **kwargs)
+        finally:
+            numpy_s += time.perf_counter() - t0
+
+    sys.path.insert(0, src)
+    builtins.__import__ = timed_import
+    t0 = time.perf_counter()
+    try:
+        import cavneg
+        from cavneg import cli
+    finally:
+        builtins.__import__ = real_import
+    t1 = time.perf_counter()
+    cli.build_parser()
+    t2 = time.perf_counter()
     if not os.path.abspath(cavneg.__file__).startswith(src + os.sep):
         raise ImportError(f"cavneg was imported from {cavneg.__file__}, not from {src}")
-    cli.build_parser()  # the benchmark's set-up builds one parser, untimed
+    return cli, {
+        "numpy_import": numpy_s,
+        "cavneg_import": t1 - t0 - numpy_s,
+        "parser_build": t2 - t1,
+        "total_s": t2 - t0,
+    }
+
+
+def _child(src: str, workload: str, seed: int, workdir: str) -> None:
+    # one pass: every job of the workload once, in a fresh interpreter
+    cli, setup = _setup(src)
+    tasks = "/proc/self/task"
+    threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
     clock = _Clock()
     _instrument(clock)
     argvs = []
@@ -180,6 +230,8 @@ def _child(src: str, workload: str, seed: int, workdir: str) -> None:
         argvs.append((job["name"], argv + ["--out", os.path.join(workdir, job["out"])]))
     jobs = {}
     gc.callbacks.append(clock.on_gc)
+    wall0 = time.perf_counter()
+    cpu0 = time.process_time()
     try:
         for name, argv in argvs:
             clock.spent = {}
@@ -192,15 +244,26 @@ def _child(src: str, workload: str, seed: int, workdir: str) -> None:
                 raise RuntimeError(f"{name}: exit code {code}")
             jobs[name] = _stages(clock.spent, total)
     finally:
+        cpu_minus_wall = (time.process_time() - cpu0) - (time.perf_counter() - wall0)
         gc.callbacks.remove(clock.on_gc)
-    json.dump({"jobs": jobs, "gc_s": clock.gc_s, "gc_collections": clock.gc_counts}, sys.stdout)
+    json.dump(
+        {
+            "jobs": jobs,
+            "gc_s": clock.gc_s,
+            "gc_collections": clock.gc_counts,
+            "setup": setup,
+            "threads": threads,
+            "cpu_minus_wall_s": cpu_minus_wall,
+        },
+        sys.stdout,
+    )
 
 
 def _pass(src: str, workload: str, seed: int) -> dict:
     with tempfile.TemporaryDirectory() as workdir:
         proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", src,
-             "--workload", workload, "--seed", str(seed), "--workdir", workdir],
+            [sys.executable, os.path.abspath(__file__), "--child", src, workload,
+             str(seed), workdir],
             capture_output=True,
             text=True,
             check=True,
@@ -222,6 +285,7 @@ def _summary(passes: list) -> dict:
         stage: statistics.median(sum(p["jobs"][n][stage] for n in names) for p in passes)
         for stage in STAGES
     }
+    threads = [p["threads"] for p in passes]
     return {
         "jobs": len(names),
         **stages,
@@ -229,11 +293,20 @@ def _summary(passes: list) -> dict:
         "gc_collections": [
             statistics.median(p["gc_collections"][g] for p in passes) for g in range(3)
         ],
+        "setup": {
+            part: statistics.median(p["setup"][part] for p in passes)
+            for part in SETUP_PARTS
+        },
+        "threads": None if None in threads else statistics.median(threads),
+        "cpu_minus_wall_s": statistics.median(p["cpu_minus_wall_s"] for p in passes),
         "per_job": per_job,
     }
 
 
 def measure(baseline: str | None, seed: int) -> dict:
+    # imported here, not at the top, so that a pass process loads no numpy
+    from presets_layers import environment, extract_src
+
     trees = {"after": os.path.join(ROOT, "src")}
     with tempfile.TemporaryDirectory() as tmp:
         if baseline is not None:
@@ -252,22 +325,28 @@ def measure(baseline: str | None, seed: int) -> dict:
             label: {w: _summary(p) for w, p in by_workload.items()}
             for label, by_workload in passes.items()
         },
-        "environment": environment(baseline),
+        "environment": {
+            **environment(baseline),
+            # false here means no __pycache__: each pass compiles cavneg anew
+            "writes_bytecode": not sys.flags.dont_write_bytecode,
+        },
     }
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--child"]:
+        # a pass: parsed by hand, so that argparse first loads with cavneg.cli
+        _, src, workload, seed, workdir = argv
+        _child(src, workload, int(seed), workdir)
+        return 0
+    import argparse
+
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", default=os.path.join(ROOT, "BENCH_cli.json"))
     p.add_argument("--baseline", help="git revision to time as 'before'")
     p.add_argument("--seed", type=int, default=51, help="engine seed of the first round")
-    p.add_argument("--child", help=argparse.SUPPRESS)
-    p.add_argument("--workload", choices=WORKLOADS, help=argparse.SUPPRESS)
-    p.add_argument("--workdir", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    if args.child:
-        _child(args.child, args.workload, args.seed, args.workdir)
-        return 0
     report = measure(args.baseline, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -278,9 +357,12 @@ def main(argv=None) -> int:
         for workload in WORKLOADS:
             row = report[label][workload]
             cells = ", ".join(f"{s} {row[s] * 1e3:.2f}" for s in STAGES)
+            setup = ", ".join(f"{s} {row['setup'][s] * 1e3:.2f}" for s in SETUP_PARTS)
             print(
                 f"{label} {workload} ({row['jobs']} jobs, ms): {cells}, "
-                f"gc {row['gc_s'] * 1e3:.2f} ({row['gc_collections']})"
+                f"gc {row['gc_s'] * 1e3:.2f} ({row['gc_collections']}), "
+                f"cpu - wall {row['cpu_minus_wall_s'] * 1e3:.2f}; "
+                f"setup: {setup}; threads {row['threads']}"
             )
     print(f"wrote {args.out}")
     return 0

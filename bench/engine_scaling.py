@@ -33,8 +33,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-import numpy as np  # noqa: E402
-
+# cavneg before numpy, so that numpy loads as it does for users
 from cavneg.scenario import (  # noqa: E402
     alpha_centauri_scenario,
     effective_transform,
@@ -45,6 +44,8 @@ from cavneg.scenario import (  # noqa: E402
     scenario_negativity,
 )
 from cavneg.spectrum import CavityConfig, rindler_frequency  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 COLUMN_N_MAX = (2_000, 20_000, 200_000)
 MATRIX_N_MAX = 2_000

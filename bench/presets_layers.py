@@ -43,8 +43,6 @@ import tarfile
 import tempfile
 import time
 
-import numpy as np
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRESETS = ("fig2", "fig3", "fig4a", "fig4b", "fig4c", "fig5a", "fig5b")
 REPEATS = 7
@@ -88,6 +86,8 @@ def _time_once(name: str) -> dict:
 def _counts(name: str, text: str) -> dict:
     """Phase arguments of the Q series pass over an untimed run, and the
     distinct negativities of the CSV text of the timed one."""
+    import numpy as np
+
     from cavneg import closedform, sweep
 
     inner = closedform._q_flat
@@ -201,6 +201,10 @@ def measure(baseline: str | None) -> dict:
 
 def environment(baseline: str | None) -> dict:
     """The machine, the library versions and the code a report timed."""
+    # numpy is imported here, not at the top, so that a child process loads
+    # it through cavneg, as users do
+    import numpy as np
+
     env = {
         "nproc": os.cpu_count(),
         "machine": platform.machine(),

@@ -5,7 +5,33 @@ then travels through inertial and uniformly accelerated segments.  This
 package computes the resulting loss of negativity to second order in the
 dimensionless acceleration, both through an explicit mode-mixing pipeline
 and through closed-form expressions, and sweeps the results to CSV.
+
+cavneg runs on one thread, and its only BLAS calls are two small
+matrix-vector products.  So when this package is the first to load numpy and
+none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS is set,
+numpy is loaded with one OpenBLAS thread: no idle worker thread then spins
+beside the program.  OpenBLAS reads the variable only when its library loads,
+so it is removed again at once and the environment of later code and child
+processes stays the caller's.  Set any of the three variables, or import
+numpy first, to keep OpenBLAS's own thread count.
 """
+
+
+def _load_numpy() -> None:
+    import os
+    import sys
+
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if "numpy" in sys.modules or any(v in os.environ for v in blas_vars):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
+_load_numpy()
 
 from .spectrum import (
     C_LIGHT,

@@ -122,8 +122,9 @@ def _power_rows(start, step, nterms):
     rounds differently)."""
     rows = np.empty((nterms, start.size), dtype=complex)
     rows[0] = start
+    multiply = np.multiply  # out passed positionally: less call overhead per row
     for prev, row in itertools.pairwise(rows):
-        np.multiply(prev, step, out=row)
+        multiply(prev, step, row)
     return rows
 
 

@@ -291,7 +291,8 @@ def scenario_negativity(s: Scenario) -> tuple:
         kickstart tail:  sign z alpha1[:, k], sign z beta1[:, k]
         compose:  a <- z a + a_seg Z_k,  b <- z b + b_seg conj(Z_k)
 
-    with z the segment's phases and Z the running order-0 phases.
+    with z the segment's phases and Z the running order-0 phases.  Each
+    distinct (segment kind, duration) evaluates its phases once.
     """
     cfg = s.cfg
     k = cfg.k
@@ -303,17 +304,34 @@ def scenario_negativity(s: Scenario) -> tuple:
     # loops, and the vector keeps the result bit-identical to the matrices.
     Z = np.ones(cfg.n_max, dtype=complex)
     column = None
+    freqs = {}
+    phase_vectors = {}
+
+    def phases_of(seg):
+        kind = type(seg)
+        # keyed on the exact bits, so -0.0 keeps phases of its own
+        key = (kind, float(seg.duration).hex())
+        if key not in phase_vectors:
+            if kind not in freqs:
+                freqs[kind] = (
+                    _inertial_frequencies(cfg)
+                    if kind is Inertial
+                    else _accelerated_frequencies(cfg)
+                )
+            phase_vectors[key] = np.exp(1j * freqs[kind] * seg.duration)
+        return phase_vectors[key]
+
     last = len(s.segments) - 1
     for i, seg in enumerate(s.segments):
         if isinstance(seg, Inertial):
-            phases = np.exp(1j * _inertial_frequencies(cfg) * seg.duration)
+            phases = phases_of(seg)
             a = phases * a
             b = phases * b
             Z = phases * Z
             continue
         if column is None:
             column = boost_column(cfg.n_max, k, cfg.M)
-        z = np.exp(1j * _accelerated_frequencies(cfg) * seg.duration)
+        z = phases_of(seg)
         if s.kickstart and i == last:
             a_seg = seg.sign * z * column[0]
             b_seg = seg.sign * z * column[1]

@@ -9,6 +9,7 @@ import pytest
 from cavneg.bogoliubov import (
     PerturbativeTransform,
     _boost,
+    boost_column,
     check_identities,
     compose,
     identity_transform,
@@ -34,6 +35,7 @@ from cavneg.scenario import (
     one_way_scenario,
     round_trip_scenario,
     _accelerated_frequencies,
+    _column_result,
     _inertial_frequencies,
     _transform_steps,
     scenario_negativity,
@@ -192,6 +194,53 @@ def test_column_engine_matches_matrix_engine(shape, k, M):
         assert col[0] == 0.0
     else:
         assert col[0] > 0.0
+
+
+def _per_segment_column(s):
+    """scenario_negativity with the phases of every segment evaluated anew."""
+    cfg, k = s.cfg, s.cfg.k
+    a = np.zeros(cfg.n_max, dtype=complex)
+    b = np.zeros(cfg.n_max, dtype=complex)
+    Z = np.ones(cfg.n_max, dtype=complex)
+    column = boost_column(cfg.n_max, k, cfg.M)
+    for i, seg in enumerate(s.segments):
+        if isinstance(seg, Inertial):
+            phases = np.exp(1j * _inertial_frequencies(cfg) * seg.duration)
+            a, b, Z = phases * a, phases * b, phases * Z
+            continue
+        z = np.exp(1j * _accelerated_frequencies(cfg) * seg.duration)
+        if s.kickstart and i == len(s.segments) - 1:
+            a_seg = seg.sign * z * column[0]
+            b_seg = seg.sign * z * column[1]
+        else:
+            a_seg = seg.sign * column[0] * (z - z[k - 1])
+            b_seg = seg.sign * column[1] * (z - np.conj(z[k - 1]))
+        a = z * a + a_seg * Z[k - 1]
+        b = z * b + b_seg * np.conj(Z[k - 1])
+        Z = z * Z
+    return _column_result(a, b, k)
+
+
+@pytest.mark.parametrize("M", [0.0, 10.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_column_engine_equals_the_per_segment_loop(k, M):
+    # one phase vector per distinct (kind, duration) gives the same bits as
+    # one per segment; the repeated trip reuses each duration across both
+    # kinds and signs, and mixes +0.0 with -0.0
+    cfg = CavityConfig(M=M, h=0.01, k=k, n_max=300)
+    cases = {
+        **_column_cases(cfg),
+        "repeated": Scenario(
+            (Inertial(0.7), Accelerated(1, 0.7), Inertial(-0.0), Accelerated(-1, 0.0),
+             Inertial(0.0), Accelerated(-1, 0.7), Accelerated(1, -0.0), Inertial(0.7),
+             Accelerated(1, 1.3), Inertial(1.3), Accelerated(-1, 0.7)),
+            cfg,
+        ),
+    }
+    for shape, s in cases.items():
+        got = scenario_negativity(s)
+        ref = _per_segment_column(s)
+        assert [x.hex() for x in got] == [x.hex() for x in ref], shape
 
 
 @pytest.mark.parametrize("M", [0.0, 10.0])
