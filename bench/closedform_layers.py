@@ -46,8 +46,6 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
 from presets_layers import ROOT, environment, extract_src
 
 REPEATS = 7
@@ -56,6 +54,9 @@ CALLS = {"scalar": 15, "16": 15, "grid": 3, "grid400": 1}  # calls per case and 
 
 def _inputs() -> dict:
     """Phase arguments (p, p', p'') of each input size."""
+    # numpy is imported in the child, after cavneg, so that it loads as it
+    # does for users
+    import numpy as np
 
     def grid(points):
         u = np.linspace(0.0, 2.0 * math.pi, points)
@@ -96,6 +97,7 @@ def _child(src: str) -> None:
     sys.path.insert(0, src)
     import cavneg
     from cavneg import closedform
+    import numpy as np
 
     if not os.path.abspath(cavneg.__file__).startswith(src + os.sep):
         raise ImportError(f"cavneg was imported from {cavneg.__file__}, not from {src}")
