@@ -176,7 +176,7 @@ def _massive_entries(mm, nn, qm, qn, M: float):
 def _check_boost_args(n_max: int, M: float) -> None:
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    if M < 0:
+    if not M >= 0:
         raise ValueError(f"M must be non-negative, got {M}")
 
 
@@ -283,6 +283,15 @@ def phase_rotation(duration: float, frequencies, n_max: int) -> PerturbativeTran
     return PerturbativeTransform(z, zero, zero, np.zeros(n_max))
 
 
+_ROW_BLOCK = 64  # rows per scratch block of composition and the identity check
+
+
+def _row_blocks(n: int):
+    """Slices of _ROW_BLOCK consecutive rows covering range(n)."""
+    for lo in range(0, n, _ROW_BLOCK):
+        yield slice(lo, min(lo + _ROW_BLOCK, n))
+
+
 def compose(
     second: PerturbativeTransform, first: PerturbativeTransform
 ) -> PerturbativeTransform:
@@ -307,26 +316,31 @@ def _compose(
     values of composing the negated transform; the second-order diagonal of
     ``second`` enters unchanged, as it does for a boost leg of either sign.
 
-    out, when given, is a triple of writable complex n_max x n_max arrays
-    (alpha1, beta1, work): the first-order blocks of the result are written
-    into the first two, work is scratch, and the result holds read-only views
-    of them.  first's blocks may be views of that same pair, since the cross
-    terms of the diagonal are read before the pair is written.  Without out
-    the three arrays are fresh.
+    out, when given, is a pair of writable complex n_max x n_max arrays
+    (alpha1, beta1) that the first-order blocks of the result are written
+    into; the result holds read-only views of them.  first's blocks may be
+    views of that same pair, since the cross terms of the diagonal are read
+    before the pair is written.  Without out the pair is fresh.  The only
+    other scratch is one block of _ROW_BLOCK rows.
     """
     if second.n_max != first.n_max:
         raise ValueError(
             f"size mismatch: {second.n_max} vs {first.n_max} modes"
         )
+    n = first.n_max
     z2 = second.order0
     z1 = first.order0
     order0 = z2 * z1
     if out is None:
-        out = tuple(np.empty(first.alpha1.shape, dtype=complex) for _ in range(3))
-    alpha1, beta1, work = out
+        out = tuple(np.empty((n, n), dtype=complex) for _ in range(2))
+    alpha1, beta1 = out
+    work = np.empty((min(_ROW_BLOCK, n), n), dtype=complex)
     cross_a = np.einsum("nm,mn->n", second.alpha1, first.alpha1)
-    # conj(B1) goes to the scratch block, which the products below reuse
-    cross_b = np.einsum("nm,mn->n", second.beta1, np.conj(first.beta1, out=work))
+    # conj(B1), a block of its columns at a time, goes to the scratch rows
+    cross_b = np.empty(n, dtype=complex)
+    for rows in _row_blocks(n):
+        conj_cols = np.conj(first.beta1[:, rows].T, out=work[: rows.stop - rows.start])
+        cross_b[rows] = np.einsum("nm,nm->n", second.beta1[rows], conj_cols)
     if sign != 1:
         cross_a, cross_b = -cross_a, -cross_b
     alpha2 = z2 * first.alpha2_diag + second.alpha2_diag * z1 + cross_a + cross_b
@@ -337,9 +351,12 @@ def _compose(
         (alpha1, first.alpha1, second.alpha1, z1s),
         (beta1, first.beta1, second.beta1, np.conj(z1s)),
     ):
-        np.multiply(z2[:, None], prev, out=block)
-        np.multiply(seg, phase[None, :], out=work)
-        np.add(block, work, out=block)
+        for rows in _row_blocks(n):
+            part = block[rows]
+            scratch = work[: rows.stop - rows.start]
+            np.multiply(z2[rows, None], prev[rows], out=part)
+            np.multiply(seg[rows], phase[None, :], out=scratch)
+            np.add(part, scratch, out=part)
     return PerturbativeTransform(order0, alpha1.view(), beta1.view(), alpha2)
 
 
@@ -354,7 +371,6 @@ def inverse(t: PerturbativeTransform) -> PerturbativeTransform:
 
 
 TAIL_ROWS = 20
-_IDENTITY_ROWS = 64  # rows per block of the order-one identity check
 
 
 def _truncation_tail(last, n_max: int):
@@ -388,11 +404,10 @@ def check_identities(t: PerturbativeTransform) -> IdentityResidual:
     b1 = t.beta1
     n_max = t.n_max
     order0 = float(np.max(np.abs(np.abs(z) ** 2 - 1.0)))
-    # the order-one residual matrices, a block of _IDENTITY_ROWS rows at a
+    # the order-one residual matrices, a block of _ROW_BLOCK rows at a
     # time: their maximum is exact, so it does not depend on the blocking
     worst = []
-    for lo in range(0, n_max, _IDENTITY_ROWS):
-        rows = slice(lo, lo + _IDENTITY_ROWS)
+    for rows in _row_blocks(n_max):
         zr = z[rows, None]
         r1 = zr * np.conj(a1[:, rows].T) + a1[rows] * np.conj(z)[None, :]
         r2 = zr * b1[:, rows].T - b1[rows] * z[None, :]

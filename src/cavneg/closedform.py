@@ -86,7 +86,8 @@ A_11 = 16.0 / (729.0 * _PI4)
 
 def _as_phase_array(z):
     arr = np.asarray(z, dtype=complex)
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
+    # written so that a NaN, which compares false, is rejected too
+    if not np.all(np.abs(arr) <= 1.0 + 1e-12):
         raise ValueError("phase arguments must lie on or inside the unit circle")
     return arr
 
@@ -437,7 +438,7 @@ def massive_limit_deficit(
     modes around k that dominate it.  An M whose fourth power overflows a
     float raises OverflowError.
     """
-    if M <= 0:
+    if not M > 0:
         raise ValueError("the heavy-field limit needs M > 0; use the massless forms")
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
@@ -446,7 +447,7 @@ def massive_limit_deficit(
             f"k/M = {k / M:.3g} is above {_MAX_K_OVER_M}, where the heavy-field "
             "limit is no longer accurate"
         )
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if n_max < 2 * k:
         raise ValueError(f"n_max must be at least 2k = {2 * k}, got {n_max}")

@@ -124,29 +124,34 @@ def _accelerated_frequencies(cfg: CavityConfig) -> np.ndarray:
 
 def _accelerated_segment(
     boost: PerturbativeTransform,
-    squares,
     cfg: CavityConfig,
     sign: int,
     duration: float,
     open_ended: bool,
 ) -> PerturbativeTransform:
     z = np.exp(1j * _accelerated_frequencies(cfg) * duration)
+    n = cfg.n_max
+    alpha1 = np.empty((n, n), dtype=complex)
+    beta1 = np.empty((n, n), dtype=complex)
     if open_ended:
         # boost then accelerated-frame evolution, no boost back
-        alpha1 = sign * z[:, None] * boost.alpha1
-        beta1 = sign * z[:, None] * boost.beta1
+        np.multiply(sign * z[:, None], boost.alpha1, out=alpha1)
+        np.multiply(sign * z[:, None], boost.beta1, out=beta1)
         alpha2 = z * boost.alpha2_diag
     else:
         # boost, evolution, inverse boost collapse to a closed form: the
         # antisymmetry of alpha1 and symmetry of beta1 in the boost blocks
-        # turn the chain into phase differences
-        alpha_sq, beta_sq = squares
-        alpha1 = sign * boost.alpha1 * (z[:, None] - z[None, :])
-        beta1 = sign * boost.beta1 * (z[:, None] - np.conj(z)[None, :])
+        # turn the chain into phase differences, written into the blocks
+        # before the signed boost multiplies them
+        np.subtract(z[:, None], z[None, :], out=alpha1)
+        np.multiply(sign * boost.alpha1, alpha1, out=alpha1)
+        np.subtract(z[:, None], np.conj(z)[None, :], out=beta1)
+        np.multiply(sign * boost.beta1, beta1, out=beta1)
+        # each square of the boost lives for its einsum only
         alpha2 = (
             2.0 * z * boost.alpha2_diag
-            + np.einsum("mn,m->n", alpha_sq, z)
-            - np.einsum("mn,m->n", beta_sq, np.conj(z))
+            + np.einsum("mn,m->n", np.real(boost.alpha1) ** 2, z)
+            - np.einsum("mn,m->n", np.real(boost.beta1) ** 2, np.conj(z))
         )
     return PerturbativeTransform(z, alpha1, beta1, alpha2)
 
@@ -162,12 +167,14 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
     The first step is the first accelerated leg itself, or pure phases with
     real zero blocks for an inertial start; both are read-only and never
     written.  The walk allocates one writable pair of n_max x n_max
-    first-order blocks and one scratch block at its first later step, so a
-    one-segment walk allocates none: inertial phases are written from the
-    previous step's blocks into the pair, in place once those blocks are
-    views of it, and each composition writes the pair in place.  So every
-    yielded transform's alpha1 and beta1 hold their values only until the
-    next step is drawn; copy them to keep them longer.
+    first-order blocks at its first later step, so a one-segment walk
+    allocates none: inertial phases are written from the previous step's
+    blocks into the pair, in place once those blocks are views of it, and
+    each composition writes the pair in place, with a scratch block of 64
+    rows only.  So every yielded transform's alpha1 and beta1 hold their
+    values only until the next step is drawn; copy them to keep them longer.
+    Each leg builds its blocks in place and squares the boost for its
+    second-order diagonal only while it is built.
     """
     cfg = s.cfg
     if boost is not None and boost.n_max != cfg.n_max:
@@ -175,9 +182,8 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
             f"boost has n_max = {boost.n_max}, the scenario needs {cfg.n_max}"
         )
     n = cfg.n_max
-    out = None  # (alpha1, beta1, work) from the first step that writes
+    out = None  # (alpha1, beta1) from the first step that writes
     total = None
-    squares = None
     legs = {}
     last = len(s.segments) - 1
     for i, seg in enumerate(s.segments):
@@ -189,10 +195,10 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
                 yield total
                 continue
             if out is None:
-                out = tuple(np.empty((n, n), dtype=complex) for _ in range(3))
+                out = tuple(np.empty((n, n), dtype=complex) for _ in range(2))
             # left-compose the pure phases: compose() with a diagonal second
             # factor, without the arithmetic on its zero blocks
-            for block, prev in zip(out[:2], (total.alpha1, total.beta1)):
+            for block, prev in zip(out, (total.alpha1, total.beta1)):
                 np.multiply(phases[:, None], prev, out=block)
             total = PerturbativeTransform(
                 phases * total.order0,
@@ -207,10 +213,8 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
         if key not in legs:
             if boost is None:
                 boost = _boost(cfg.n_max, cfg.M)
-            if squares is None and not open_ended:
-                squares = np.real(boost.alpha1) ** 2, np.real(boost.beta1) ** 2
             legs[key] = (
-                _accelerated_segment(boost, squares, cfg, seg.sign, seg.duration, open_ended),
+                _accelerated_segment(boost, cfg, seg.sign, seg.duration, open_ended),
                 seg.sign,
             )
         leg, leg_sign = legs[key]
@@ -219,7 +223,7 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
             total = leg
         else:
             if out is None:
-                out = tuple(np.empty((n, n), dtype=complex) for _ in range(3))
+                out = tuple(np.empty((n, n), dtype=complex) for _ in range(2))
             total = _compose(leg, total, seg.sign * leg_sign, out)
         yield total
 
@@ -241,6 +245,11 @@ def effective_transform(
     that callers transforming several scenarios of one cavity build it
     once; it is built here when omitted.  A boost of another n_max raises
     ValueError.
+
+    Besides the boost, the walk holds its distinct legs and one pair of
+    complex blocks that the compositions write in place, with no scratch
+    block of the full size: a round trip at n_max 500 peaks near 16.7 MB
+    traced, its one leg and the pair.
     """
     total = None
     # the last step's blocks are never written again once the walk ends

@@ -57,7 +57,7 @@ class CavityConfig:
     def __post_init__(self) -> None:
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.M < 0:
+        if not self.M >= 0:
             raise ValueError(f"M must be non-negative, got {self.M}")
         if not abs(self.h) < 2:
             raise ValueError(f"|h| must stay below 2, got {self.h}")

@@ -231,9 +231,9 @@ def _validated(spec: SweepSpec) -> dict:
         params[key] = float(params[key])
     if params["k"] < 1:
         raise ConfigError(f"k must be >= 1, got {params['k']}")
-    if params["delta"] <= 0:
+    if not params["delta"] > 0:
         raise ConfigError(f"delta must be positive, got {params['delta']}")
-    if params["M"] < 0:
+    if not params["M"] >= 0:
         raise ConfigError(f"M must be non-negative, got {params['M']}")
     if not abs(params["h"]) < 2:
         raise NumericValidityError(

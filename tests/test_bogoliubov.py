@@ -12,6 +12,7 @@ import pytest
 
 from cavneg.bogoliubov import (
     PerturbativeTransform,
+    _compose,
     _cube,
     boost_column,
     check_identities,
@@ -175,6 +176,61 @@ def test_phase_rotation_adds_durations():
 def test_compose_rejects_mismatch():
     with pytest.raises(ValueError):
         compose(massless_boost_transform(10), massless_boost_transform(12))
+
+
+def _random_transform(rng, n, real_blocks=False):
+    def block():
+        real = rng.standard_normal((n, n))
+        return real if real_blocks else real + 1j * rng.standard_normal((n, n))
+
+    z = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    diag = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return PerturbativeTransform(z, block(), block(), diag)
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and (
+        got.tobytes() == want.tobytes()
+    )
+
+
+@pytest.mark.parametrize("real_second", [False, True])
+@pytest.mark.parametrize("n_max", [1, 63, 64, 65, 130])
+def test_compose_equals_the_whole_matrix_chain_rule(n_max, real_second):
+    # composition works through blocks of rows; the chain rule written out
+    # on whole matrices, A = A2 A1 + B2 conj(B1) and B = A2 B1 + B2 conj(A1)
+    # kept to the retained orders, gives the same bits in all four blocks
+    rng = np.random.default_rng(n_max)
+    first = _random_transform(rng, n_max)
+    second = _random_transform(rng, n_max, real_second)
+    z1, a1, b1, d1 = first.order0, first.alpha1, first.beta1, first.alpha2_diag
+    z2, a2, b2, d2 = second.order0, second.alpha1, second.beta1, second.alpha2_diag
+    want = {
+        "order0": z2 * z1,
+        "alpha1": z2[:, None] * a1 + a2 * z1[None, :],
+        "beta1": z2[:, None] * b1 + b2 * np.conj(z1)[None, :],
+        "alpha2_diag": z2 * d1 + d2 * z1
+        + np.einsum("nm,mn->n", a2, a1)
+        + np.einsum("nm,mn->n", b2, np.conj(b1)),
+    }
+    got = compose(second, first)
+    negated = PerturbativeTransform(z2, -a2, -b2, d2)
+    flipped = _compose(second, first, -1)
+    for block, values in want.items():
+        assert _same_bits(getattr(got, block), values), block
+        assert _same_bits(
+            getattr(flipped, block), getattr(compose(negated, first), block)
+        ), block
+
+
+def test_boost_builder_rejects_a_nan_mass():
+    with pytest.raises(ValueError, match="M must be non-negative, got nan"):
+        massive_boost_transform(10, math.nan)
+
+
+def test_boost_column_rejects_a_nan_mass():
+    with pytest.raises(ValueError, match="M must be non-negative, got nan"):
+        boost_column(10, 1, math.nan)
 
 
 def test_transform_shape_validation():

@@ -525,6 +525,39 @@ def test_heavy_field_input_validation():
         massive_limit_deficit(1, 1e100, 1.0)
 
 
+def test_heavy_field_rejects_a_nan_mass_or_length():
+    with pytest.raises(ValueError, match="needs M > 0"):
+        massive_limit_deficit(1, math.nan, 1.0)
+    with pytest.raises(ValueError, match="delta must be positive, got nan"):
+        massive_limit_deficit(1, 100.0, 1.0, math.nan)
+
+
+_NAN_PHASE_CALLS = {
+    "polylog6": lambda z: polylog6(z),
+    "q_function": lambda z: q_function(1, z),
+    "one_way_deficit": lambda z: one_way_deficit(1, z),
+    "one_way_deficit_sum": lambda z: one_way_deficit_sum(1, z),
+    "two_way_deficit-p": lambda z: two_way_deficit(1, z, 1j),
+    "two_way_deficit-p_prime": lambda z: two_way_deficit(1, 1j, z),
+    "two_way_deficit_sum": lambda z: two_way_deficit_sum(1, 1j, z),
+    "round_trip_deficit-p": lambda z: round_trip_deficit(1, z, 1j, -1.0),
+    "round_trip_deficit-p_prime": lambda z: round_trip_deficit(1, 1j, z, -1.0),
+    "round_trip_deficit-p_dprime": lambda z: round_trip_deficit(1, 1j, -1.0, z),
+}
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [math.nan, complex(0.5, math.nan), np.array([0.5, math.nan])],
+    ids=["nan", "nan-imaginary", "array"],
+)
+@pytest.mark.parametrize("call", sorted(_NAN_PHASE_CALLS))
+def test_nan_phases_are_rejected(call, phase):
+    # NaN fails every comparison, so the check asks |z| <= 1 to hold
+    with pytest.raises(ValueError, match="on or inside the unit circle"):
+        _NAN_PHASE_CALLS[call](phase)
+
+
 def test_heavy_field_rejects_k_over_m_above_the_sweep_limit():
     # 0.05 is accepted, as sweeps accept it; 0.3 is far outside the limit
     assert float(massive_limit_deficit(5, 100.0, 10.0)) > 0.0

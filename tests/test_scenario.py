@@ -361,9 +361,9 @@ def test_transform_steps_pass_through_the_shorter_trips(M):
 
 @pytest.mark.parametrize("trip", ["one-way", "kickstart"])
 def test_one_segment_walk_allocates_no_buffer_pair(trip):
-    # the leg is the walk's only step, so no n_max x n_max pair or scratch
-    # block is allocated: at n_max 500 the walk peaks at 14.3 MB (one-way)
-    # and 8.3 MB (kickstart), where a copied pair and a scratch block add 12
+    # the leg is the walk's only step, so no n_max x n_max pair is
+    # allocated: at n_max 500 the walk peaks at 10.2 MB (one-way) and
+    # 8.3 MB (kickstart), where a pair of complex blocks adds 8
     cfg = CavityConfig(h=0.01, k=2, n_max=500)
     boost = _boost(cfg.n_max, 0.0)
     build = one_way_scenario if trip == "one-way" else kickstart_scenario
@@ -375,6 +375,24 @@ def test_one_segment_walk_allocates_no_buffer_pair(trip):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("M", [0.0, 10.0])
+def test_round_trip_walk_peaks_at_its_live_set(M):
+    # the leg and the pair it is composed into, 8 MB each at n_max 500, are
+    # all a walk needs: it peaks at 16.7 MB, one 64-row scratch block above
+    # them, where held boost squares, whole-matrix leg temporaries and a
+    # full scratch block took it to 24.2 MB
+    cfg = CavityConfig(M=M, h=0.01, k=2, n_max=500)
+    boost = _boost(cfg.n_max, M)
+    s = round_trip_scenario(0.8, 0.45, 0.3, cfg)
+    tracemalloc.start()
+    try:
+        effective_transform(s, boost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18e6
 
 
 @pytest.mark.parametrize("M", [0.0, 10.0])

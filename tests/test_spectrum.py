@@ -66,6 +66,12 @@ def test_config_validation(kwargs):
         CavityConfig(**kwargs)
 
 
+def test_config_rejects_a_nan_mass():
+    # NaN fails every comparison, so the check asks M >= 0 to hold
+    with pytest.raises(ValueError, match="M must be non-negative, got nan"):
+        CavityConfig(M=math.nan)
+
+
 def test_validity_flags():
     ok = ValidityReport.from_parameters(k=1, h=0.05)
     assert ok.perturbative_ok and ok.h_bound_ok and ok.massive_ok

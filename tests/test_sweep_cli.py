@@ -314,6 +314,16 @@ def test_closed_form_tails_come_from_the_cutoff_rule():
             assert float(row["truncation_tail"]) == tail
 
 
+def test_nan_mass_or_length_rejected():
+    # without the check a NaN mass ran the massless closed forms in rows
+    # labelled M=nan
+    spec = SweepSpec("one-way", axes=(Axis("u", 0.5, 1.0, 2),), fixed={"M": math.nan})
+    with pytest.raises(ConfigError, match="M must be non-negative, got nan"):
+        run_sweep(spec)
+    with pytest.raises(ConfigError, match="delta must be positive, got nan"):
+        run_sweep(replace(spec, fixed={"delta": math.nan}))
+
+
 def test_unknown_fixed_key_rejected():
     with pytest.raises(ConfigError):
         run_sweep(one_way_spec(fixed={"k": 1, "hh": 0.1}))
