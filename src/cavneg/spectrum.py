@@ -161,19 +161,19 @@ def physical_to_dimensionless(
     Exactly one of mass / transverse_wavelength may be given; neither means a
     massless longitudinal mode (M = 0).  Doubling delta doubles both h and M.
     """
-    if accel < 0:
+    if not accel >= 0:
         raise ValueError(f"acceleration must be non-negative, got {accel}")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if mass is not None and transverse_wavelength is not None:
         raise ValueError("give either mass or transverse_wavelength, not both")
     h = accel * delta / C_LIGHT**2
     if mass is not None:
-        if mass < 0:
+        if not mass >= 0:
             raise ValueError(f"mass must be non-negative, got {mass}")
         M = mass * C_LIGHT * delta / HBAR
     elif transverse_wavelength is not None:
-        if transverse_wavelength <= 0:
+        if not transverse_wavelength > 0:
             raise ValueError(
                 f"wavelength must be positive, got {transverse_wavelength}"
             )

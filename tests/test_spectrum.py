@@ -119,3 +119,22 @@ def test_zero_acceleration_gives_zero_h():
 def test_mass_and_wavelength_conflict():
     with pytest.raises(ValueError):
         physical_to_dimensionless(1.0, 1.0, mass=1e-27, transverse_wavelength=1e-6)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        (dict(accel=math.nan, delta=1.0), "acceleration must be non-negative"),
+        (dict(accel=9.8, delta=math.nan), "delta must be positive"),
+        (dict(accel=9.8, delta=1.0, mass=math.nan), "mass must be non-negative"),
+        (
+            dict(accel=9.8, delta=1.0, transverse_wavelength=math.nan),
+            "wavelength must be positive",
+        ),
+    ],
+    ids=["accel", "delta", "mass", "wavelength"],
+)
+def test_physical_inputs_reject_nan(kwargs, message):
+    # a NaN mass or wavelength gave M = nan with the perturbative flag set
+    with pytest.raises(ValueError, match=message):
+        physical_to_dimensionless(**kwargs)
