@@ -5,7 +5,7 @@ cross-checks at a handful of phase points).  The full level raises the cutoff
 to 2000, adds doubling convergence, widens the phase grids to 64 points and
 covers the heavy-field masses.  Both levels check the column engine against
 the closed forms and against the full-matrix reference.  On a 2-vCPU
-x86-64 machine (Python 3.11, numpy 2.4) fast takes 0.12-0.15 s and full
+x86-64 machine (Python 3.11, numpy 2.4) fast takes 0.10-0.15 s and full
 1.0-1.4 s; bench/verify_layers.py times them check by check.
 """
 
