@@ -93,10 +93,12 @@ def _counts(name: str, text: str) -> dict:
     inner = closedform._q_flat
     phases = [0, 0]
 
-    def counted(n, x, r_max):
+    def counted(n, x, *rest):
+        # rest: the explicit cutoff that a --baseline tree from before its
+        # removal still passes
         phases[0] += x.size
         phases[1] += len(np.unique(x.view(np.int64).reshape(-1, 2), axis=0))
-        return inner(n, x, r_max)
+        return inner(n, x, *rest)
 
     closedform._q_flat = counted
     try:

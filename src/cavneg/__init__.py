@@ -71,7 +71,6 @@ from .closedform import (
     kickstart_deficit,
     massive_limit_deficit,
     one_way_deficit,
-    polylog6,
     q_coefficients,
     q_function,
     round_trip_deficit,
@@ -123,7 +122,6 @@ __all__ = [
     "kickstart_deficit",
     "massive_limit_deficit",
     "one_way_deficit",
-    "polylog6",
     "q_coefficients",
     "q_function",
     "round_trip_deficit",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 
 from .scenario import Accelerated, Inertial
 from .sweep import (
@@ -59,9 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=parse_number, help="dimensionless mass")
     p.add_argument("--delta", type=parse_number, help="cavity length")
     p.add_argument("--n-max", type=int, dest="n_max", help="mode cutoff")
-    p.add_argument(
-        "--r-max", type=int, dest="r_max", help="series coefficient cutoff, at least k"
-    )
     p.add_argument("--mode", choices=["closed-form", "general", "both"])
     p.add_argument(
         "--axis",
@@ -121,7 +119,7 @@ def parse_segments(text: str):
     return tuple(segments)
 
 
-_FIXED_INT_KEYS = ("k", "n_max", "r_max")
+_FIXED_INT_KEYS = ("k", "n_max")
 _FIXED_FLOAT_KEYS = ("h", "M", "delta")
 
 
@@ -183,6 +181,11 @@ def _build_spec(args, settings: dict) -> SweepSpec:
     preset = args.preset or settings.get("preset")
     scenario = args.scenario or settings.get("scenario")
     if preset:
+        if scenario or segments:
+            raise ConfigError(
+                f"preset {preset!r} fixes its own scenario; drop the scenario "
+                "and segments settings"
+            )
         stem = preset
         overrides: dict = {"mode": mode}
         if fixed:
@@ -206,8 +209,6 @@ def _build_spec(args, settings: dict) -> SweepSpec:
             k_list=settings.get("k_list"),
             segments=segments,
         )
-    from dataclasses import replace
-
     return replace(spec, output=default_output_path(stem, out))
 
 

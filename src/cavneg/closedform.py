@@ -3,13 +3,14 @@
 Everything here is expressed per unit h**2: a deficit d means the negativity
 is 1/2 - d h**2.  The building block is
 
-    Q(n, z) = (4 n**2 / pi**4) Re(polylog6(z) - polylog6(z**2) / 64)
+    Q(n, z) = (4 n**2 / pi**4) Re(Li6(z) - Li6(z**2) / 64)
             + (6 n / pi**4) sum_{r >= floor(n/2)} Re(z**(1+2r))
                   (1 / (1+2r)**5 - n / (1+2r)**6)
 
-which collapses to a single cosine series Q(n, z) = sum_r a_nr Re(z**(1+2r))
-with strictly positive coefficients a_nr; the first term of Q keeps only odd
-powers because polylog6(z) - polylog6(z**2)/64 = sum_{m odd} z**m / m**6.
+with Li6(z) = sum_{m >= 1} z**m / m**6, which collapses to a single cosine
+series Q(n, z) = sum_r a_nr Re(z**(1+2r)) with strictly positive
+coefficients a_nr; the first term of Q keeps only odd powers because
+Li6(z) - Li6(z**2)/64 = sum_{m odd} z**m / m**6.
 Phase variables: p tracks the accelerated stretches, p' the outbound coast,
 p'' the stay at the destination.
 
@@ -25,18 +26,19 @@ The deficits implemented here:
 plus the five-Q rearrangement of the second line and the large-mass limit of
 the single-leg case.
 
-Series cutoffs are fixed at the tails TOL_Q and TOL_SUM unless an explicit
-r_max replaces them.  Each call runs one series pass: the Q forms over the
-bitwise-distinct values of all their phase arguments (Q(k, 1) together with
-every Q of a deficit, the z and z**2 polylog chains together with the
-residual window), scattered back to every position; a product sum over all
-its factors.  A pass forms each power as the product of the one before and
-its step and adds the terms in order, elementwise, so its values have the
-bits of a term-by-term loop on each value alone; a 0-d argument runs as a
-one-element array, so a scalar and the same value inside an array give the
-same bits.  Nothing is cached between calls.  The functions return deficits
-only: the sweep turns them into CSV rows, and the Q and product forms police
-each other in verify.py and the tests.
+Every series stops at the one cutoff rule of _cutoff: a tail below TOL_Q for
+the Q forms and below TOL_SUM for the product sums.  Each call runs one
+series pass: the Q forms over the bitwise-distinct values of all their phase
+arguments (Q(k, 1) together with every Q of a deficit, the z and z**2 Li6
+chains together with the residual window), scattered back to every
+position; a product sum over all its factors.  A pass forms each power as
+the product of the one before and its step and adds the terms in order,
+elementwise, so its values have the bits of a term-by-term loop on each
+value alone; a 0-d argument runs as a one-element array, so a scalar and
+the same value inside an array give the same bits.  Nothing is cached
+between calls.  The functions return deficits only: the sweep turns them
+into CSV rows, and the Q and product forms police each other in verify.py
+and the tests.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "polylog6",
     "q_function",
     "q_coefficients",
     "kickstart_deficit",
@@ -61,12 +62,12 @@ __all__ = [
 
 _PI4 = math.pi**4
 
-TOL_Q = 1e-14  # tail of the polylog pass and the Q forms
+TOL_Q = 1e-14  # tail of the Li6 pass and the Q forms
 TOL_SUM = 1e-12  # tail of the product sums and of the tails the sweep reports
 
-# the polylog pass: terms for a tail below TOL_Q, and their weights; numpy
-# divides a complex number by a real one as a product with the reciprocal,
-# so weighing by 1/m**6 has the bits of z**m / m**6
+# the Li6 pass: N terms, for a tail below 1/(5 N**5) <= TOL_Q (about 460),
+# and their weights; numpy divides a complex number by a real one as a product
+# with the reciprocal, so weighing by 1/m**6 has the bits of z**m / m**6
 _LI6_TERMS = max(10, math.ceil((1.0 / (5.0 * TOL_Q)) ** 0.2))
 _LI6_WEIGHTS = np.array([1.0 / m**6 for m in range(1, _LI6_TERMS + 1)])
 
@@ -93,9 +94,9 @@ def _as_phase_array(z):
 
 
 def _maybe_scalar(value, *templates):
-    # a Python number when every input was a scalar
+    # a Python float when every input was a scalar
     if all(np.ndim(t) == 0 for t in templates):
-        return float(np.real(value)) if np.isrealobj(value) else complex(value)
+        return float(value)
     return value
 
 
@@ -137,20 +138,19 @@ def _term_sums(out):
     return np.add.accumulate(out, axis=0, out=out)[-1]
 
 
-def _series(groups, real=True):
-    """Weighted sums over power chains, one pass for all groups.
+def _series(groups):
+    """Weighted real-part sums over power chains, one pass for all groups.
 
     Each group is (start, step, weights) with flat complex start and step of
-    one length; its result is sum_j weights[j] x_j (Re x_j when real) over
-    x_0 = start, x_(j+1) = x_j step, elementwise and in term order.  Small
-    inputs store every power and weigh them in one product; large ones run
-    per-term loops on cache-sized tiles.
+    one length; its result is sum_j weights[j] Re x_j over x_0 = start,
+    x_(j+1) = x_j step, elementwise and in term order.  Small inputs store
+    every power and weigh them in one product; large ones run per-term loops
+    on cache-sized tiles.
     """
-    dtype = float if real else complex
     sizes = [g[0].size for g in groups]
     nterms = max(len(g[2]) for g in groups)
     if nterms * sum(sizes) > _BLOCK:
-        return [_tiled_series(*g, dtype) for g in groups]
+        return [_tiled_series(*g) for g in groups]
     rows = _power_rows(
         np.concatenate([g[0] for g in groups]),
         np.concatenate([g[1] for g in groups]),
@@ -159,41 +159,26 @@ def _series(groups, real=True):
     sums = []
     for block, (_, _, weights) in zip(_split(rows, [(n,) for n in sizes]), groups):
         block = block[: len(weights)]
-        out = np.empty((len(weights) + 1, block.shape[1]), dtype=dtype)
-        np.multiply(block.real if real else block, weights[:, None], out=out[1:])
+        out = np.empty((len(weights) + 1, block.shape[1]))
+        np.multiply(block.real, weights[:, None], out=out[1:])
         sums.append(_term_sums(out))
     return sums
 
 
-def _tiled_series(start, step, weights, dtype):
+def _tiled_series(start, step, weights):
     # one group of _series, term by term on tiles that stay in cache
-    acc = np.zeros(start.size, dtype=dtype)
+    acc = np.zeros(start.size)
     for lo in range(0, start.size, _TILE):
         x = start[lo : lo + _TILE].copy()
         s = step[lo : lo + _TILE]
         a = acc[lo : lo + _TILE]
         term = np.empty_like(a)
-        xw = x.real if dtype is float else x
+        xr = x.real  # a view: it follows the in-place steps of x
         for w in weights:
-            np.multiply(xw, w, out=term)
+            np.multiply(xr, w, out=term)
             a += term
             np.multiply(x, s, out=x)
     return acc
-
-
-def polylog6(z):
-    """Order-six polylogarithm sum_{m >= 1} z**m / m**6 on the closed disc.
-
-    Direct summation in one series pass over all of z: the tail after N
-    terms is below 1/(5 N**5), so a tail of TOL_Q costs about 460 terms.
-    Accepts complex scalars or arrays; moduli beyond 1 (past rounding slack)
-    are rejected.
-    """
-    x, (shape,) = _flat(z)
-    (acc,) = _series([(x, x, _LI6_WEIGHTS)], real=False)
-    if np.ndim(z) == 0:
-        return complex(acc[0])
-    return acc.reshape(shape)
 
 
 def _auto_r_max(n: int, tol: float, product_bound: float) -> int:
@@ -210,22 +195,14 @@ def _a_tail(n: int, r_max: int) -> float:
     return (4.0 * n * n / _PI4) / (10.0 * s**5) + (6.0 * n / _PI4) / (8.0 * s**4)
 
 
-def _check_r_max(n: int, r_max: int) -> None:
-    # the residual window of Q(n, .) starts at floor(n/2); a cutoff below n
-    # would silently drop part of it
-    if r_max < n:
-        raise ValueError(f"r_max must be at least n = {n}, got {r_max}")
-
-
-def _cutoff(n: int, r_max: int | None, tol: float, nfactors: int) -> tuple:
-    """Cutoff of sum_r a_nr prod_j |x_j**s - 1|**2 over nfactors factors, each
-    at most 4, and the tail it leaves: (r_used, tail bound).  An explicit
-    r_max below n raises ValueError."""
+def _cutoff(n: int, tol: float, nfactors: int) -> tuple:
+    """The one cutoff rule of the series: the last r of sum_r a_nr
+    prod_j |x_j**s - 1|**2 over nfactors factors, each at most 4, whose tail
+    bound stays below tol, and that bound: (r_max, tail).  r_max is at least
+    n, so the residual window of Q(n, .), which starts at floor(n/2), is
+    always inside; nfactors = 0 gives the cutoff of Q itself."""
     bound = 4.0**nfactors
-    if r_max is None:
-        r_max = max(_auto_r_max(n, tol, bound), n)
-    else:
-        _check_r_max(n, r_max)
+    r_max = max(_auto_r_max(n, tol, bound), n)
     return r_max, _a_tail(n, r_max) * bound
 
 
@@ -240,7 +217,8 @@ def q_coefficients(n: int, r_max: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
-    _check_r_max(n, r_max)
+    if r_max < n:
+        raise ValueError(f"r_max must be at least n = {n}, got {r_max}")
     r = np.arange(r_max + 1)
     s = (2 * r + 1).astype(float)
     a = (4.0 * n * n / _PI4) / s**6
@@ -267,20 +245,15 @@ def _distinct(x):
     return x[order[first]], inverse
 
 
-def _q_flat(n: int, x, r_max: int | None):
+def _q_flat(n: int, x):
     """Q(n, .) over the flat phase array x: one series pass over the
     distinct values of x, scattered back to its positions."""
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
     x, inverse = _distinct(x)
     x2 = x * x
-    if r_max is not None:
-        # the polylog pair up to x**(1 + 2 r_max) keeps the odd powers only,
-        # so lead and residual window add up to the coefficients a_nr
-        (value,) = _series([(x, x2, q_coefficients(n, r_max))])
-        return value[inverse]
     r0 = n // 2
-    r_max = max(_auto_r_max(n, TOL_Q, 1.0), r0)
+    r_max, _ = _cutoff(n, TOL_Q, 0)
     odd = [float(2 * r + 1) for r in range(r0, r_max + 1)]
     window = np.array([1.0 / s**5 - n / s**6 for s in odd])
     pair = np.concatenate((x, x2))
@@ -291,18 +264,16 @@ def _q_flat(n: int, x, r_max: int | None):
     return (lead + (6.0 * n / _PI4) * acc)[inverse]
 
 
-def q_function(n: int, z, r_max: int | None = None):
+def q_function(n: int, z):
     """Q(n, z) for unit-modulus z, scalar or array.
 
-    With r_max omitted, the polylogarithm pair carries most of the value and
-    the residual sum runs from floor(n/2) to a cutoff whose
+    The Li6 pair carries most of the value and the residual sum runs from
+    floor(n/2) to the cutoff of _cutoff(n, TOL_Q, 0), whose
     inverse-fourth-power tail stays below TOL_Q; both come from one series
-    pass over z and z**2.  An explicit r_max, at least n, truncates both at
-    the odd power 2 r_max + 1, so that Q is the cosine series
-    sum_{r <= r_max} a_nr Re(z**(1+2r)) of q_coefficients(n, r_max).
+    pass over z and z**2.
     """
     x, (shape,) = _flat(z)
-    return _maybe_scalar(_q_flat(n, x, r_max).reshape(shape), z)
+    return _maybe_scalar(_q_flat(n, x).reshape(shape), z)
 
 
 def kickstart_deficit(k: int) -> float:
@@ -311,18 +282,18 @@ def kickstart_deficit(k: int) -> float:
     return q_function(k, 1.0)
 
 
-def one_way_deficit(k: int, p, r_max: int | None = None):
+def one_way_deficit(k: int, p):
     """Single accelerated leg: 2 [Q(k, 1) - Q(k, p)], vectorized over p."""
     x, shapes = _flat(1.0, p)
-    q_one, q_p = _split(_q_flat(k, x, r_max), shapes)
+    q_one, q_p = _split(_q_flat(k, x), shapes)
     return _maybe_scalar(2.0 * (q_one - q_p), p)
 
 
-def _product_sum(k: int, factors, r_max: int | None):
+def _product_sum(k: int, factors):
     # sum_r a_kr prod_j |x_j**(1+2r) - 1|**2 over the given unit phases, with
     # the powers of every factor in one pass; each factor's powers stay at
     # that factor's own shape, only the product broadcasts
-    r_max, tail = _cutoff(k, r_max, TOL_SUM, len(factors))
+    r_max, tail = _cutoff(k, TOL_SUM, len(factors))
     coeffs = q_coefficients(k, r_max)
     x, shapes = _flat(*factors)
     shape = np.broadcast_shapes(*shapes)
@@ -375,13 +346,13 @@ def _product_tile(coeffs, x, shapes, acc):
         np.multiply(x, step, out=x)
 
 
-def one_way_deficit_sum(k: int, p, r_max: int | None = None):
+def one_way_deficit_sum(k: int, p):
     """Cosine-series form of the single-leg deficit, for cross-checking."""
-    acc, _ = _product_sum(k, [p], r_max)
+    acc, _ = _product_sum(k, [p])
     return _maybe_scalar(acc, p)
 
 
-def two_way_deficit(k: int, p, p_prime, r_max: int | None = None):
+def two_way_deficit(k: int, p, p_prime):
     """Out-and-stop trajectory, five-Q form:
 
         2 [2 Q(k,1) - 2 Q(k,p) + Q(k,p') - 2 Q(k,p p') + Q(k,p**2 p')].
@@ -391,20 +362,20 @@ def two_way_deficit(k: int, p, p_prime, r_max: int | None = None):
     parr = _as_phase_array(p)
     pparr = _as_phase_array(p_prime)
     x, shapes = _flat(1.0, parr, pparr, parr * pparr, parr * parr * pparr)
-    q1, qp, qpp, qppp, qp2pp = _split(_q_flat(k, x, r_max), shapes)
+    q1, qp, qpp, qppp, qp2pp = _split(_q_flat(k, x), shapes)
     value = 2.0 * (2.0 * q1 - 2.0 * qp + qpp - 2.0 * qppp + qp2pp)
     return _maybe_scalar(value, p, p_prime)
 
 
-def two_way_deficit_sum(k: int, p, p_prime, r_max: int | None = None):
+def two_way_deficit_sum(k: int, p, p_prime):
     """Cosine-series form of the out-and-stop deficit, for cross-checking."""
     parr = _as_phase_array(p)
     pparr = _as_phase_array(p_prime)
-    acc, _ = _product_sum(k, [parr, parr * pparr], r_max)
+    acc, _ = _product_sum(k, [parr, parr * pparr])
     return _maybe_scalar(acc, p, p_prime)
 
 
-def round_trip_deficit(k: int, p, p_prime, p_dprime, r_max: int | None = None):
+def round_trip_deficit(k: int, p, p_prime, p_dprime):
     """Full round trip; only the cosine-series product form is compact:
 
         sum_r a_kr |p**s - 1|**2 |(p p')**s - 1|**2 |(p**2 p' p'')**s - 1|**2.
@@ -414,9 +385,7 @@ def round_trip_deficit(k: int, p, p_prime, p_dprime, r_max: int | None = None):
     parr = _as_phase_array(p)
     pparr = _as_phase_array(p_prime)
     ppparr = _as_phase_array(p_dprime)
-    acc, _ = _product_sum(
-        k, [parr, parr * pparr, parr * parr * pparr * ppparr], r_max
-    )
+    acc, _ = _product_sum(k, [parr, parr * pparr, parr * parr * pparr * ppparr])
     return _maybe_scalar(acc, p, p_prime, p_dprime)
 
 

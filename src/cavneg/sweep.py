@@ -55,7 +55,12 @@ from .scenario import (
     round_trip_scenario,
     scenario_negativity,
 )
-from .spectrum import CavityConfig, ValidityReport, rindler_frequency
+from .spectrum import (
+    CavityConfig,
+    ValidityReport,
+    physical_to_dimensionless,
+    rindler_frequency,
+)
 
 
 class ConfigError(ValueError):
@@ -110,7 +115,6 @@ _DEFAULT_FIXED = {
     "M": 0.0,
     "delta": 1.0,
     "n_max": 200,
-    "r_max": None,
     "u": 0.0,
     "v": 0.0,
     "w": 0.0,
@@ -188,7 +192,7 @@ class SweepSpec:
 
     scenario: one of {one-way, alpha-centauri, round-trip, kickstart, custom}.
     axes: up to three distinct Axis entries; row order follows their order.
-    fixed: overrides for {k, h, M, delta, n_max, r_max} and constant values
+    fixed: overrides for {k, h, M, delta, n_max} and constant values
         of unswept phase coordinates {u, v, w}.
     mode: closed-form | general | both; general evaluates each grid point
         with the column engine (scenario_negativity).
@@ -204,6 +208,13 @@ class SweepSpec:
     output: str | None = None
     k_list: tuple | None = None
     segments: tuple | None = None
+
+
+def _integral(name: str, value) -> int:
+    # 2 and 2.0 are the index 2; 2.7 is refused, not truncated to 2
+    if not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _validated(spec: SweepSpec) -> dict:
@@ -223,10 +234,8 @@ def _validated(spec: SweepSpec) -> dict:
     if unknown:
         raise ConfigError(f"unknown fixed parameters {sorted(unknown)}")
     params.update(spec.fixed)
-    params["k"] = int(params["k"])
-    params["n_max"] = int(params["n_max"])
-    if params["r_max"] is not None:
-        params["r_max"] = int(params["r_max"])
+    params["k"] = _integral("k", params["k"])
+    params["n_max"] = _integral("n_max", params["n_max"])
     for key in ("h", "M", "delta", "u", "v", "w"):
         params[key] = float(params[key])
     if params["k"] < 1:
@@ -254,7 +263,7 @@ def _validated(spec: SweepSpec) -> dict:
             "use mode=general"
         )
     if spec.k_list is not None:
-        ks = tuple(int(k) for k in spec.k_list)
+        ks = tuple(_integral("k_list", k) for k in spec.k_list)
         if not ks or any(k < 1 for k in ks):
             raise ConfigError(f"k_list must hold positive indices, got {spec.k_list}")
         params["k_list"] = ks
@@ -265,10 +274,6 @@ def _validated(spec: SweepSpec) -> dict:
         raise ConfigError(
             f"k/M = {k_over_m:.3g} is above {_MAX_K_OVER_M}, where the heavy-field "
             "closed form is no longer accurate; use mode=general"
-        )
-    if params["r_max"] is not None and params["r_max"] < max(params["k_list"]):
-        raise ConfigError(
-            f"r_max must be at least k = {max(params['k_list'])}, got {params['r_max']}"
         )
     return params
 
@@ -326,10 +331,9 @@ def _closed_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: i
     """
     name = spec.scenario
     M = params["M"]
-    r_max = params["r_max"]
     u, v, w = coords["u"], coords["v"], coords["w"]
     if name == "kickstart":
-        _, tail = closedform._cutoff(k, None, closedform.TOL_Q, 0)
+        _, tail = closedform._cutoff(k, closedform.TOL_Q, 0)
         deficit = np.full(shape, kickstart_deficit(k))
     elif M > 0:
         # the full grid, as the heavy-field sum is a matrix product whose
@@ -341,14 +345,14 @@ def _closed_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: i
         )
         tail = closedform._massive_tail(k, M, params["n_max"])
     else:
-        _, tail = closedform._cutoff(k, r_max, closedform.TOL_SUM, _N_FACTORS[name])
+        _, tail = closedform._cutoff(k, closedform.TOL_SUM, _N_FACTORS[name])
         p = np.exp(1j * u)
         if name == "one-way":
-            deficit = one_way_deficit(k, p, r_max)
+            deficit = one_way_deficit(k, p)
         elif name == "alpha-centauri":
-            deficit = two_way_deficit(k, p, np.exp(1j * v), r_max)
+            deficit = two_way_deficit(k, p, np.exp(1j * v))
         else:
-            deficit = round_trip_deficit(k, p, np.exp(1j * v), np.exp(1j * w), r_max)
+            deficit = round_trip_deficit(k, p, np.exp(1j * v), np.exp(1j * w))
         deficit = np.broadcast_to(deficit, shape)
     lowest = float(np.min(deficit))
     if not lowest >= -1e-10:  # NaN fails this too
@@ -616,8 +620,6 @@ def estimate_physical(
     uses the heavy-field waveform sampled over one period.  Intermediate
     masses have no closed form here.
     """
-    from .spectrum import physical_to_dimensionless
-
     h, M, report = physical_to_dimensionless(
         accel, delta, mass, transverse_wavelength, k
     )

@@ -23,7 +23,6 @@ from cavneg.closedform import (
     kickstart_deficit,
     massive_limit_deficit,
     one_way_deficit,
-    polylog6,
     q_function,
     round_trip_deficit,
     two_way_deficit,
@@ -193,10 +192,9 @@ def test_criterion_4_zero_loci():
 
 def test_criterion_5_stated_bounds():
     shares = []
+    zeta6 = math.pi**6 / 945.0  # Li6(1)
     for n in range(1, 9):
-        lead = (4.0 * n * n / math.pi**4) * float(
-            np.real(polylog6(1.0) - polylog6(1.0) / 64.0)
-        )
+        lead = (4.0 * n * n / math.pi**4) * (zeta6 - zeta6 / 64.0)
         q = q_function(n, 1.0)
         shares.append((q - lead) / q)
     share_ok = shares[0] < 0.011 and all(s < 0.0025 for s in shares[1:])

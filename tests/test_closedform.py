@@ -1,5 +1,4 @@
-"""Polylog evaluation, Q building block, coefficient series and the
-closed-form deficits.
+"""Q building block, coefficient series and the closed-form deficits.
 
 Frozen reference numbers come from an independent 40-digit evaluation of the
 printed series.
@@ -21,33 +20,12 @@ from cavneg.closedform import (
     massive_limit_deficit,
     one_way_deficit,
     one_way_deficit_sum,
-    polylog6,
     q_coefficients,
     q_function,
     round_trip_deficit,
     two_way_deficit,
     two_way_deficit_sum,
 )
-
-
-def test_polylog6_at_one_is_zeta6():
-    assert polylog6(1.0) == pytest.approx(1.0173430619844491, rel=1e-13)
-
-
-def test_polylog6_at_minus_one():
-    # alternating series: -(1 - 2**-5) zeta(6)
-    assert polylog6(-1.0) == pytest.approx(-0.9855510912974351, rel=1e-13)
-
-
-def test_polylog6_at_i():
-    val = polylog6(1j)
-    assert val.real == pytest.approx(-0.015399235801522424, rel=1e-11)
-    assert val.imag == pytest.approx(0.99868522221843814, rel=1e-13)
-
-
-def test_polylog6_rejects_outside_disk():
-    with pytest.raises(ValueError):
-        polylog6(1.1)
 
 
 @pytest.mark.parametrize(
@@ -153,7 +131,6 @@ def _phase_inputs():
 
 def test_polylog6_and_q_equal_the_term_by_term_reference():
     for z in _phase_inputs():
-        assert np.array_equal(polylog6(z), _polylog6_reference(z))
         for n in (1, 2, 3, 4, 7):
             got = q_function(n, z)
             assert np.shape(got) == np.shape(z)
@@ -162,12 +139,17 @@ def test_polylog6_and_q_equal_the_term_by_term_reference():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_explicit_r_max_q_is_the_cosine_series(n):
+    # q_coefficients cut at any r_max sums to Q up to the tail bound that
+    # _a_tail gives for that cutoff, and to Q's own tail at Q's cutoff
     us = np.linspace(0.0, 2.0 * math.pi, 33)
-    for r_max in (n, n + 1, 17, 60):
+    q = q_function(n, np.exp(1j * us))
+    r_own = closedform._cutoff(n, closedform.TOL_Q, 0)[0]
+    for r_max in (n, n + 1, 17, 60, r_own):
         coeffs = q_coefficients(n, r_max)
         series = np.cos(np.multiply.outer(us, 1.0 + 2.0 * np.arange(r_max + 1))) @ coeffs
-        assert np.abs(q_function(n, np.exp(1j * us), r_max) - series).max() <= 1e-14
-        assert q_function(n, 1.0, r_max) == pytest.approx(coeffs.sum(), abs=1e-14)
+        bound = closedform._a_tail(n, r_max) + 1e-14
+        assert np.abs(q - series).max() <= bound, r_max
+        assert abs(q_function(n, 1.0) - coeffs.sum()) <= bound
 
 
 def test_coefficients_require_enough_terms():
@@ -176,13 +158,15 @@ def test_coefficients_require_enough_terms():
 
 
 def test_sum_term_share():
-    lead = (4.0 / math.pi**4) * (polylog6(1.0) - polylog6(1.0) / 64.0)
+    zeta6 = math.pi**6 / 945.0  # Li6(1)
+    lead = (4.0 / math.pi**4) * (zeta6 - zeta6 / 64.0)
     share = (q_function(1, 1.0) - lead) / q_function(1, 1.0)
     assert share == pytest.approx(0.00458722101186, rel=1e-8)
 
 
 def test_one_way_deficit_values():
     assert float(one_way_deficit(1, 1.0)) == 0.0
+    assert one_way_deficit(3, 1.0) == 0.0
     assert float(one_way_deficit(1, -1.0)) == pytest.approx(
         0.16525145161591603, rel=1e-11
     )
@@ -228,7 +212,8 @@ def test_two_way_half_period_value():
 
 
 def test_two_way_zero_loci():
-    assert abs(float(two_way_deficit(1, 1.0, np.exp(0.9j)))) < 1e-14
+    # Q(k, 1) and Q(k, p) come from the same series pass, so p = 1 gives 0.0
+    assert two_way_deficit(1, 1.0, np.exp(0.9j)) == 0.0
     p = np.exp(1.3j)
     assert abs(float(two_way_deficit(1, p, np.conj(p)))) < 1e-14
     # off the loci the deficit is strictly positive
@@ -244,19 +229,6 @@ def test_round_trip_zero_loci():
     # p = 1 at the angles (0, 1, 2)
     p, pp, ppp = (complex(math.cos(u), math.sin(u)) for u in (0.0, 1.0, 2.0))
     assert round_trip_deficit(1, p, pp, ppp) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_explicit_r_max_keeps_the_zero_at_p_equal_one():
-    # Q(k, 1) is taken at the same cutoff as Q(k, p), so a short series still
-    # vanishes exactly where the trajectory undoes itself
-    assert one_way_deficit(1, 1.0, r_max=1) == 0.0
-    assert one_way_deficit(3, 1.0, r_max=3) == 0.0
-    assert two_way_deficit(1, 1.0, np.exp(0.9j), r_max=2) == 0.0
-    p = np.exp(1j * np.array([0.0, 1.0, 2.0 * math.pi]))
-    values = one_way_deficit(1, p, r_max=1)
-    assert values[0] == 0.0 and values[1] > 0.0
-    # and the explicit cutoff moves the value off the automatic one
-    assert one_way_deficit(1, -1.0, r_max=1) != one_way_deficit(1, -1.0)
 
 
 _P, _PP = np.exp(0.7j), np.exp(1.1j)
@@ -286,44 +258,49 @@ _P, _PP = np.exp(0.7j), np.exp(1.1j)
     ],
 )
 def test_explicit_r_max_below_k_rejected(call):
-    # a cutoff below the mode index would drop part of the residual window
-    # of Q(3, .)
+    # the closed forms take no cutoff: each stops at the one rule of
+    # _cutoff, so an explicit r_max, below k or not, is refused
+    for r_max in (2, 40):
+        with pytest.raises(TypeError):
+            call(r_max)
+    # q_coefficients, the one function still given a cutoff, refuses one
+    # that would drop part of the residual window of Q(3, .)
     for r_max in (2, 1, -5):
         with pytest.raises(ValueError, match="r_max must be at least n = 3"):
-            call(r_max)
-    call(40)
+            q_coefficients(3, r_max)
 
 
-@pytest.mark.parametrize(
-    "deficit, deficit_sum",
-    [
-        (
-            lambda r: one_way_deficit(2, _P, r),
-            lambda r: one_way_deficit_sum(2, _P, r),
-        ),
-        (
-            lambda r: two_way_deficit(2, _P, _PP, r),
-            lambda r: two_way_deficit_sum(2, _P, _PP, r),
-        ),
-    ],
-    ids=["one-way", "two-way"],
-)
-def test_negativity_forms_share_an_explicit_cutoff(deficit, deficit_sum):
-    # the caller's cutoff moves the Q form off its automatic one, and the
-    # product form at that cutoff agrees with it
-    assert deficit(40) != deficit(None)
-    assert abs(deficit(40) - deficit_sum(40)) <= 1e-10
+def _truncated(k, r_max, terms):
+    # sum_r a_kr term(s) over s = 1 + 2r, r <= r_max
+    s = 1.0 + 2.0 * np.arange(r_max + 1)
+    return float(q_coefficients(k, r_max) @ terms(s))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_negativity_forms_agree_at_every_explicit_cutoff(k):
-    # both forms are the same series truncated at r_max, so at every accepted
-    # cutoff they agree to rounding
+    # the Q combinations and the product sums are the same series, so cut
+    # at any r_max >= k they agree to rounding: the identity behind the
+    # cross-check of the two forms
+    u, v = np.angle(_P), np.angle(_PP)
+
+    def q(theta):
+        return lambda s: np.cos(s * theta)
+
+    def one_prod(s):
+        return np.abs(_P**s - 1.0) ** 2
+
+    def two_prod(s):
+        return one_prod(s) * np.abs((_P * _PP) ** s - 1.0) ** 2
+
     for r_max in range(k, 61):
-        one = one_way_deficit(k, _P, r_max)
-        two = two_way_deficit(k, _P, _PP, r_max)
-        assert abs(one - one_way_deficit_sum(k, _P, r_max)) <= 1e-14
-        assert abs(two - two_way_deficit_sum(k, _P, _PP, r_max)) <= 1e-14
+        q_at = {t: _truncated(k, r_max, q(t)) for t in (0.0, u, v, u + v, 2 * u + v)}
+        one = 2.0 * (q_at[0.0] - q_at[u])
+        two = 2.0 * (
+            2.0 * q_at[0.0] - 2.0 * q_at[u] + q_at[v] - 2.0 * q_at[u + v]
+            + q_at[2 * u + v]
+        )
+        assert abs(one - _truncated(k, r_max, one_prod)) <= 1e-14
+        assert abs(two - _truncated(k, r_max, two_prod)) <= 1e-14
 
 
 def test_coefficients_are_a_read_only_array():
@@ -338,27 +315,20 @@ def test_coefficients_are_a_read_only_array():
 def test_cutoff_matches_the_series_rule(k, nfactors):
     bound = 4.0**nfactors
     r_auto = closedform._auto_r_max(k, 1e-12, bound)
-    assert closedform._cutoff(k, None, 1e-12, nfactors) == (
+    assert closedform._cutoff(k, 1e-12, nfactors) == (
         r_auto,
         closedform._a_tail(k, r_auto) * bound,
     )
-    # an explicit cutoff is used as given, tail included; below k it raises
-    assert closedform._cutoff(k, k, 1e-12, nfactors) == (
-        k,
-        closedform._a_tail(k, k) * bound,
-    )
-    with pytest.raises(ValueError, match="r_max must be at least"):
-        closedform._cutoff(k, k - 1, 1e-12, nfactors)
     factors = [np.exp(0.3j)] * max(nfactors, 1)
     if nfactors:
-        assert closedform._product_sum(k, factors, None)[1] == (
-            closedform._cutoff(k, None, 1e-12, nfactors)[1]
+        assert closedform._product_sum(k, factors)[1] == (
+            closedform._cutoff(k, 1e-12, nfactors)[1]
         )
 
 
 def _product_sum_reference(k, factors):
     # term by term over whole arrays: c |x1**s - 1|**2 |x2**s - 1|**2 ...
-    coeffs = q_coefficients(k, closedform._cutoff(k, None, 1e-12, len(factors))[0])
+    coeffs = q_coefficients(k, closedform._cutoff(k, 1e-12, len(factors))[0])
     xs = [np.asarray(f, dtype=complex) for f in factors]
     steps = [x * x for x in xs]
     acc = 0.0
@@ -533,7 +503,6 @@ def test_heavy_field_rejects_a_nan_mass_or_length():
 
 
 _NAN_PHASE_CALLS = {
-    "polylog6": lambda z: polylog6(z),
     "q_function": lambda z: q_function(1, z),
     "one_way_deficit": lambda z: one_way_deficit(1, z),
     "one_way_deficit_sum": lambda z: one_way_deficit_sum(1, z),
@@ -556,6 +525,13 @@ def test_nan_phases_are_rejected(call, phase):
     # NaN fails every comparison, so the check asks |z| <= 1 to hold
     with pytest.raises(ValueError, match="on or inside the unit circle"):
         _NAN_PHASE_CALLS[call](phase)
+
+
+@pytest.mark.parametrize("call", sorted(_NAN_PHASE_CALLS))
+def test_phases_outside_the_disk_are_rejected(call):
+    for phase in (1.1, 1.1j, np.array([0.5, -1.1])):
+        with pytest.raises(ValueError, match="on or inside the unit circle"):
+            _NAN_PHASE_CALLS[call](phase)
 
 
 def test_heavy_field_rejects_k_over_m_above_the_sweep_limit():

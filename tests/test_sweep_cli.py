@@ -297,19 +297,16 @@ def test_closed_form_tails_come_from_the_cutoff_rule():
             ("alpha-centauri", 2),
             ("round-trip", 3),
         ):
-            for r_max in (None, 2000):
-                fixed = {"k": k, "h": 0.01}
-                if r_max is not None:
-                    fixed["r_max"] = r_max
-                spec = SweepSpec(
-                    scenario=scenario, axes=(Axis("u", 0.1, 2.0, 2),), fixed=fixed
-                )
-                _, tail = closedform._cutoff(k, r_max, closedform.TOL_SUM, nfactors)
-                for row in rows_of(run_sweep(spec)):
-                    assert float(row["truncation_tail"]) == tail, (scenario, r_max)
+            spec = SweepSpec(
+                scenario=scenario, axes=(Axis("u", 0.1, 2.0, 2),),
+                fixed={"k": k, "h": 0.01},
+            )
+            _, tail = closedform._cutoff(k, closedform.TOL_SUM, nfactors)
+            for row in rows_of(run_sweep(spec)):
+                assert float(row["truncation_tail"]) == tail, scenario
         spec = SweepSpec(scenario="kickstart", axes=(Axis("u", 0.1, 2.0, 2),),
                          fixed={"k": k, "h": 0.01})
-        _, tail = closedform._cutoff(k, None, closedform.TOL_Q, 0)
+        _, tail = closedform._cutoff(k, closedform.TOL_Q, 0)
         for row in rows_of(run_sweep(spec)):
             assert float(row["truncation_tail"]) == tail
 
@@ -329,15 +326,41 @@ def test_unknown_fixed_key_rejected():
         run_sweep(one_way_spec(fixed={"k": 1, "hh": 0.1}))
 
 
-def test_r_max_below_k_rejected():
-    with pytest.raises(ConfigError, match="r_max"):
-        run_sweep(one_way_spec(fixed={"k": 2, "h": 0.01, "r_max": 1}))
-    with pytest.raises(ConfigError, match="r_max"):
-        run_sweep(one_way_spec(fixed={"k": 1, "h": 0.01, "r_max": 2}, k_list=(1, 3)))
-    rows = rows_of(run_sweep(one_way_spec(fixed={"k": 1, "h": 0.01, "r_max": 1})))
-    # the short series still vanishes at u = 0 and 2 pi
-    assert float(rows[0]["deficit_scaled"]) == 0.0
-    assert float(rows[-1]["deficit_scaled"]) < 1e-12
+@pytest.mark.parametrize(
+    "key,bad,whole,same",
+    [
+        ("k", 2.7, 2.0, 2),
+        ("k_list", (1.9,), (2.0,), (2,)),
+        ("n_max", 200.5, 200.0, 200),
+    ],
+    ids=["k", "k_list", "n_max"],
+)
+def test_non_integral_indices_rejected(key, bad, whole, same):
+    # 2.7 was truncated to k = 2 and written as such; 2 and 2.0 stay valid
+    def spec(value):
+        if key == "k_list":
+            return one_way_spec(k_list=value)
+        return one_way_spec(fixed={"h": 0.01, key: value})
+
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        run_sweep(spec(bad))
+    assert run_sweep(spec(whole)) == run_sweep(spec(same))
+
+
+def test_r_max_below_k_rejected(tmp_path, capsys):
+    # the closed forms have one cutoff rule, so a cutoff is refused at any
+    # value: as a fixed key, a CLI flag or a config key
+    with pytest.raises(ConfigError, match=r"unknown fixed parameters \['r_max'\]"):
+        run_sweep(one_way_spec(fixed={"k": 1, "h": 0.01, "r_max": 40}))
+    out = tmp_path / "x.csv"
+    argv = ["--scenario", "one-way", "--axis", "u=0:pi:3", "--out", str(out)]
+    assert main(argv + ["--r-max", "40"]) == 1
+    assert "--r-max" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("r_max = 40\n", encoding="utf-8")
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert "unknown key 'r_max'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_k_list_emits_one_block_per_k():
@@ -574,7 +597,7 @@ def test_full_period_grid_repeats_negativities():
 def test_signed_zero_deficits_are_written_as_their_own_repr(monkeypatch):
     spec = SweepSpec(scenario="one-way", axes=(Axis("u", 0.0, 1.0, 6),))
     monkeypatch.setattr(
-        sweep, "one_way_deficit", lambda k, p, r_max: np.array([0.0, -0.0] * 3)
+        sweep, "one_way_deficit", lambda k, p: np.array([0.0, -0.0] * 3)
     )
     text = run_sweep(spec)
     rows = rows_of(text)
@@ -639,6 +662,28 @@ def test_cli_preset_run(tmp_path, capsys):
     assert main(["--preset", "fig2", "--out", str(out)]) == 0
     assert "201 rows" in capsys.readouterr().out
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,config",
+    [
+        (["--scenario", "round-trip"], ""),
+        (["--segments", "acc:1:0.5"], ""),
+        ([], "scenario = round-trip\n"),
+        ([], "segments = acc:1:0.5\n"),
+    ],
+    ids=["scenario-flag", "segments-flag", "scenario-key", "segments-key"],
+)
+def test_cli_preset_refuses_a_scenario_or_segments(tmp_path, capsys, flags, config):
+    # the preset fixes its own scenario: the extra setting was dropped and
+    # one-way rows written
+    out = tmp_path / "a.csv"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    argv = ["--preset", "fig2", "--config", str(cfg), "--out", str(out)]
+    assert main(argv + flags) == 1
+    assert "preset 'fig2'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_flag_overrides(tmp_path):
@@ -736,7 +781,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["--scenario", "custom", "--segments", "acc:1:inf"],
         ["--scenario", "one-way", "--axis", "u=0:nan:3"],
         ["--scenario", "one-way", "--delta", "inf", "--mode", "general"],
-        ["--scenario", "one-way", "--r-max", "-5", "--axis", "u=0:pi:3"],
+        ["--scenario", "one-way", "--k", "2.7", "--axis", "u=0:pi:3"],
     ],
 )
 def test_cli_rejects_bad_numbers(tmp_path, capsys, argv):
