@@ -1,20 +1,28 @@
-"""Time the verification levels check by check.
+"""Time the verification levels check by check, and trace their memory.
 
 Writes a JSON report with:
 
 - ``fast``: for each check function ``run_verification("fast")`` calls, in
-  call order, the names of the checks it returned and its median time; a
-  function that measures a number for a later check is charged for that
-  work (the fast level's ``_boost_checks`` measures the column-vs-matrix
-  difference that ``_column_matches_matrix_check`` only reports);
+  call order, the names of the checks it returned, its median time and its
+  traced peak; a function that measures a number for a later check is
+  charged for that work (in trees whose fast level shares one boost build
+  between the identity and column-vs-matrix checks, one function measures
+  the difference that ``_column_matches_matrix_check`` only reports);
 - ``fast_total_s``: the median time of the whole fast level;
 - ``fast_maxrss_mb``: the median peak resident memory of those interpreters
   (``ru_maxrss``, imports included);
 - ``full_s``: the time of one ``run_verification("full")`` call, with the
-  time of each of its check functions, and ``full_maxrss_mb`` its peak
-  resident memory;
+  time and traced peak of each of its check functions, and
+  ``full_maxrss_mb`` its peak resident memory;
 - whether every check passed, and the environment: nproc, Python and numpy
   versions, git SHA and whether src/ differs from it.
+
+A check function is any ``_*_check`` or ``_*_checks`` function of the
+verify module; none of them calls another.  Its ``traced_peak_mb`` is the
+largest memory, in 10**6 bytes, that ``tracemalloc`` saw allocated during
+the call, including what was held when it began.  The peaks come from one
+more run of each level with tracing on; times and resident memory come from
+runs without it, since tracing slows every allocation.
 
 Run from the repository root:
 
@@ -25,7 +33,8 @@ With ``--baseline REV`` the src/ tree of that git revision is extracted with
 report holds before and after numbers. A round runs the fast level once in a
 fresh interpreter; the two trees alternate round by round, so that a slow
 spell of the host hits both. Fast-level times are medians in seconds over
-seven rounds. The full level runs once per tree, after the rounds.
+seven rounds. The full level runs once per tree, after the rounds, and the
+traced runs come last.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 from presets_layers import ROOT, environment, extract_src
 
@@ -53,17 +63,23 @@ def _names(out) -> list:
     return [out.name] if hasattr(out, "name") else []
 
 
-def _timed_checks(verify) -> list:
+def _timed_checks(verify, traced: bool) -> list:
     """Wrap every check function of the verify module; return the list the
-    wrappers append (function, check names, seconds) to, in call order."""
+    wrappers append (function, check names, seconds and, when traced, the
+    traced peak) to, in call order."""
     calls = []
 
     def wrap(name, fn):
         def timed(*args, **kwargs):
+            if traced:
+                tracemalloc.reset_peak()
             t0 = time.perf_counter()
             out = fn(*args, **kwargs)
             elapsed = time.perf_counter() - t0
-            calls.append({"function": name, "checks": _names(out), "s": elapsed})
+            call = {"function": name, "checks": _names(out), "s": elapsed}
+            if traced:
+                call["traced_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+            calls.append(call)
             return out
 
         return timed
@@ -74,7 +90,7 @@ def _timed_checks(verify) -> list:
     return calls
 
 
-def _child(src: str, level: str) -> None:
+def _child(src: str, level: str, traced: bool) -> None:
     # one level once, in a fresh interpreter importing src
     sys.path.insert(0, src)
     import cavneg
@@ -82,7 +98,9 @@ def _child(src: str, level: str) -> None:
 
     if not os.path.abspath(cavneg.__file__).startswith(src + os.sep):
         raise ImportError(f"cavneg was imported from {cavneg.__file__}, not from {src}")
-    calls = _timed_checks(verify)
+    calls = _timed_checks(verify, traced)
+    if traced:
+        tracemalloc.start()
     t0 = time.perf_counter()
     report = verify.run_verification(level)
     total = time.perf_counter() - t0
@@ -99,42 +117,47 @@ def _child(src: str, level: str) -> None:
     )
 
 
-def _run(src: str, level: str) -> dict:
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child", src, "--level", level],
-        capture_output=True,
-        text=True,
-        check=True,
-        cwd=ROOT,
-    )
+def _run(src: str, level: str, traced: bool = False) -> dict:
+    argv = [sys.executable, os.path.abspath(__file__), "--child", src, "--level", level]
+    if traced:
+        argv.append("--traced")
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True, cwd=ROOT)
     return json.loads(proc.stdout)
 
 
-def _summary(rounds: list, full: dict) -> dict:
-    checks = []
-    for i, call in enumerate(rounds[0]["calls"]):
-        if any(r["calls"][i]["checks"] != call["checks"] for r in rounds):
-            raise RuntimeError(f"rounds disagree on the checks of {call['function']}")
-        checks.append(
+def _calls(runs: list, traced: dict) -> list:
+    """Per check function: its names, median time over runs and its peak in
+    the traced run, which must have called the same functions."""
+    calls = []
+    for i, call in enumerate(runs[0]["calls"]):
+        for r in (*runs, traced):
+            got = r["calls"][i]
+            if (got["function"], got["checks"]) != (call["function"], call["checks"]):
+                raise RuntimeError(f"runs disagree on the checks of {call['function']}")
+        calls.append(
             {
                 "function": call["function"],
                 "checks": call["checks"],
-                "s": statistics.median(r["calls"][i]["s"] for r in rounds),
+                "s": statistics.median(r["calls"][i]["s"] for r in runs),
+                "traced_peak_mb": traced["calls"][i]["traced_peak_mb"],
             }
         )
+    return calls
+
+
+def _summary(rounds: list, full: dict, traced: dict) -> dict:
     return {
-        "fast": checks,
+        "fast": _calls(rounds, traced["fast"]),
         "fast_total_s": statistics.median(r["total_s"] for r in rounds),
         "fast_checks": rounds[0]["checks"],
         "fast_maxrss_mb": statistics.median(r["maxrss_mb"] for r in rounds),
         "full_s": full["total_s"],
         "full_maxrss_mb": full["maxrss_mb"],
-        "full": [
-            {"function": c["function"], "checks": c["checks"], "s": c["s"]}
-            for c in full["calls"]
-        ],
+        "full": _calls([full], traced["full"]),
         "full_checks": full["checks"],
-        "passed": all(r["passed"] for r in rounds) and full["passed"],
+        "passed": all(r["passed"] for r in rounds)
+        and full["passed"]
+        and all(t["passed"] for t in traced.values()),
     }
 
 
@@ -148,11 +171,18 @@ def measure(baseline: str | None) -> dict:
             for label, src in trees.items():
                 rounds[label].append(_run(src, "fast"))
         full = {label: _run(src, "full") for label, src in trees.items()}
+        traced = {
+            label: {level: _run(src, level, traced=True) for level in ("fast", "full")}
+            for label, src in trees.items()
+        }
     return {
         "benchmark": "verify_layers",
         "repeats": REPEATS,
         "unit": "s",
-        **{label: _summary(rounds[label], full[label]) for label in trees},
+        **{
+            label: _summary(rounds[label], full[label], traced[label])
+            for label in trees
+        },
         "environment": environment(baseline),
     }
 
@@ -163,9 +193,10 @@ def main(argv=None) -> int:
     p.add_argument("--baseline", help="git revision to time as 'before'")
     p.add_argument("--child", help=argparse.SUPPRESS)
     p.add_argument("--level", default="fast", help=argparse.SUPPRESS)
+    p.add_argument("--traced", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.child:
-        _child(args.child, args.level)
+        _child(args.child, args.level, args.traced)
         return 0
     report = measure(args.baseline)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -175,8 +206,12 @@ def main(argv=None) -> int:
         if label not in report:
             continue
         side = report[label]
-        for call in side["fast"]:
-            print(f"{label} {call['function']}: {call['s'] * 1e3:.1f} ms ({', '.join(call['checks'])})")
+        for level in ("fast", "full"):
+            for call in side[level]:
+                print(
+                    f"{label} {level} {call['function']}: {call['s'] * 1e3:.1f} ms, "
+                    f"{call['traced_peak_mb']:.1f} MB traced ({', '.join(call['checks'])})"
+                )
         print(
             f"{label} fast: {side['fast_total_s']:.3f} s, "
             f"{side['fast_maxrss_mb']:.1f} MB, {side['fast_checks']} checks; "

@@ -180,6 +180,87 @@ def _check_boost_args(n_max: int, M: float) -> None:
         raise ValueError(f"M must be non-negative, got {M}")
 
 
+_ROW_BLOCK = 64  # rows per block of the boost entries, composition and the identity check
+
+
+def _row_blocks(n: int):
+    """Slices of _ROW_BLOCK consecutive rows covering range(n)."""
+    for lo in range(0, n, _ROW_BLOCK):
+        yield slice(lo, min(lo + _ROW_BLOCK, n))
+
+
+def _boost_blocks(n_max: int, M: float | None, transpose: bool = False):
+    """Yield (rows, alpha1[rows], beta1[rows]) of the first-order boost
+    blocks per unit h, _ROW_BLOCK rows at a time, as real arrays: from the
+    massless entry formulas for M None, from the massive ones for a mass M.
+    With transpose the blocks are rows of alpha1.T and beta1.T instead.
+
+    Only entries whose mode indices differ by an odd number are nonzero, so
+    the formulas run on those alone: the rows of each parity against the
+    columns of the other.  Every operation of the formulas is elementwise,
+    so each entry has the bits of the same formula evaluated on the whole
+    matrix, zeros included, while the temporaries stay the size of half a
+    block.
+    """
+    _check_boost_args(n_max, 0.0 if M is None else M)
+    idx = np.arange(1, n_max + 1)
+    if M is not None:
+        quart = _massive_quartic(idx, M)
+    for rows in _row_blocks(n_max):
+        alpha1 = np.zeros((rows.stop - rows.start, n_max))
+        beta1 = np.zeros_like(alpha1)
+        for first in (0, 1):
+            # block rows first, first + 2, ... meet the columns of the other
+            # parity: outgoing modes m down the block, ingoing n across, or
+            # swapped for the transpose
+            sub_rows = slice(rows.start + first, rows.stop, 2)
+            sub_cols = slice((rows.start + first + 1) % 2, None, 2)
+            m, n = np.s_[sub_rows, None], np.s_[None, sub_cols]
+            if transpose:
+                m, n = n, m
+            if M is None:
+                entries = _massless_entries(idx[m], idx[n])
+            else:
+                entries = _massive_entries(idx[m], idx[n], quart[m], quart[n], M)
+            alpha1[first::2, sub_cols], beta1[first::2, sub_cols] = entries
+        yield rows, alpha1, beta1
+
+
+def _boost_alpha2_diag(n_max: int, M: float | None) -> np.ndarray:
+    """Second-order diagonal of alpha per unit h**2, length n_max: massless
+    for M None, for the mass M otherwise."""
+    nf = np.arange(1, n_max + 1, dtype=float)
+    pi2 = math.pi**2
+    if M is None:
+        return -(pi2 / 240.0) * nf**2
+    pi4 = math.pi**4
+    M2 = M * M
+    # The closing M**4 term is forced by the first identity at second order:
+    # the primed column sums of alpha1**2 - beta1**2 cancel the diagonal only
+    # with it included.
+    return -(
+        pi2 * nf**2 / 240.0
+        + M2 / 120.0
+        + M2 * (M2 - 5.0) / (240.0 * pi2 * nf**2)
+        + M2 * (M2 - 24.0) / (96.0 * pi4 * nf**4)
+        - 7.0 * M2 * M2 / (16.0 * math.pi**6 * nf**6)
+    )
+
+
+def _boost_transform(n_max: int, M: float | None) -> PerturbativeTransform:
+    """The boost of _boost_blocks(n_max, M), its blocks filled block by block."""
+    # checked before the blocks are allocated, as the generator checks late
+    _check_boost_args(n_max, 0.0 if M is None else M)
+    alpha1 = np.empty((n_max, n_max))
+    beta1 = np.empty((n_max, n_max))
+    for rows, a, b in _boost_blocks(n_max, M):
+        alpha1[rows] = a
+        beta1[rows] = b
+    return PerturbativeTransform(
+        np.ones(n_max, dtype=complex), alpha1, beta1, _boost_alpha2_diag(n_max, M)
+    )
+
+
 def massless_boost_transform(n_max: int) -> PerturbativeTransform:
     """Inertial-to-accelerated mode change for the massless field, per unit h.
 
@@ -191,14 +272,7 @@ def massless_boost_transform(n_max: int) -> PerturbativeTransform:
     so alpha1 is real antisymmetric and beta1 real symmetric.  The known
     second-order diagonal is alpha2_diag[n] = -pi**2 n**2 / 240.
     """
-    _check_boost_args(n_max, 0.0)
-    idx = np.arange(1, n_max + 1)
-    alpha1, beta1 = _massless_entries(idx[:, None], idx[None, :])
-    nf = idx.astype(float)
-    alpha2_diag = -(math.pi**2 / 240.0) * nf**2
-    return PerturbativeTransform(
-        np.ones(n_max, dtype=complex), alpha1, beta1, alpha2_diag
-    )
+    return _boost_transform(n_max, None)
 
 
 def massive_boost_transform(n_max: int, M: float) -> PerturbativeTransform:
@@ -216,29 +290,7 @@ def massive_boost_transform(n_max: int, M: float) -> PerturbativeTransform:
     inverted for the difference, which keeps alpha1 antisymmetric and beta1
     symmetric.  The diagonal of beta is second order and not tracked.
     """
-    _check_boost_args(n_max, M)
-    idx = np.arange(1, n_max + 1)
-    quart = _massive_quartic(idx, M)
-    alpha1, beta1 = _massive_entries(
-        idx[:, None], idx[None, :], quart[:, None], quart[None, :], M
-    )
-    pi2 = math.pi**2
-    pi4 = math.pi**4
-    nf = idx.astype(float)
-    M2 = M * M
-    # The closing M**4 term is forced by the first identity at second order:
-    # the primed column sums of alpha1**2 - beta1**2 cancel the diagonal only
-    # with it included.
-    alpha2_diag = -(
-        pi2 * nf**2 / 240.0
-        + M2 / 120.0
-        + M2 * (M2 - 5.0) / (240.0 * pi2 * nf**2)
-        + M2 * (M2 - 24.0) / (96.0 * pi4 * nf**4)
-        - 7.0 * M2 * M2 / (16.0 * math.pi**6 * nf**6)
-    )
-    return PerturbativeTransform(
-        np.ones(n_max, dtype=complex), alpha1, beta1, alpha2_diag
-    )
+    return _boost_transform(n_max, M)
 
 
 def _boost(n_max: int, M: float) -> PerturbativeTransform:
@@ -281,15 +333,6 @@ def phase_rotation(duration: float, frequencies, n_max: int) -> PerturbativeTran
     z = np.exp(1j * freqs[:n_max] * duration)
     zero = np.zeros((n_max, n_max))
     return PerturbativeTransform(z, zero, zero, np.zeros(n_max))
-
-
-_ROW_BLOCK = 64  # rows per scratch block of composition and the identity check
-
-
-def _row_blocks(n: int):
-    """Slices of _ROW_BLOCK consecutive rows covering range(n)."""
-    for lo in range(0, n, _ROW_BLOCK):
-        yield slice(lo, min(lo + _ROW_BLOCK, n))
 
 
 def compose(

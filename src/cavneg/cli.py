@@ -212,6 +212,28 @@ def _build_spec(args, settings: dict) -> SweepSpec:
     return replace(spec, output=default_output_path(stem, out))
 
 
+# the flags each path of main() reads; it refuses any other flag given,
+# which that path would drop
+_VERIFY_FLAGS = ("verify",)
+_ESTIMATE_FLAGS = ("estimate", "accel", "delta", "mass", "wavelength", "k")
+_SWEEP_FLAGS = (
+    ("config", "scenario", "preset", "mode", "axis", "segments", "out")
+    + _FIXED_INT_KEYS
+    + _FIXED_FLOAT_KEYS
+)
+
+
+def _refuse_unread(args, path: str, read: tuple) -> None:
+    parser = _parser()
+    unread = [
+        "--" + dest.replace("_", "-")
+        for dest, value in vars(args).items()
+        if dest not in read and value != parser.get_default(dest)
+    ]
+    if unread:
+        raise ConfigError(f"{path} does not read {', '.join(unread)}")
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -220,10 +242,12 @@ def main(argv=None) -> int:
         return 1
     try:
         if args.verify:
+            _refuse_unread(args, "--verify", _VERIFY_FLAGS)
             report = run_verification(args.verify)
             print(report.render())
             return 0 if report.passed else 3
         if args.estimate:
+            _refuse_unread(args, "--estimate", _ESTIMATE_FLAGS)
             if args.accel is None or args.delta is None:
                 raise ConfigError("--estimate needs --accel and --delta")
             est = estimate_physical(
@@ -235,6 +259,7 @@ def main(argv=None) -> int:
             )
             print(format_estimate(est))
             return 0
+        _refuse_unread(args, "a sweep", _SWEEP_FLAGS)
         settings = read_config(args.config) if args.config else {}
         spec = _build_spec(args, settings)
         nrows = write_sweep(spec)

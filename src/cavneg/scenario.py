@@ -162,7 +162,9 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
     Each distinct (duration, open_ended) leg is built once, with the sign of
     its first use; a later use of the opposite sign negates its first-order
     blocks inside the composition instead of copying them.  boost is as for
-    effective_transform.
+    effective_transform.  Every leg is built before the first step, and
+    then the walk drops its reference to the boost, so the boost lives on
+    only while its caller holds it.
 
     The first step is the first accelerated leg itself, or pure phases with
     real zero blocks for an inertial start; both are read-only and never
@@ -182,12 +184,27 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
             f"boost has n_max = {boost.n_max}, the scenario needs {cfg.n_max}"
         )
     n = cfg.n_max
+    last = len(s.segments) - 1
+    keys = [
+        (seg.duration, s.kickstart and i == last)
+        if isinstance(seg, Accelerated)
+        else None
+        for i, seg in enumerate(s.segments)
+    ]
+    legs = {}
+    for seg, key in zip(s.segments, keys):
+        if key is not None and key not in legs:
+            if boost is None:
+                boost = _boost(cfg.n_max, cfg.M)
+            legs[key] = (
+                _accelerated_segment(boost, cfg, seg.sign, seg.duration, key[1]),
+                seg.sign,
+            )
+    del boost
     out = None  # (alpha1, beta1) from the first step that writes
     total = None
-    legs = {}
-    last = len(s.segments) - 1
-    for i, seg in enumerate(s.segments):
-        if isinstance(seg, Inertial):
+    for seg, key in zip(s.segments, keys):
+        if key is None:
             phases = np.exp(1j * _inertial_frequencies(cfg) * seg.duration)
             if total is None:
                 zero = np.zeros((n, n))
@@ -208,15 +225,6 @@ def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
             )
             yield total
             continue
-        open_ended = s.kickstart and i == last
-        key = (seg.duration, open_ended)
-        if key not in legs:
-            if boost is None:
-                boost = _boost(cfg.n_max, cfg.M)
-            legs[key] = (
-                _accelerated_segment(boost, cfg, seg.sign, seg.duration, open_ended),
-                seg.sign,
-            )
         leg, leg_sign = legs[key]
         if total is None:
             # no earlier segment: the leg has this segment's sign
@@ -246,14 +254,17 @@ def effective_transform(
     once; it is built here when omitted.  A boost of another n_max raises
     ValueError.
 
-    Besides the boost, the walk holds its distinct legs and one pair of
-    complex blocks that the compositions write in place, with no scratch
-    block of the full size: a round trip at n_max 500 peaks near 16.7 MB
-    traced, its one leg and the pair.
+    All legs are built before the first composition, and then the boost is
+    dropped: the walk holds its distinct legs and one pair of complex
+    blocks that the compositions write in place, with no scratch block of
+    the full size.  A round trip at n_max 500 peaks near 16.7 MB traced,
+    its one leg and the pair, plus the boost while the caller holds it.
     """
+    steps = _transform_steps(s, boost)
+    del boost  # the walk's reference is the only one this call keeps
     total = None
     # the last step's blocks are never written again once the walk ends
-    for total in _transform_steps(s, boost):
+    for total in steps:
         pass
     if total is None:
         return identity_transform(s.cfg.n_max)

@@ -4,9 +4,13 @@ The fast level runs the cheap invariants (identities at moderate cutoff,
 cross-checks at a handful of phase points).  The full level raises the cutoff
 to 2000, adds doubling convergence, widens the phase grids to 64 points and
 covers the heavy-field masses.  Both levels check the column engine against
-the closed forms and against the full-matrix reference.  On a 2-vCPU
-x86-64 machine (Python 3.11, numpy 2.4) fast takes 0.10-0.15 s and full
-1.0-1.4 s; bench/verify_layers.py times them check by check.
+the closed forms and against the full-matrix reference.  The boost
+identities are read off the entry formulas a row block at a time, so no
+level builds a boost larger than n_max 500.  On a 2-vCPU x86-64 machine
+(Python 3.11, numpy 2.4) fast takes 0.11-0.16 s and full 0.5-0.6 s, each
+at a resident peak of 47-54 MB, imports included; the largest traced peak
+of either level is 16.8 MB, in the column-vs-matrix check.
+bench/verify_layers.py times and traces them check by check.
 """
 
 from __future__ import annotations
@@ -17,9 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import (
+    TAIL_ROWS,
+    IdentityResidual,
     _boost,
+    _boost_alpha2_diag,
+    _boost_blocks,
+    _truncation_tail,
     boost_column,
-    check_identities,
     massive_boost_transform,
     massless_boost_transform,
 )
@@ -86,13 +94,46 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _boost_identities(t, M: float) -> list:
-    n_max = t.n_max
-    res = check_identities(t)
+def _boost_residuals(n_max: int, M: float) -> IdentityResidual:
+    """check_identities(_boost(n_max, M)), read off the entry formulas a row
+    block at a time, in one pass, without the n_max x n_max blocks.
+
+    A boost has unit phases, so order zero is exact and order one is the
+    largest |alpha1 + alpha1^T| and |beta1 - beta1^T|, each block paired
+    with the same rows of the transposes; no symmetry is assumed.  Order
+    two sums alpha1**2 - beta1**2 down the first n_max // 2 columns row by
+    row, the order of a whole-matrix column sum, so every number keeps its
+    bits.  The formulas put zeros on the diagonal, which check_identities
+    subtracts; kept in the sums, a wrong diagonal would show.  The tail
+    reads the last TAIL_ROWS rows.
+    """
+    formula_mass = None if M == 0 else M  # the formulas _boost takes
+    upto = n_max // 2
+    order1 = 0.0
+    col = np.zeros(upto)
+    last = []
+    for (rows, a, b), (_, at, bt) in zip(
+        _boost_blocks(n_max, formula_mass),
+        _boost_blocks(n_max, formula_mass, transpose=True),
+    ):
+        order1 = max(order1, float(np.abs(a + at).max()), float(np.abs(b - bt).max()))
+        for power in a[:, :upto] ** 2 - b[:, :upto] ** 2:
+            col += power
+        skip = max(0, n_max - TAIL_ROWS - rows.start)
+        if skip < len(a):
+            last.append(a[skip:, :upto] ** 2 + b[skip:, :upto] ** 2)
+    resid = col + 2.0 * _boost_alpha2_diag(n_max, formula_mass)[:upto]
+    tail = _truncation_tail(np.concatenate(last), n_max)
+    return IdentityResidual(0.0, order1, float(np.max(np.abs(resid))), float(tail.max()))
+
+
+def _boost_identities(n_max: int, M: float) -> list:
+    res = _boost_residuals(n_max, M)
     label = f"boost-identity-M{M:g}-n{n_max}"
     # The diagonal residual floats on rounding noise proportional to the
     # summed magnitudes, which grow like M**4 for heavy fields.
-    scale = max(abs(t.alpha2_diag[: n_max // 2]).max(), 1.0)
+    alpha2 = _boost_alpha2_diag(n_max, None if M == 0 else M)
+    scale = max(abs(alpha2[: n_max // 2]).max(), 1.0)
     return [
         CheckResult(f"{label}-order1", res.order1_residual, 1e-13),
         CheckResult(
@@ -104,8 +145,7 @@ def _boost_identities(t, M: float) -> list:
 
 
 def _identity_checks(n_max: int, masses) -> list:
-    # each boost is freed before the next mass builds its own
-    return [c for M in masses for c in _boost_identities(_boost(n_max, M), M)]
+    return [c for M in masses for c in _boost_identities(n_max, M)]
 
 
 def _massless_reduction_check(n_max: int = 200) -> CheckResult:
@@ -244,12 +284,12 @@ def _pipeline_checks(n_max: int, npoints: int, ks) -> list:
     return checks
 
 
-def _column_vs_matrix(boost, M: float) -> float:
+def _column_vs_matrix(n_max: int, M: float) -> float:
     """Largest deficit or tail difference between the column engine and the
     full-matrix reference over the four trip shapes, all transformed with
-    this one boost.  The one-way and out-and-stop trips are prefixes of the
+    one boost.  The one-way and out-and-stop trips are prefixes of the
     round trip, so one walk along its chain serves all three references."""
-    cfg = CavityConfig(M=M, k=2, n_max=boost.n_max)
+    cfg = CavityConfig(M=M, k=2, n_max=n_max)
     round_trip = round_trip_scenario(0.8, 0.45, 0.3, cfg)
     prefixes = {}
     for scenario in (
@@ -269,10 +309,15 @@ def _column_vs_matrix(boost, M: float) -> float:
         ref = negativity_general(t, cfg.k)
         return max(abs(c - r) for c, r in zip(col, ref))
 
+    boost = _boost(n_max, M)
     kick = kickstart_scenario(0.8, cfg)
     worst = difference(kick, effective_transform(kick, boost))
-    # each step is dropped before the next is composed
-    for steps, t in enumerate(_transform_steps(round_trip, boost), 1):
+    walk = _transform_steps(round_trip, boost)
+    # the walk drops the boost once its leg is built, so its compositions
+    # run at the leg and the pair alone; each step is dropped before the
+    # next is composed
+    del boost
+    for steps, t in enumerate(walk, 1):
         if steps in prefixes:
             worst = max(worst, difference(prefixes[steps], t))
     return worst
@@ -281,20 +326,11 @@ def _column_vs_matrix(boost, M: float) -> float:
 _COLUMN_MASSES = (0.0, 10.0)
 
 
-def _column_matches_matrix_check(n_max: int = 500, worst=None) -> CheckResult:
+def _column_matches_matrix_check(n_max: int) -> CheckResult:
     """Column engine against the full-matrix reference: deficit and tail for
-    the four trip shapes, massless and massive.  worst, when given, holds
-    the per-mass differences already measured by _boost_checks."""
-    if worst is None:
-        worst = [_column_vs_matrix(_boost(n_max, M), M) for M in _COLUMN_MASSES]
-    return CheckResult(f"column-matches-matrix-n{n_max}", max(worst), 1e-14)
-
-
-def _boost_checks(n_max: int, M: float) -> tuple:
-    """The boost identities and the column-vs-matrix difference of one mass
-    from a single boost build, which is freed on return."""
-    boost = _boost(n_max, M)
-    return _boost_identities(boost, M), _column_vs_matrix(boost, M)
+    the four trip shapes, massless and massive."""
+    worst = max(_column_vs_matrix(n_max, M) for M in _COLUMN_MASSES)
+    return CheckResult(f"column-matches-matrix-n{n_max}", worst, 1e-14)
 
 
 # np.random.default_rng(20240817).uniform(0.2, 2.0, 3), written out so the
@@ -365,10 +401,7 @@ def run_verification(level: str = "fast", corrupt_a11: float = 0.0) -> Verificat
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     checks: list = []
     if level == "fast":
-        # the identity and column-vs-matrix checks share n_max 500 and the
-        # masses, so each boost is built once; the report order stays
-        shared = [_boost_checks(500, M) for M in _COLUMN_MASSES]
-        checks += [c for identities, _ in shared for c in identities]
+        checks += _identity_checks(500, _COLUMN_MASSES)
         checks.append(_massless_reduction_check())
         checks.append(_q_series_check())
         checks.append(_positivity_check(2000))
@@ -376,7 +409,7 @@ def run_verification(level: str = "fast", corrupt_a11: float = 0.0) -> Verificat
         checks.append(_two_by_two_check(corrupt_a11))
         checks.append(_zero_locus_check())
         checks += _pipeline_checks(500, 4, (1,))
-        checks.append(_column_matches_matrix_check(500, [w for _, w in shared]))
+        checks.append(_column_matches_matrix_check(500))
         checks.append(_periodicity_check())
     else:
         checks += _identity_checks(2000, (0.0, 10.0, 1e3))
@@ -388,7 +421,7 @@ def run_verification(level: str = "fast", corrupt_a11: float = 0.0) -> Verificat
         checks.append(_two_by_two_check(corrupt_a11))
         checks.append(_zero_locus_check())
         checks += _pipeline_checks(2000, 8, (1, 2))
-        checks.append(_column_matches_matrix_check())
+        checks.append(_column_matches_matrix_check(500))
         checks.append(_periodicity_check())
         checks.append(_doubling_check())
         checks.append(_heavy_field_engine_check())

@@ -14,6 +14,9 @@ from cavneg.bogoliubov import (
     PerturbativeTransform,
     _compose,
     _cube,
+    _massive_entries,
+    _massive_quartic,
+    _massless_entries,
     boost_column,
     check_identities,
     compose,
@@ -67,6 +70,34 @@ def test_boost_column_is_matrix_column(M):
         boost_column(n_max, n_max + 1, M)
     with pytest.raises(ValueError):
         boost_column(1, 1, M)
+
+
+def _whole_matrix_entries(n_max, M):
+    # the entry formulas on whole index matrices, as the builders once ran
+    idx = np.arange(1, n_max + 1)
+    if M is None:
+        return _massless_entries(idx[:, None], idx[None, :])
+    quart = _massive_quartic(idx, M)
+    return _massive_entries(idx[:, None], idx[None, :], quart[:, None], quart[None, :], M)
+
+
+@pytest.mark.parametrize("M", [None, 0.0, 10.0, 1000.0])
+@pytest.mark.parametrize("n_max", [2, 63, 64, 65, 130])
+def test_boost_builders_equal_the_whole_matrix_formulas(n_max, M):
+    # the builders fill their blocks 64 rows at a time; entry by entry the
+    # bits are those of the formulas on the whole matrix, and boost_column
+    # reads the same columns
+    t = massless_boost_transform(n_max) if M is None else massive_boost_transform(n_max, M)
+    alpha1, beta1 = _whole_matrix_entries(n_max, M)
+    assert t.alpha1.dtype == t.beta1.dtype == np.float64
+    assert t.alpha1.tobytes() == alpha1.tobytes()
+    assert t.beta1.tobytes() == beta1.tobytes()
+    if M == 0.0:
+        return  # boost_column takes the massless formulas at M = 0
+    for k in range(1, n_max + 1):
+        a, b = boost_column(n_max, k, 0.0 if M is None else M)
+        assert a.tobytes() == alpha1[:, k - 1].tobytes()
+        assert b.tobytes() == beta1[:, k - 1].tobytes()
 
 
 def test_massive_entries():

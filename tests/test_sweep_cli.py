@@ -828,6 +828,35 @@ def test_cli_estimate_mode_index(capsys):
     assert "peak deficit_scaled = 1.7632e+10" in capsys.readouterr().out
 
 
+def test_cli_estimate_refuses_the_sweep_settings_it_ignores(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["--estimate", "--accel", "10", "--delta", "10",
+            "--scenario", "round-trip", "--out", "z.csv"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--estimate does not read --scenario, --out" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_verify_refuses_the_sweep_settings_it_ignores(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--verify", "fast", "--preset", "fig2", "--out", "y.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--verify does not read --preset, --out" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_sweep_refuses_the_estimate_settings(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["--scenario", "one-way", "--axis", "u=0:1:2", "--out", str(out),
+            "--accel", "10", "--mass", "1e-30"]
+    assert main(argv) == 1
+    assert "a sweep does not read --accel, --mass" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_heavy_field_sweep_refuses_n_max_below_2k(tmp_path, capsys):
     out = tmp_path / "h.csv"
     argv = ["--scenario", "one-way", "--M", "1000", "--k", "30", "--h", "1e-5",
