@@ -425,6 +425,44 @@ def _truncation_tail(last, n_max: int):
     return 3.0 * last.mean(axis=0) * n_max / 4.0
 
 
+def _identity_residual(z, alpha2_diag, blocks) -> IdentityResidual:
+    """check_identities for phases z and second-order diagonal alpha2_diag,
+    read from pairs ((rows, alpha1[rows], beta1[rows]), (rows,
+    alpha1.T[rows], beta1.T[rows])) whose row slices cover range(n_max) in
+    order.  The order-one maxima are exact whatever the blocking; order two
+    adds each column row by row, as numpy's axis-0 sum over a C-ordered
+    matrix does, so the sums keep those bits."""
+    n_max = z.size
+    upto = max(1, n_max // 2)
+    cz = np.conj(z)[None, :]
+    worst = []
+    col = np.zeros(upto)
+    last = []
+    for (rows, a, b), (_, at, bt) in blocks:
+        zr = z[rows, None]
+        # in place, and dropped before the next blocks are built: each
+        # residual block held longer would add its size to the peak
+        r = zr * at.conj()  # no copy when at is real
+        r += a * cz
+        worst.append(np.max(np.abs(r)))
+        r = zr * bt
+        r -= b * z[None, :]
+        worst.append(np.max(np.abs(r)))
+        del r
+        for power in np.abs(a[:, :upto]) ** 2 - np.abs(b[:, :upto]) ** 2:
+            col += power
+        # Only columns the diagonal residual inspects matter; near-diagonal
+        # columns further right hold order-one entries.
+        skip = max(0, n_max - TAIL_ROWS - rows.start)
+        if skip < len(a):
+            last.append(np.abs(a[skip:, :upto]) ** 2 + np.abs(b[skip:, :upto]) ** 2)
+    order0 = float(np.max(np.abs(np.abs(z) ** 2 - 1.0)))
+    resid = col + 2.0 * np.real(np.conj(z[:upto]) * alpha2_diag[:upto])
+    order2 = float(np.max(np.abs(resid)))
+    tail = float(_truncation_tail(np.concatenate(last), n_max).max()) if n_max >= 2 else 0.0
+    return IdentityResidual(order0, float(np.max(worst)), order2, tail)
+
+
 def check_identities(t: PerturbativeTransform) -> IdentityResidual:
     """Residuals of the Bogoliubov identities, collected per order in h.
 
@@ -436,34 +474,28 @@ def check_identities(t: PerturbativeTransform) -> IdentityResidual:
     At second order only the diagonal of the number-conserving identity is
     known, requiring for each n
 
-        sum_{m != n} (|alpha1[m, n]|**2 - |beta1[m, n]|**2)
+        sum_m (|alpha1[m, n]|**2 - |beta1[m, n]|**2)
             + 2 Re(conj(z_n) alpha2_diag[n]) = 0,
 
     evaluated for n up to n_max / 2 so the truncated column sums retain
-    headroom.
+    headroom.  The sum runs over all m: the h**2 term of |alpha[n, n]|**2
+    holds |alpha1[n, n]|**2 too, which vanishes for every transform built
+    here.  The blocks are read _ROW_BLOCK rows at a time, so the check needs
+    no n_max x n_max temporaries.
     """
-    z = t.order0
-    a1 = t.alpha1
-    b1 = t.beta1
-    n_max = t.n_max
-    order0 = float(np.max(np.abs(np.abs(z) ** 2 - 1.0)))
-    # the order-one residual matrices, a block of _ROW_BLOCK rows at a
-    # time: their maximum is exact, so it does not depend on the blocking
-    worst = []
-    for rows in _row_blocks(n_max):
-        zr = z[rows, None]
-        r1 = zr * np.conj(a1[:, rows].T) + a1[rows] * np.conj(z)[None, :]
-        r2 = zr * b1[:, rows].T - b1[rows] * z[None, :]
-        worst += [np.max(np.abs(r1)), np.max(np.abs(r2))]
-    order1 = float(np.max(worst))
-    upto = max(1, n_max // 2)
-    power = np.abs(a1) ** 2 - np.abs(b1) ** 2
-    col = power.sum(axis=0) - np.diagonal(power)
-    resid = col + 2.0 * np.real(np.conj(z) * t.alpha2_diag)
-    order2 = float(np.max(np.abs(resid[:upto])))
-    # Only columns the diagonal residual actually inspects matter;
-    # near-diagonal columns further right hold order-one entries.
-    last = np.abs(a1[-TAIL_ROWS:, :upto]) ** 2 + np.abs(b1[-TAIL_ROWS:, :upto]) ** 2
-    tail = float(_truncation_tail(last, n_max).max()) if n_max >= 2 else 0.0
-    return IdentityResidual(order0, order1, order2, tail)
+    a1, b1 = t.alpha1, t.beta1
+    blocks = (
+        ((rows, a1[rows], b1[rows]), (rows, a1[:, rows].T, b1[:, rows].T))
+        for rows in _row_blocks(t.n_max)
+    )
+    return _identity_residual(t.order0, t.alpha2_diag, blocks)
 
+
+def _boost_residuals(n_max: int, M: float) -> IdentityResidual:
+    """check_identities(_boost(n_max, M)), read off the entry formulas a row
+    block at a time, without the n_max x n_max blocks.  Unit phases are
+    passed real, which keeps every operation real and every bit that of
+    the built boost's check."""
+    mass = None if M == 0 else M  # the formulas _boost takes
+    blocks = zip(_boost_blocks(n_max, mass), _boost_blocks(n_max, mass, transpose=True))
+    return _identity_residual(np.ones(n_max), _boost_alpha2_diag(n_max, mass), blocks)

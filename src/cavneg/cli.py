@@ -110,7 +110,7 @@ def parse_segments(text: str):
                 segments.append(Inertial(parse_number(parts[1])))
             else:
                 raise ValueError(chunk)
-        except (ValueError, ConfigError):
+        except ValueError:
             raise ConfigError(
                 f"bad segment {chunk!r}; expected acc:SIGN:DURATION or in:DURATION"
             ) from None
@@ -271,10 +271,7 @@ def main(argv=None) -> int:
         # power overflows
         print(f"numeric validity error: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -14,7 +14,8 @@ transform only: for an excitation in mode k it is 1/2 - h**2 * deficit, with
     deficit = sum_{n != k} (|alpha1[n, k]|**2 / 2 + |beta1[n, k]|**2)
 
 independent of h because the transform blocks are stored per unit h.  The
-engine returns the pair (deficit, truncation tail), as the closed forms do.
+engine returns the pair (deficit, truncation tail); the closed forms return
+the deficit alone, and the sweep takes their tails from the series cutoff.
 scenario_negativity carries that column through the segments in O(n_max)
 each; effective_transform composes the full n_max x n_max blocks and,
 through negativity_general, is the reference the column path is checked

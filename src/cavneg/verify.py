@@ -5,11 +5,13 @@ cross-checks at a handful of phase points).  The full level raises the cutoff
 to 2000, adds doubling convergence, widens the phase grids to 64 points and
 covers the heavy-field masses.  Both levels check the column engine against
 the closed forms and against the full-matrix reference.  The boost
-identities are read off the entry formulas a row block at a time, so no
-level builds a boost larger than n_max 500.  On a 2-vCPU x86-64 machine
-(Python 3.11, numpy 2.4) fast takes 0.11-0.16 s and full 0.5-0.6 s, each
-at a resident peak of 47-54 MB, imports included; the largest traced peak
-of either level is 16.8 MB, in the column-vs-matrix check.
+identity residuals come from bogoliubov's one reader, fed the entry
+formulas a row block at a time, so no level builds a boost larger than
+n_max 500.  On a 2-vCPU x86-64 machine (Python 3.11, numpy 2.4) fast takes
+0.10-0.16 s and full 0.5-0.6 s, each at a resident peak of 47-54 MB,
+imports included; the largest traced peak of either level is 16.8 MB, in
+the column-vs-matrix check, and the identity checks peak at 3.0 MB (fast)
+and 11.9 MB (full).
 bench/verify_layers.py times and traces them check by check.
 """
 
@@ -21,12 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import (
-    TAIL_ROWS,
-    IdentityResidual,
     _boost,
     _boost_alpha2_diag,
-    _boost_blocks,
-    _truncation_tail,
+    _boost_residuals,
     boost_column,
     massive_boost_transform,
     massless_boost_transform,
@@ -94,39 +93,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _boost_residuals(n_max: int, M: float) -> IdentityResidual:
-    """check_identities(_boost(n_max, M)), read off the entry formulas a row
-    block at a time, in one pass, without the n_max x n_max blocks.
-
-    A boost has unit phases, so order zero is exact and order one is the
-    largest |alpha1 + alpha1^T| and |beta1 - beta1^T|, each block paired
-    with the same rows of the transposes; no symmetry is assumed.  Order
-    two sums alpha1**2 - beta1**2 down the first n_max // 2 columns row by
-    row, the order of a whole-matrix column sum, so every number keeps its
-    bits.  The formulas put zeros on the diagonal, which check_identities
-    subtracts; kept in the sums, a wrong diagonal would show.  The tail
-    reads the last TAIL_ROWS rows.
-    """
-    formula_mass = None if M == 0 else M  # the formulas _boost takes
-    upto = n_max // 2
-    order1 = 0.0
-    col = np.zeros(upto)
-    last = []
-    for (rows, a, b), (_, at, bt) in zip(
-        _boost_blocks(n_max, formula_mass),
-        _boost_blocks(n_max, formula_mass, transpose=True),
-    ):
-        order1 = max(order1, float(np.abs(a + at).max()), float(np.abs(b - bt).max()))
-        for power in a[:, :upto] ** 2 - b[:, :upto] ** 2:
-            col += power
-        skip = max(0, n_max - TAIL_ROWS - rows.start)
-        if skip < len(a):
-            last.append(a[skip:, :upto] ** 2 + b[skip:, :upto] ** 2)
-    resid = col + 2.0 * _boost_alpha2_diag(n_max, formula_mass)[:upto]
-    tail = _truncation_tail(np.concatenate(last), n_max)
-    return IdentityResidual(0.0, order1, float(np.max(np.abs(resid))), float(tail.max()))
-
-
 def _boost_identities(n_max: int, M: float) -> list:
     res = _boost_residuals(n_max, M)
     label = f"boost-identity-M{M:g}-n{n_max}"
@@ -135,7 +101,8 @@ def _boost_identities(n_max: int, M: float) -> list:
     alpha2 = _boost_alpha2_diag(n_max, None if M == 0 else M)
     scale = max(abs(alpha2[: n_max // 2]).max(), 1.0)
     return [
-        CheckResult(f"{label}-order1", res.order1_residual, 1e-13),
+        # the entry formulas are antisymmetric and symmetric bit for bit
+        CheckResult(f"{label}-order1", res.order1_residual, 0.0),
         CheckResult(
             f"{label}-order2",
             res.order2_diag_residual,

@@ -9,20 +9,21 @@ import numpy as np
 import pytest
 
 import cavneg
-from cavneg.bogoliubov import _boost, check_identities
+from cavneg import bogoliubov
+from cavneg.bogoliubov import _boost, _boost_residuals, check_identities
 from cavneg.verify import (
     _PERIODICITY_TAUS,
-    _boost_residuals,
     _column_matches_matrix_check,
+    _identity_checks,
     run_verification,
 )
 
 # Names and thresholds of the fast level, in report order; the two order-2
 # thresholds are computed from the boost blocks.
 FAST_CHECKS = [
-    ('boost-identity-M0-n500-order1', 1e-13),
+    ('boost-identity-M0-n500-order1', 0.0),
     ('boost-identity-M0-n500-order2', 6.475449645429067e-07),
-    ('boost-identity-M10-n500-order1', 1e-13),
+    ('boost-identity-M10-n500-order1', 0.0),
     ('boost-identity-M10-n500-order2', 6.47754041606629e-07),
     ('massive-reduces-to-massless-n200', 1e-12),
     ('q-matches-coefficient-series', 1e-11),
@@ -66,6 +67,25 @@ def test_corrupted_coefficient_is_caught():
     failed = [c.name for c in report.checks if not c.passed]
     assert failed == ["two-by-two-replacement-bound"]
     assert "FAIL two-by-two-replacement-bound" in report.render()
+
+
+def test_a_small_boost_symmetry_break_is_caught(monkeypatch):
+    # beta1 rows 64-127 scaled by 1 + 1e-9 on one side of the symmetry
+    # only; the break reads 1.2e-14 at M = 0 and 10 and 3.9e-17 at
+    # M = 1000, all three below the absolute 1e-13 the checks once had
+    blocks = bogoliubov._boost_blocks
+
+    def broken(n_max, M, transpose=False):
+        for rows, a, b in blocks(n_max, M, transpose):
+            if not transpose and rows.start == 64:
+                b = b * (1.0 + 1e-9)
+            yield rows, a, b
+
+    monkeypatch.setattr(bogoliubov, "_boost_blocks", broken)
+    checks = _identity_checks(200, (0.0, 10.0, 1e3))
+    order1 = [c for c in checks if c.name.endswith("-order1")]
+    assert len(order1) == 3
+    assert not any(c.passed for c in order1)
 
 
 def test_unknown_level_rejected():
