@@ -12,6 +12,14 @@ Writes a JSON report with, for each preset fig2-fig5b:
   series pass (``closedform._q_flat``) received over the run, and how many
   of them were bitwise distinct within their call, from an untimed second
   run;
+- ``product_phases`` and ``product_phases_distinct``: the same for the
+  factor values of the product sums' tiles (``closedform._product_tile``),
+  whose power chains run on the distinct ones, from that run;
+- ``traced_peak_mb`` and ``closed_traced_peak_mb``: the largest memory, in
+  10**6 bytes, that ``tracemalloc`` saw allocated during the ``run_sweep``
+  call and during any one of its ``sweep._closed_grid`` calls, including
+  what was held when each began, from one more run with tracing on (times
+  come from runs without it, since tracing slows every allocation);
 - ``negativities_distinct``: how many distinct negativity cells the CSV
   holds, counted per k block;
 - the environment: nproc, Python and numpy versions, git SHA and whether
@@ -25,7 +33,8 @@ With ``--baseline REV`` the src/ tree of that git revision is extracted with
 ``git archive`` into a temporary directory and timed the same way, so the
 report holds before and after numbers. A round runs every preset once in a
 fresh interpreter; the two trees alternate round by round, so that a slow
-spell of the host hits both. Times are medians in seconds over seven rounds.
+spell of the host hits both. Times are medians in seconds over seven rounds;
+the traced runs come last, one per tree.
 """
 
 from __future__ import annotations
@@ -42,11 +51,19 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRESETS = ("fig2", "fig3", "fig4a", "fig4b", "fig4c", "fig5a", "fig5b")
 REPEATS = 7
-COUNTS = ("q_phases", "q_phases_distinct", "negativities_distinct")
+COUNTS = (
+    "q_phases",
+    "q_phases_distinct",
+    "product_phases",
+    "product_phases_distinct",
+    "negativities_distinct",
+)
+PEAKS = ("traced_peak_mb", "closed_traced_peak_mb")
 
 
 def _git(*args: str) -> str | None:
@@ -84,44 +101,83 @@ def _time_once(name: str) -> dict:
 
 
 def _counts(name: str, text: str) -> dict:
-    """Phase arguments of the Q series pass over an untimed run, and the
-    distinct negativities of the CSV text of the timed one."""
+    """Phase arguments of the Q series pass and factor values of the
+    product-sum tiles over an untimed run, and the distinct negativities of
+    the CSV text of the timed one."""
     import numpy as np
 
     from cavneg import closedform, sweep
 
-    inner = closedform._q_flat
-    phases = [0, 0]
+    counts = dict.fromkeys(COUNTS[:4], 0)
 
-    def counted(n, x, *rest):
-        # rest: the explicit cutoff that a --baseline tree from before its
-        # removal still passes
-        phases[0] += x.size
-        phases[1] += len(np.unique(x.view(np.int64).reshape(-1, 2), axis=0))
-        return inner(n, x, *rest)
+    def counting(fn, key):
+        def counted(*args):
+            # the phases are the second argument in every tree
+            x = args[1]
+            counts[key] += x.size
+            counts[key + "_distinct"] += len(
+                np.unique(x.view(np.int64).reshape(-1, 2), axis=0)
+            )
+            return fn(*args)
 
-    closedform._q_flat = counted
+        return counted
+
+    wrapped = {"_q_flat": "q_phases", "_product_tile": "product_phases"}
+    inner = {fn: getattr(closedform, fn) for fn in wrapped}
+    for fn, key in wrapped.items():
+        setattr(closedform, fn, counting(inner[fn], key))
     try:
         sweep.run_sweep(sweep.preset_spec(name))
     finally:
-        closedform._q_flat = inner
+        for fn, original in inner.items():
+            setattr(closedform, fn, original)
     header, *rows = text.splitlines()
     column = header.split(",").index("negativity")
     cells = {(row.split(",")[1], row.split(",")[column]) for row in rows}
+    return {**counts, "negativities_distinct": len(cells)}
+
+
+def _traced_peaks(name: str) -> dict:
+    """Traced peaks of one run_sweep of a preset and of the largest of its
+    _closed_grid calls, each counted from where tracing stood at its start."""
+    from cavneg import sweep
+
+    inner = sweep._closed_grid
+    peaks = {"run": 0, "closed": 0}
+
+    def traced(*args, **kwargs):
+        # keep the run's peak so far, then read the call's own
+        peaks["run"] = max(peaks["run"], tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            peaks["closed"] = max(peaks["closed"], tracemalloc.get_traced_memory()[1])
+
+    sweep._closed_grid = traced
+    tracemalloc.start()
+    try:
+        sweep.run_sweep(sweep.preset_spec(name))
+        peaks["run"] = max(peaks["run"], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+        sweep._closed_grid = inner
     return {
-        "q_phases": phases[0],
-        "q_phases_distinct": phases[1],
-        "negativities_distinct": len(cells),
+        "traced_peak_mb": max(peaks.values()) / 1e6,
+        "closed_traced_peak_mb": peaks["closed"] / 1e6,
     }
 
 
-def _child(src: str) -> None:
+def _child(src: str, traced: bool) -> None:
     # one round: every preset once, in a fresh interpreter importing src
     sys.path.insert(0, src)
     import cavneg
 
     if not os.path.abspath(cavneg.__file__).startswith(src + os.sep):
         raise ImportError(f"cavneg was imported from {cavneg.__file__}, not from {src}")
+    if traced:
+        json.dump({name: _traced_peaks(name) for name in PRESETS}, sys.stdout)
+        return
     out = {}
     for name in PRESETS:
         run = _time_once(name)
@@ -137,9 +193,12 @@ def _child(src: str) -> None:
     json.dump(out, sys.stdout)
 
 
-def _round(src: str) -> dict:
+def _round(src: str, traced: bool = False) -> dict:
+    argv = [sys.executable, os.path.abspath(__file__), "--child", src]
+    if traced:
+        argv.append("--traced")
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child", src],
+        argv,
         capture_output=True,
         text=True,
         check=True,
@@ -148,7 +207,7 @@ def _round(src: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def _summary(rounds: list) -> dict:
+def _summary(rounds: list, traced: dict) -> dict:
     presets = {}
     for name in PRESETS:
         runs = [r[name] for r in rounds]
@@ -163,11 +222,13 @@ def _summary(rounds: list) -> dict:
             "csv_bytes": runs[0]["csv_bytes"],
             "sha256": runs[0]["sha256"],
             **{key: runs[0][key] for key in COUNTS},
+            **traced[name],
         }
     presets["all"] = {
         key: sum(presets[name][key] for name in PRESETS)
         for key in ("total_s", "closed_s", "rows_s", "rows", "csv_bytes") + COUNTS
     }
+    presets["all"].update({key: max(presets[name][key] for name in PRESETS) for key in PEAKS})
     return presets
 
 
@@ -192,11 +253,12 @@ def measure(baseline: str | None) -> dict:
         for _ in range(REPEATS):
             for label, src in trees.items():
                 rounds[label].append(_round(src))
+        traced = {label: _round(src, traced=True) for label, src in trees.items()}
     return {
         "benchmark": "presets_layers",
         "repeats": REPEATS,
         "unit": "s",
-        **{label: _summary(r) for label, r in rounds.items()},
+        **{label: _summary(r, traced[label]) for label, r in rounds.items()},
         "environment": environment(baseline),
     }
 
@@ -227,9 +289,10 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=os.path.join(ROOT, "BENCH_presets.json"))
     p.add_argument("--baseline", help="git revision to time as 'before'")
     p.add_argument("--child", help=argparse.SUPPRESS)
+    p.add_argument("--traced", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.child:
-        _child(args.child)
+        _child(args.child, args.traced)
         return 0
     report = measure(args.baseline)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -245,7 +308,10 @@ def main(argv=None) -> int:
                 f"closed {row['closed_s'] * 1e3:.1f} ms, "
                 f"rows {row['rows_s'] * 1e3:.1f} ms ({row['rows']} rows, "
                 f"{row['negativities_distinct']} distinct negativities, "
-                f"{row['q_phases_distinct']} of {row['q_phases']} Q phases distinct)"
+                f"{row['q_phases_distinct']} of {row['q_phases']} Q phases and "
+                f"{row['product_phases_distinct']} of {row['product_phases']} "
+                f"product phases distinct; {row['traced_peak_mb']:.2f} MB traced, "
+                f"{row['closed_traced_peak_mb']:.2f} MB in _closed_grid)"
             )
     print(f"wrote {args.out}")
     return 0

@@ -431,24 +431,30 @@ def _identity_residual(z, alpha2_diag, blocks) -> IdentityResidual:
     alpha1.T[rows], beta1.T[rows])) whose row slices cover range(n_max) in
     order.  The order-one maxima are exact whatever the blocking; order two
     adds each column row by row, as numpy's axis-0 sum over a C-ordered
-    matrix does, so the sums keep those bits."""
-    n_max = z.size
+    matrix does, so the sums keep those bits.  z None stands for the unit
+    phases of a boost, whose real blocks then need no product with them:
+    the order-one residuals are at + a and bt - b, and the second-order
+    diagonal enters as it is, each with the bits of the products with
+    ones."""
+    n_max = alpha2_diag.size
     upto = max(1, n_max // 2)
-    cz = np.conj(z)[None, :]
     worst = []
     col = np.zeros(upto)
     last = []
     for (rows, a, b), (_, at, bt) in blocks:
-        zr = z[rows, None]
-        # in place, and dropped before the next blocks are built: each
-        # residual block held longer would add its size to the peak
-        r = zr * at.conj()  # no copy when at is real
-        r += a * cz
-        worst.append(np.max(np.abs(r)))
-        r = zr * bt
-        r -= b * z[None, :]
-        worst.append(np.max(np.abs(r)))
-        del r
+        # one residual block at a time, dropped before the next blocks are
+        # built: a block held longer would add its size to the peak
+        if z is None:
+            worst.append(np.max(np.abs(at + a)))
+            worst.append(np.max(np.abs(bt - b)))
+        else:
+            r = z[rows, None] * at.conj()  # no copy when at is real
+            r += a * np.conj(z)[None, :]
+            worst.append(np.max(np.abs(r)))
+            r = z[rows, None] * bt
+            r -= b * z[None, :]
+            worst.append(np.max(np.abs(r)))
+            del r
         for power in np.abs(a[:, :upto]) ** 2 - np.abs(b[:, :upto]) ** 2:
             col += power
         # Only columns the diagonal residual inspects matter; near-diagonal
@@ -456,8 +462,12 @@ def _identity_residual(z, alpha2_diag, blocks) -> IdentityResidual:
         skip = max(0, n_max - TAIL_ROWS - rows.start)
         if skip < len(a):
             last.append(np.abs(a[skip:, :upto]) ** 2 + np.abs(b[skip:, :upto]) ** 2)
-    order0 = float(np.max(np.abs(np.abs(z) ** 2 - 1.0)))
-    resid = col + 2.0 * np.real(np.conj(z[:upto]) * alpha2_diag[:upto])
+    if z is None:
+        order0 = 0.0
+        resid = col + 2.0 * alpha2_diag[:upto]
+    else:
+        order0 = float(np.max(np.abs(np.abs(z) ** 2 - 1.0)))
+        resid = col + 2.0 * np.real(np.conj(z[:upto]) * alpha2_diag[:upto])
     order2 = float(np.max(np.abs(resid)))
     tail = float(_truncation_tail(np.concatenate(last), n_max).max()) if n_max >= 2 else 0.0
     return IdentityResidual(order0, float(np.max(worst)), order2, tail)
@@ -493,9 +503,9 @@ def check_identities(t: PerturbativeTransform) -> IdentityResidual:
 
 def _boost_residuals(n_max: int, M: float) -> IdentityResidual:
     """check_identities(_boost(n_max, M)), read off the entry formulas a row
-    block at a time, without the n_max x n_max blocks.  Unit phases are
-    passed real, which keeps every operation real and every bit that of
-    the built boost's check."""
+    block at a time, without the n_max x n_max blocks.  The reader takes
+    the boost's unit phases as None, which forms no product with them and
+    keeps every bit that of the built boost's check."""
     mass = None if M == 0 else M  # the formulas _boost takes
     blocks = zip(_boost_blocks(n_max, mass), _boost_blocks(n_max, mass, transpose=True))
-    return _identity_residual(np.ones(n_max), _boost_alpha2_diag(n_max, mass), blocks)
+    return _identity_residual(None, _boost_alpha2_diag(n_max, mass), blocks)

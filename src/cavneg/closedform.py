@@ -31,14 +31,16 @@ the Q forms and below TOL_SUM for the product sums.  Each call runs one
 series pass: the Q forms over the bitwise-distinct values of all their phase
 arguments (Q(k, 1) together with every Q of a deficit, the z and z**2 Li6
 chains together with the residual window), scattered back to every
-position; a product sum over all its factors.  A pass forms each power as
-the product of the one before and its step and adds the terms in order,
-elementwise, so its values have the bits of a term-by-term loop on each
-value alone; a 0-d argument runs as a one-element array, so a scalar and
-the same value inside an array give the same bits.  Nothing is cached
-between calls.  The functions return deficits only: the sweep turns them
-into CSV rows, and the Q and product forms police each other in verify.py
-and the tests.
+position; a product sum over all its factors, and on a large grid over the
+bitwise-distinct factor values of each tile, whose weights every term
+gathers back to each position.  A pass forms each power as the product of
+the one before and its step and adds the terms in order, elementwise, so
+its values have the bits of a term-by-term loop on each value alone; a 0-d
+argument runs as a one-element array, so a scalar and the same value inside
+an array give the same bits.  The heavy-field waveform is one matrix over
+the whole grid, built in place.  Nothing is cached between calls.  The
+functions return deficits only: the sweep turns them into CSV rows, and the
+Q and product forms police each other in verify.py and the tests.
 """
 
 from __future__ import annotations
@@ -240,8 +242,11 @@ def _distinct(x):
     first = np.empty(x.size, dtype=bool)
     first[:1] = True
     np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    del ranked  # dropped before the index arrays below add to the peak
+    rank = np.cumsum(first, dtype=np.intp)
+    rank -= 1
     inverse = np.empty(x.size, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
+    inverse[order] = rank
     return x[order[first]], inverse
 
 
@@ -327,18 +332,24 @@ def _product_sum(k: int, factors):
 
 def _product_tile(coeffs, x, shapes, acc):
     # the large-grid loop of _product_sum on one tile: x holds its factors
-    # flat, of the given shapes, and is advanced in place; the sum is added
-    # into acc in place
+    # flat, of the given shapes; the power chains run on the bitwise-distinct
+    # values of x alone, and each term gathers their weights back to every
+    # position of every factor; the sum is added into acc in place
+    x, inverse = _distinct(x)
     step = x * x
     diff = np.empty_like(x)
-    weight = np.empty(x.size)
+    chain = np.empty(x.size)
+    weight = np.empty(inverse.size)
     first, *rest = _split(weight, shapes)
     lead = np.empty(first.shape)
     term = np.empty(acc.shape)
     for c in coeffs:
         np.subtract(x, 1.0, out=diff)
-        np.abs(diff, out=weight)
-        np.square(weight, out=weight)
+        np.abs(diff, out=chain)
+        np.square(chain, out=chain)
+        # clip: inverse is always in range, and mode "raise" would fill a
+        # copy of weight and copy it back
+        np.take(chain, inverse, out=weight, mode="clip")
         product = np.multiply(c, first, out=lead)
         for f in rest:
             product = np.multiply(product, f, out=term)
@@ -432,7 +443,13 @@ def massive_limit_deficit(
     amp = n * n / (k * k - n * n) ** 6
     pref = (256.0 * k * k / math.pi**8) * m4
     t = np.asarray(tau_bar, dtype=float)
-    osc = 1.0 - np.cos(np.multiply.outer(t, dw) / delta)
+    # the waveform matrix is built in place, so the pass holds one; the
+    # product runs over the whole grid at once, as row blocks of it would
+    # round differently
+    osc = np.multiply.outer(t, dw)
+    np.divide(osc, delta, out=osc)
+    np.cos(osc, out=osc)
+    np.subtract(1.0, osc, out=osc)
     value = pref * (osc @ amp)
     if t.ndim == 0:
         return float(value)

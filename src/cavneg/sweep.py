@@ -336,8 +336,9 @@ def _closed_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: i
         _, tail = closedform._cutoff(k, closedform.TOL_Q, 0)
         deficit = np.full(shape, kickstart_deficit(k))
     elif M > 0:
-        # the full grid, as the heavy-field sum is a matrix product whose
-        # rounding may depend on the stack shape
+        # the full grid in one call, as the heavy-field sum is a matrix
+        # product whose rounding may depend on the stack shape: it is not
+        # split into row blocks, and its waveform is built in place instead
         cfg = CavityConfig(delta=params["delta"], M=M)
         tau = _tau_bar(np.broadcast_to(u, shape), cfg)
         deficit = np.asarray(

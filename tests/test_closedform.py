@@ -7,6 +7,7 @@ printed series.
 import ast
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,10 @@ def _product_sum_reference(k, factors):
     return acc
 
 
+def _round_trip_factors(p, pp, ppp):
+    return [p, p * pp, p * p * pp * ppp]
+
+
 def test_tiled_product_sums_equal_the_term_by_term_reference():
     # 150 x 150 points split into tiles along the first axis; a 1 x 20000
     # row has one point on that axis and tiles along the second
@@ -349,9 +354,42 @@ def test_tiled_product_sums_equal_the_term_by_term_reference():
         pp = np.exp(1j * np.linspace(0.3, 5.9, cols))[None, :]
         ppp = np.exp(0.7j)
         got = round_trip_deficit(1, p, pp, ppp)
-        ref = _product_sum_reference(1, [p, p * pp, p * p * pp * ppp])
+        ref = _product_sum_reference(1, _round_trip_factors(p, pp, ppp))
         assert got.shape == (rows, cols)
         assert np.array_equal(got, ref), (rows, cols)
+    # the tiles run their chains on the distinct values of their factors and
+    # gather the weights back: factors whose values repeat bit for bit
+    fig4 = np.linspace(0.0, 2.0 * math.pi, 101)
+    wide = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 200))
+    # 1+0j and 1-0j are two values to the gather; both sit on a zero locus
+    signed = np.array([1 + 0j, complex(1.0, -0.0), np.exp(0.4j), 1 + 0j, np.exp(2.5j)])
+    signed = np.concatenate([signed, np.exp(1j * np.linspace(0.2, 6.0, 145))])
+    cases = {
+        # equal u and v axes, as in fig4, so p p' repeats across the diagonal
+        "fig4": _round_trip_factors(
+            np.exp(1j * fig4)[:, None], np.exp(1j * fig4)[None, :], np.exp(2.1j)
+        ),
+        # the same on three tiles of 81 rows
+        "equal axes, tiled": _round_trip_factors(
+            wide[:, None], wide[None, :], np.exp(-0.6j)
+        ),
+        # a factor with one value at every grid point
+        "constant factor": [
+            wide[:, None],
+            np.full((200, 200), np.exp(0.9j)),
+            wide[:, None] * wide[None, :],
+        ],
+        "signed zeros": _round_trip_factors(
+            signed[:, None], signed[None, :], complex(1.0, -0.0)
+        ),
+    }
+    r_max, _ = closedform._cutoff(1, closedform.TOL_SUM, 3)
+    for name, factors in cases.items():
+        shape = np.broadcast_shapes(*(np.shape(f) for f in factors))
+        assert (r_max + 1) * math.prod(shape) > closedform._BLOCK, name
+        got, _ = closedform._product_sum(1, factors)
+        assert got.shape == shape, name
+        assert np.array_equal(got, _product_sum_reference(1, factors)), name
 
 
 def _phase_axes():
@@ -469,6 +507,27 @@ def test_heavy_field_deficit_values():
     assert float(massive_limit_deficit(2, 1000.0, 500.0, 1.0, 200)) == pytest.approx(
         85062731.367545399, rel=1e-11
     )
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_heavy_field_waveform_holds_one_grid_matrix():
+    # fig5b: k = 30 over 2401 points of tau_bar against 100 modes, a 1.92 MB
+    # waveform matrix; built in place it peaks at 2.06 MB traced, where
+    # temporaries held two such matrices, 3.85 MB
+    M = 1e3
+    tau = 4.0 * M * np.linspace(0.0, 3.0, 2401) / math.pi
+    assert _traced_peak(massive_limit_deficit, 30, M, tau, 1.0, 200) < 2.2e6
+    # estimate_physical's period on 2049 points: 1.77 MB, against 3.28 MB
+    period = np.linspace(0.0, 4.0 * M / math.pi, 2049)
+    assert _traced_peak(massive_limit_deficit, 1, M, period, 1.0, 200) < 1.9e6
 
 
 def test_heavy_field_near_periodicity():
