@@ -55,11 +55,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key=value file with sweep settings")
     p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--k", type=int, help="entangled mode index (column)")
+    p.add_argument(
+        "--k",
+        type=_parse_k,
+        metavar="K[,K...]",
+        help="entangled mode index (column), or a comma list of them for one "
+        "block of rows per index; --estimate takes one",
+    )
     p.add_argument("--h", type=parse_number, help="dimensionless acceleration")
     p.add_argument("--M", type=parse_number, help="dimensionless mass")
     p.add_argument("--delta", type=parse_number, help="cavity length")
-    p.add_argument("--n-max", type=int, dest="n_max", help="mode cutoff")
+    p.add_argument("--n-max", type=parse_number, dest="n_max", help="mode cutoff")
     p.add_argument("--mode", choices=["closed-form", "general", "both"])
     p.add_argument(
         "--axis",
@@ -119,8 +125,13 @@ def parse_segments(text: str):
     return tuple(segments)
 
 
-_FIXED_INT_KEYS = ("k", "n_max")
-_FIXED_FLOAT_KEYS = ("h", "M", "delta")
+def _parse_k(text: str) -> tuple:
+    """Parse one mode index or a comma list of them; sweep._validated checks
+    that each is a whole number >= 1."""
+    return tuple(parse_number(x) for x in text.split(","))
+
+
+_FIXED_KEYS = ("k", "h", "M", "delta", "n_max")
 
 
 def read_config(path: str) -> dict:
@@ -140,76 +151,65 @@ def read_config(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key in ("u", "v", "w"):
-            if ":" in value:
-                settings["axes"].append(parse_axis(f"{key}={value}"))
+        try:
+            if key in ("u", "v", "w"):
+                if ":" in value:
+                    settings["axes"].append(parse_axis(f"{key}={value}"))
+                else:
+                    settings["fixed"][key] = parse_number(value)
+            elif key in _FIXED_KEYS:
+                parse = _parse_k if key == "k" else parse_number
+                settings["fixed"][key] = parse(value)
+            elif key in ("scenario", "preset", "mode"):
+                settings[key] = value
+            elif key in ("out", "output"):
+                settings["out"] = value
+            elif key == "segments":
+                settings["segments"] = parse_segments(value)
+            elif key == "axis":
+                settings["axes"].append(parse_axis(value))
             else:
-                settings["fixed"][key] = parse_number(value)
-        elif key in _FIXED_INT_KEYS:
-            settings["fixed"][key] = int(value)
-        elif key in _FIXED_FLOAT_KEYS:
-            settings["fixed"][key] = parse_number(value)
-        elif key in ("scenario", "preset", "mode"):
-            settings[key] = value
-        elif key in ("out", "output"):
-            settings["out"] = value
-        elif key == "segments":
-            settings["segments"] = parse_segments(value)
-        elif key == "k_list":
-            settings["k_list"] = tuple(int(x) for x in value.split(","))
-        elif key == "axis":
-            settings["axes"].append(parse_axis(value))
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ConfigError(f"unknown key {key!r}")
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return settings
 
 
 def _build_spec(args, settings: dict) -> SweepSpec:
-    fixed = dict(settings.get("fixed", {}))
-    for key in _FIXED_INT_KEYS + _FIXED_FLOAT_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            fixed[key] = value
-    axes = list(settings.get("axes", []))
-    if args.axis:
-        axes = [parse_axis(a) for a in args.axis]
+    """Merge a preset or a scenario with the config file and the flags: a
+    flag overrides a config value, which overrides the preset."""
+    preset = args.preset or settings.get("preset")
+    scenario = args.scenario or settings.get("scenario")
     segments = settings.get("segments")
     if args.segments:
         segments = parse_segments(args.segments)
-    mode = args.mode or settings.get("mode") or "closed-form"
-    out = args.out or settings.get("out")
-    preset = args.preset or settings.get("preset")
-    scenario = args.scenario or settings.get("scenario")
     if preset:
         if scenario or segments:
             raise ConfigError(
                 f"preset {preset!r} fixes its own scenario; drop the scenario "
                 "and segments settings"
             )
-        stem = preset
-        overrides: dict = {"mode": mode}
-        if fixed:
-            overrides["fixed"] = fixed
-        if args.axis or settings.get("axes"):
-            overrides["axes"] = tuple(axes)
-        if settings.get("k_list"):
-            overrides["k_list"] = tuple(settings["k_list"])
-        spec = preset_spec(preset, output=None, **overrides)
+        spec = preset_spec(preset)
+    elif scenario:
+        mode = "general" if scenario == "custom" else "closed-form"
+        spec = SweepSpec(scenario, mode=mode, segments=segments)
     else:
-        if not scenario:
-            raise ConfigError("either --preset or --scenario is required")
-        stem = scenario
-        if scenario == "custom" and args.mode is None and "mode" not in settings:
-            mode = "general"
-        spec = SweepSpec(
-            scenario=scenario,
-            axes=tuple(axes),
-            fixed=fixed,
-            mode=mode,
-            k_list=settings.get("k_list"),
-            segments=segments,
-        )
-    return replace(spec, output=default_output_path(stem, out))
+        raise ConfigError("either --preset or --scenario is required")
+    fixed = {**spec.fixed, **settings.get("fixed", {})}
+    for key in _FIXED_KEYS:
+        if getattr(args, key) is not None:
+            fixed[key] = getattr(args, key)
+    if args.axis:
+        axes = tuple(parse_axis(a) for a in args.axis)
+    else:
+        axes = tuple(settings.get("axes") or spec.axes)
+    return replace(
+        spec,
+        axes=axes,
+        fixed=fixed,
+        mode=args.mode or settings.get("mode") or spec.mode,
+        output=default_output_path(preset or scenario, args.out or settings.get("out")),
+    )
 
 
 # the flags each path of main() reads; it refuses any other flag given,
@@ -217,10 +217,8 @@ def _build_spec(args, settings: dict) -> SweepSpec:
 _VERIFY_FLAGS = ("verify",)
 _ESTIMATE_FLAGS = ("estimate", "accel", "delta", "mass", "wavelength", "k")
 _SWEEP_FLAGS = (
-    ("config", "scenario", "preset", "mode", "axis", "segments", "out")
-    + _FIXED_INT_KEYS
-    + _FIXED_FLOAT_KEYS
-)
+    "config", "scenario", "preset", "mode", "axis", "segments", "out"
+) + _FIXED_KEYS
 
 
 def _refuse_unread(args, path: str, read: tuple) -> None:
@@ -250,12 +248,15 @@ def main(argv=None) -> int:
             _refuse_unread(args, "--estimate", _ESTIMATE_FLAGS)
             if args.accel is None or args.delta is None:
                 raise ConfigError("--estimate needs --accel and --delta")
+            k = args.k or (1,)
+            if len(k) != 1:
+                raise ConfigError(f"--estimate takes one --k, got {len(k)}")
             est = estimate_physical(
                 args.accel,
                 args.delta,
                 mass=args.mass,
                 transverse_wavelength=args.wavelength,
-                k=1 if args.k is None else args.k,
+                k=k[0],
             )
             print(format_estimate(est))
             return 0

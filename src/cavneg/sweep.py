@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -193,12 +193,12 @@ class SweepSpec:
     scenario: one of {one-way, alpha-centauri, round-trip, kickstart, custom}.
     axes: up to three distinct Axis entries; row order follows their order.
     fixed: overrides for {k, h, M, delta, n_max} and constant values
-        of unswept phase coordinates {u, v, w}.
+        of unswept phase coordinates {u, v, w}.  k is one mode index or a
+        sequence of them, written as one block of rows per index in order.
     mode: closed-form | general | both; general evaluates each grid point
         with the column engine (scenario_negativity).
-    output: CSV path, or None to skip writing.
-    k_list: optional multi-curve override of the fixed k (one block per k).
-    segments: trajectory for scenario=custom.
+    output: CSV path for write_sweep.
+    segments: trajectory for scenario=custom, and for no other scenario.
     """
 
     scenario: str
@@ -206,7 +206,6 @@ class SweepSpec:
     fixed: dict = field(default_factory=dict)
     mode: str = "closed-form"
     output: str | None = None
-    k_list: tuple | None = None
     segments: tuple | None = None
 
 
@@ -227,19 +226,18 @@ def _validated(spec: SweepSpec) -> dict:
     names = [a.name for a in spec.axes]
     if len(names) != len(set(names)):
         raise ConfigError(f"axes must be distinct, got {names}")
-    if len(names) > 3:
-        raise ConfigError("at most three axes are supported")
     params = dict(_DEFAULT_FIXED)
     unknown = set(spec.fixed) - set(params)
     if unknown:
         raise ConfigError(f"unknown fixed parameters {sorted(unknown)}")
     params.update(spec.fixed)
-    params["k"] = _integral("k", params["k"])
+    ks = params["k"] if isinstance(params["k"], (tuple, list)) else (params["k"],)
+    params["k"] = tuple(_integral("k", k) for k in ks)
     params["n_max"] = _integral("n_max", params["n_max"])
     for key in ("h", "M", "delta", "u", "v", "w"):
         params[key] = float(params[key])
-    if params["k"] < 1:
-        raise ConfigError(f"k must be >= 1, got {params['k']}")
+    if not params["k"] or min(params["k"]) < 1:
+        raise ConfigError(f"k must hold indices >= 1, got {ks!r}")
     if not params["delta"] > 0:
         raise ConfigError(f"delta must be positive, got {params['delta']}")
     if not params["M"] >= 0:
@@ -257,19 +255,17 @@ def _validated(spec: SweepSpec) -> dict:
             raise ConfigError("scenario=custom needs segments")
         if spec.mode != "general":
             raise ConfigError("scenario=custom supports mode=general only")
+    elif spec.segments:
+        raise ConfigError(
+            f"scenario {spec.scenario!r} fixes its own trajectory; segments "
+            "need scenario=custom"
+        )
     if params["M"] > 0 and spec.scenario != "one-way" and spec.mode != "general":
         raise ConfigError(
             "closed forms at M > 0 exist for the one-way scenario only; "
             "use mode=general"
         )
-    if spec.k_list is not None:
-        ks = tuple(_integral("k_list", k) for k in spec.k_list)
-        if not ks or any(k < 1 for k in ks):
-            raise ConfigError(f"k_list must hold positive indices, got {spec.k_list}")
-        params["k_list"] = ks
-    else:
-        params["k_list"] = (params["k"],)
-    k_over_m = max(params["k_list"]) / params["M"] if params["M"] > 0 else 0.0
+    k_over_m = max(params["k"]) / params["M"] if params["M"] > 0 else 0.0
     if k_over_m > _MAX_K_OVER_M and spec.mode != "general":
         raise ConfigError(
             f"k/M = {k_over_m:.3g} is above {_MAX_K_OVER_M}, where the heavy-field "
@@ -314,9 +310,7 @@ def _build_scenario(
         return alpha_centauri_scenario(tau_bar, tau_prime, cfg)
     if name == "round-trip":
         return round_trip_scenario(tau_bar, tau_prime, tau_dprime, cfg)
-    if name == "kickstart":
-        return kickstart_scenario(tau_bar, cfg)
-    raise ConfigError(f"unknown scenario {name!r}")
+    return kickstart_scenario(tau_bar, cfg)
 
 
 _N_FACTORS = {"one-way": 1, "alpha-centauri": 2, "round-trip": 3}
@@ -442,7 +436,7 @@ def _sweep_lines(spec: SweepSpec):
     h = params["h"]
     fields = BOTH_FIELDS if spec.mode == "both" else BASE_FIELDS
     blocks = []
-    for k in params["k_list"]:
+    for k in params["k"]:
         closed = general = None
         if spec.mode in ("closed-form", "both"):
             closed, closed_tail = _closed_grid(spec, params, coords, shape, k)
@@ -469,24 +463,13 @@ def _sweep_lines(spec: SweepSpec):
     return itertools.chain([",".join(fields)], *blocks)
 
 
-def _write(path: str, chunks) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-    except OSError as exc:
-        raise OSError(f"cannot write sweep output to {path!r}: {exc}") from exc
-
-
 def run_sweep(spec: SweepSpec) -> str:
-    """Evaluate the grid and return the CSV text (writing spec.output if set).
+    """Evaluate the grid and return the CSV text; spec.output is not read.
 
     One row per grid point per k; with mode=both each row carries the
     closed-form value, the pipeline value, and their absolute difference.
     """
-    text = "\n".join(_sweep_lines(spec)) + "\n"
-    if spec.output:
-        _write(spec.output, (text,))
-    return text
+    return "\n".join(_sweep_lines(spec)) + "\n"
 
 
 # rows per write call when a sweep streams to its output file
@@ -511,7 +494,11 @@ def write_sweep(spec: SweepSpec) -> int:
             written += len(batch)
             yield "\n".join(batch) + "\n"
 
-    _write(spec.output, chunks())
+    try:
+        with open(spec.output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks())
+    except OSError as exc:
+        raise OSError(f"cannot write sweep output to {spec.output!r}: {exc}") from exc
     return written - 1  # the header is not a row
 
 
@@ -546,41 +533,29 @@ PRESETS = {
     "fig5a": dict(
         scenario="one-way",
         axes=(Axis("u", 0.0, 3.0, 601),),
-        fixed={"h": 1e-5, "M": 1e3, "n_max": 200},
-        k_list=(1, 2, 3, 4),
+        fixed={"k": (1, 2, 3, 4), "h": 1e-5, "M": 1e3, "n_max": 200},
     ),
     # k = 30 beats against neighbours up to |k^2 - n^2| ~ 190, so the grid
     # needs a few samples per 1/190 of a u unit
     "fig5b": dict(
         scenario="one-way",
         axes=(Axis("u", 0.0, 3.0, 2401),),
-        fixed={"h": 1e-5, "M": 1e3, "n_max": 200},
-        k_list=(30,),
+        fixed={"k": (30,), "h": 1e-5, "M": 1e3, "n_max": 200},
     ),
 }
 
 
-def preset_spec(name: str, output: str | None = None, **overrides) -> SweepSpec:
-    """Materialize a named preset; keyword overrides patch the SweepSpec."""
+def preset_spec(name: str, output: str | None = None) -> SweepSpec:
+    """Materialize a named preset as a closed-form SweepSpec."""
     try:
         stored = PRESETS[name]
     except KeyError:
         raise ConfigError(
             f"unknown preset {name!r}, expected one of {sorted(PRESETS)}"
         ) from None
-    base = dict(scenario=stored["scenario"], axes=stored["axes"], mode="closed-form")
-    base["fixed"] = dict(stored["fixed"])
-    base["k_list"] = stored.get("k_list")
-    base["output"] = output
-    spec = SweepSpec(**base)
-    if overrides:
-        fixed_overrides = overrides.pop("fixed", None)
-        if fixed_overrides:
-            merged = dict(spec.fixed)
-            merged.update(fixed_overrides)
-            overrides["fixed"] = merged
-        spec = replace(spec, **overrides)
-    return spec
+    return SweepSpec(
+        stored["scenario"], stored["axes"], dict(stored["fixed"]), output=output
+    )
 
 
 def default_output_path(stem: str, out: str | None) -> str:
@@ -621,6 +596,7 @@ def estimate_physical(
     uses the heavy-field waveform sampled over one period.  Intermediate
     masses have no closed form here.
     """
+    k = _integral("k", k)
     h, M, report = physical_to_dimensionless(
         accel, delta, mass, transverse_wavelength, k
     )

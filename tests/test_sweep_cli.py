@@ -330,21 +330,25 @@ def test_unknown_fixed_key_rejected():
     "key,bad,whole,same",
     [
         ("k", 2.7, 2.0, 2),
-        ("k_list", (1.9,), (2.0,), (2,)),
+        ("k", (1, 1.9), (1, 2.0), [1, 2]),
         ("n_max", 200.5, 200.0, 200),
     ],
-    ids=["k", "k_list", "n_max"],
+    ids=["k", "k_sequence", "n_max"],
 )
 def test_non_integral_indices_rejected(key, bad, whole, same):
     # 2.7 was truncated to k = 2 and written as such; 2 and 2.0 stay valid
     def spec(value):
-        if key == "k_list":
-            return one_way_spec(k_list=value)
         return one_way_spec(fixed={"h": 0.01, key: value})
 
     with pytest.raises(ConfigError, match=f"{key} must be an integer"):
         run_sweep(spec(bad))
     assert run_sweep(spec(whole)) == run_sweep(spec(same))
+
+
+@pytest.mark.parametrize("k", [0, (), (1, 0), (2, -1)])
+def test_k_below_one_or_empty_rejected(k):
+    with pytest.raises(ConfigError, match="k must hold indices >= 1"):
+        run_sweep(one_way_spec(fixed={"k": k}))
 
 
 def test_r_max_below_k_rejected(tmp_path, capsys):
@@ -363,21 +367,24 @@ def test_r_max_below_k_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_k_list_emits_one_block_per_k():
-    spec = one_way_spec(k_list=(1, 2))
+def test_k_sequence_emits_one_block_per_k():
+    spec = one_way_spec(fixed={"k": (2, 1)})
     rows = rows_of(run_sweep(spec))
-    assert [int(r["k"]) for r in rows] == [1] * 21 + [2] * 21
+    assert [int(r["k"]) for r in rows] == [2] * 21 + [1] * 21
+    assert run_sweep(one_way_spec(fixed={"k": (1,)})) == run_sweep(one_way_spec())
 
 
 def test_output_file_written(tmp_path):
+    # run_sweep returns the text and leaves spec.output alone; write_sweep
+    # is the one writer
     out = tmp_path / "sweep.csv"
     text = run_sweep(one_way_spec(output=str(out)))
+    assert not out.exists()
+    assert write_sweep(one_way_spec(output=str(out))) == 21
     assert out.read_text(encoding="utf-8") == text
 
 
 def test_unwritable_output_raises_with_path():
-    with pytest.raises(OSError, match="no/such/dir"):
-        run_sweep(one_way_spec(output="/no/such/dir/out.csv"))
     with pytest.raises(OSError, match="no/such/dir"):
         write_sweep(one_way_spec(output="/no/such/dir/out.csv"))
     with pytest.raises(ConfigError, match="output path"):
@@ -388,9 +395,9 @@ def test_unwritable_output_raises_with_path():
 def test_streamed_file_equals_the_returned_text(monkeypatch, tmp_path, chunk):
     # two k blocks of 21 rows behind the header, cut at every chunk size
     monkeypatch.setattr(sweep, "_CHUNK_ROWS", chunk)
-    spec = one_way_spec(k_list=(1, 2), output=str(tmp_path / "s.csv"))
+    spec = one_way_spec(fixed={"k": (1, 2)}, output=str(tmp_path / "s.csv"))
     assert write_sweep(spec) == 42
-    text = run_sweep(replace(spec, output=None))
+    text = run_sweep(spec)
     assert (tmp_path / "s.csv").read_bytes() == text.encode("utf-8")
 
 
@@ -440,7 +447,7 @@ def test_fig4_presets_fix_w():
 
 def test_fig5_presets():
     spec_a = preset_spec("fig5a")
-    assert spec_a.k_list == (1, 2, 3, 4)
+    assert spec_a.fixed["k"] == (1, 2, 3, 4)
     assert spec_a.fixed["M"] == 1e3 and spec_a.fixed["h"] == 1e-5
     rows = rows_of(run_sweep(preset_spec("fig5b")))
     assert len(rows) == 2401 and all(int(r["k"]) == 30 for r in rows)
@@ -486,7 +493,7 @@ def reference_csv(spec):
     h = params["h"]
     fields = sweep.BOTH_FIELDS if spec.mode == "both" else sweep.BASE_FIELDS
     lines = [",".join(fields)]
-    for k in params["k_list"]:
+    for k in params["k"]:
         if spec.mode != "general":
             closed, closed_tail = sweep._closed_grid(spec, params, coords, shape, k)
         if spec.mode != "closed-form":
@@ -541,16 +548,15 @@ REPEATED_NEGATIVITIES = SweepSpec(
                   Axis("v", -1.0, 1.0, 2)),
             fixed={"k": 2, "h": 0.01},
         ),
-        # k_list, one axis, a fixed phase
+        # several k, one axis, a fixed phase
         SweepSpec(
             scenario="alpha-centauri",
             axes=(Axis("v", 0.0, 2 * math.pi, 7),),
-            fixed={"h": 0.02, "u": 1.25},
-            k_list=(1, 2, 3),
+            fixed={"k": (1, 2, 3), "h": 0.02, "u": 1.25},
         ),
         # no axes at all
         SweepSpec(scenario="round-trip", fixed={"u": 0.3, "v": 0.4, "w": 1.7}),
-        SweepSpec(scenario="kickstart", k_list=(1, 4)),
+        SweepSpec(scenario="kickstart", fixed={"k": (1, 4)}),
         TINY_PHASES,
         HUGE_PHASES,
         REPEATED_NEGATIVITIES,
@@ -559,16 +565,14 @@ REPEATED_NEGATIVITIES = SweepSpec(
         SweepSpec(
             scenario="one-way",
             axes=(Axis("u", 0.0, 3.0, 4), Axis("v", 0.0, 1.0, 2)),
-            fixed={"h": 1e-5, "M": 1e3, "n_max": 60},
-            k_list=(1, 2),
+            fixed={"k": (1, 2), "h": 1e-5, "M": 1e3, "n_max": 60},
         ),
         # mode both and mode general, with a fixed phase and several k
         SweepSpec(
             scenario="round-trip",
             axes=(Axis("u", 0.2, 2.0, 3), Axis("w", 0.0, 1.0, 2)),
-            fixed={"h": 0.01, "v": 0.5, "n_max": 60},
+            fixed={"k": (1, 2), "h": 0.01, "v": 0.5, "n_max": 60},
             mode="both",
-            k_list=(1, 2),
         ),
         SweepSpec(
             scenario="alpha-centauri",
@@ -649,6 +653,16 @@ def test_estimate_heavy_field_path():
     assert 0.0 < est.peak_degradation < 0.5
 
 
+def test_estimate_mode_index_is_a_whole_number():
+    # k = 2.0 raised TypeError inside the heavy-field waveform
+    for kw in ({}, {"transverse_wavelength": 500e-9}):
+        assert estimate_physical(10.0, 10.0, k=2.0, **kw) == estimate_physical(
+            10.0, 10.0, k=2, **kw
+        )
+        with pytest.raises(ConfigError, match="k must be an integer, got 2.5"):
+            estimate_physical(10.0, 10.0, k=2.5, **kw)
+
+
 def test_estimate_intermediate_mass_refused():
     with pytest.raises(ConfigError):
         estimate_physical(1.0, 1.0, transverse_wavelength=1.0, k=30)
@@ -706,6 +720,88 @@ def test_cli_flag_overrides(tmp_path):
     rows = rows_of(out.read_text(encoding="utf-8"))
     assert len(rows) == 5
     assert all(r["k"] == "2" and r["h"] == "0.02" for r in rows)
+
+
+def test_cli_k_flag_overrides_a_preset_k_sequence(tmp_path, capsys):
+    # the preset's k = 1..4 won over the flag and four blocks were written
+    out = tmp_path / "f.csv"
+    assert main(["--preset", "fig5a", "--k", "3", "--out", str(out)]) == 0
+    rows = rows_of(out.read_text(encoding="utf-8"))
+    assert len(rows) == 601 and {r["k"] for r in rows} == {"3"}
+    capsys.readouterr()
+
+
+def test_cli_k_flag_overrides_a_config_k_sequence(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("scenario = one-way\nu = 0:pi:3\nk = 1, 2\n", encoding="utf-8")
+    out = tmp_path / "c.csv"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    assert [r["k"] for r in rows_of(out.read_text(encoding="utf-8"))] == (
+        ["1"] * 3 + ["2"] * 3
+    )
+    assert main(["--config", str(cfg), "--k", "5", "--out", str(out)]) == 0
+    assert [r["k"] for r in rows_of(out.read_text(encoding="utf-8"))] == ["5"] * 3
+    assert main(["--config", str(cfg), "--k", "3,1", "--out", str(out)]) == 0
+    assert [r["k"] for r in rows_of(out.read_text(encoding="utf-8"))] == (
+        ["3"] * 3 + ["1"] * 3
+    )
+    capsys.readouterr()
+
+
+def test_cli_whole_numbers_written_as_floats_give_the_same_bytes(tmp_path, capsys):
+    # --k 2.0 was a usage error and the config line k = 2.0 an int() error
+    base = ["--scenario", "one-way", "--mode", "both", "--axis", "u=0.5:1:2"]
+
+    def run(name, extra, config=""):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        out = tmp_path / f"{name}.csv"
+        assert main(base + extra + ["--config", str(cfg), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    whole = run("whole", ["--k", "2", "--n-max", "200"])
+    assert run("flags", ["--k", "2.0", "--n-max", "200.0"]) == whole
+    assert run("config", [], "k = 2.0\nn_max = 200.0\n") == whole
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags,config,message",
+    [
+        (["--k", "2.7"], "", "k must be an integer, got 2.7"),
+        (["--n-max", "200.5"], "", "n_max must be an integer, got 200.5"),
+        ([], "k = 1, 2.7\n", "k must be an integer, got 2.7"),
+        ([], "k_list = 1, 2\n", "c.cfg:1: unknown key 'k_list'"),
+        ([], "h = 0.01\nk = x\n", "c.cfg:2: cannot parse number 'x'"),
+    ],
+    ids=["k-flag", "n-max-flag", "k-key", "k-list-key", "k-garbage"],
+)
+def test_cli_refuses_bad_indices(tmp_path, capsys, flags, config, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    argv = ["--scenario", "one-way", "--axis", "u=0:pi:3", "--config", str(cfg),
+            "--out", str(out)]
+    assert main(argv + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,config",
+    [(["--segments", "acc:1:0.5"], ""), ([], "segments = acc:1:0.5\n")],
+    ids=["segments-flag", "segments-key"],
+)
+def test_cli_named_scenario_refuses_segments(tmp_path, capsys, flags, config):
+    # the segments were dropped and one-way rows written
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    argv = ["--scenario", "one-way", "--axis", "u=0:pi:3", "--config", str(cfg),
+            "--out", str(out)]
+    assert main(argv + flags) == 1
+    assert "segments need scenario=custom" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_config_file_matches_flags(tmp_path):
@@ -816,6 +912,12 @@ def test_cli_estimate(capsys):
     assert "1.25664e+08" in out
     assert "massive_ok = True" in out
     assert main(["--estimate", "--accel", "10"]) == 1
+    # one k only: a list has no single peak to report
+    argv = ["--estimate", "--accel", "10", "--delta", "10"]
+    assert main(argv + ["--k", "1,2"]) == 1
+    assert "--estimate takes one --k, got 2" in capsys.readouterr().err
+    assert main(argv + ["--k", "2.0"]) == 0
+    assert "k = 2\n" in capsys.readouterr().out
 
 
 def test_cli_estimate_mode_index(capsys):
