@@ -10,7 +10,10 @@ holding the remaining parameters fixed, and records one row per grid point.
 For a heavy field (M > 0) the u coordinate is read as pi tau_bar / (4 M
 delta), one unit per approximate period of the heavy-field waveform, and the
 deficit column keeps its usual per-h**2 scaling (divide by M**4 to land on
-the conventional heavy-field normalization).
+the conventional heavy-field normalization).  This module alone turns (u, v,
+w) into a trip (_tau_bar, _build_scenario) and into a named massless trip's
+closed form and series tail (_massless_closed); verify's pipeline checks and
+estimate_physical read the same map.
 
 Re-running a sweep with the same spec yields a byte-identical file: values
 are written in shortest round-trip decimal form (repr of a Python float),
@@ -29,6 +32,7 @@ write_sweep sends them to the output file a chunk of rows at a time.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 import os
@@ -46,8 +50,6 @@ from .closedform import (
     two_way_deficit,
 )
 from .scenario import (
-    Accelerated,
-    Inertial,
     Scenario,
     alpha_centauri_scenario,
     kickstart_scenario,
@@ -63,8 +65,10 @@ from .spectrum import (
 )
 
 
-class ConfigError(ValueError):
-    """Raised for contradictory or unparseable sweep configuration."""
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """Raised for contradictory or unparseable sweep configuration.  It is an
+    argparse type error too, so a numeric flag that does not parse reports
+    this text, the one a config file gives for the same value."""
 
 
 class NumericValidityError(ArithmeticError):
@@ -154,7 +158,8 @@ def parse_number(text: str) -> float:
 
 @dataclass(frozen=True)
 class Axis:
-    """One swept coordinate: name in {u, v, w}, inclusive range, count >= 2."""
+    """One swept coordinate: name in {u, v, w}, inclusive range, count a
+    whole number >= 2 (3.0 is stored as 3)."""
 
     name: str
     start: float
@@ -164,6 +169,8 @@ class Axis:
     def __post_init__(self) -> None:
         if self.name not in ("u", "v", "w"):
             raise ConfigError(f"axis name must be u, v or w, got {self.name!r}")
+        count = _integral(f"axis {self.name}: count", self.count)
+        object.__setattr__(self, "count", count)
         if self.count < 2:
             raise ConfigError(f"axis {self.name}: count must be >= 2, got {self.count}")
 
@@ -179,11 +186,7 @@ def parse_axis(text: str) -> Axis:
     parts = rng.split(":")
     if len(parts) != 3:
         raise ConfigError(f"axis range must be start:stop:count, got {rng!r}")
-    try:
-        count = int(parts[2])
-    except ValueError:
-        raise ConfigError(f"axis count must be an integer, got {parts[2]!r}") from None
-    return Axis(name.strip(), parse_number(parts[0]), parse_number(parts[1]), count)
+    return Axis(name.strip(), *(parse_number(x) for x in parts))
 
 
 @dataclass(frozen=True)
@@ -297,8 +300,9 @@ def _tau_bar(u, cfg: CavityConfig):
 
 
 def _build_scenario(
-    name: str, u: float, v: float, w: float, cfg: CavityConfig, segments
+    name: str, cfg: CavityConfig, u, v=0.0, w=0.0, segments=None
 ) -> Scenario:
+    """The trip that scenario name takes at phase coordinates (u, v, w)."""
     if name == "custom":
         return Scenario(segments, cfg)
     tau_bar = _tau_bar(u, cfg)
@@ -313,7 +317,20 @@ def _build_scenario(
     return kickstart_scenario(tau_bar, cfg)
 
 
-_N_FACTORS = {"one-way": 1, "alpha-centauri": 2, "round-trip": 3}
+def _massless_closed(name: str, k: int, u, v, w) -> tuple:
+    """Closed-form deficit of a named trip at M = 0 and phase coordinates
+    (u, v, w), scalars or broadcastable arrays, and its series tail.  The
+    kickstart deficit is one number, whatever the phases."""
+    if name == "kickstart":
+        return kickstart_deficit(k), closedform._cutoff(k, closedform.TOL_Q, 0)[1]
+    p = np.exp(1j * u)
+    if name == "one-way":
+        factors, deficit = 1, one_way_deficit(k, p)
+    elif name == "alpha-centauri":
+        factors, deficit = 2, two_way_deficit(k, p, np.exp(1j * v))
+    else:
+        factors, deficit = 3, round_trip_deficit(k, p, np.exp(1j * v), np.exp(1j * w))
+    return deficit, closedform._cutoff(k, closedform.TOL_SUM, factors)[1]
 
 
 def _closed_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: int):
@@ -323,31 +340,19 @@ def _closed_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: i
     loci and may come out at -1e-17, which the rows keep; a deficit below
     -1e-10, or a NaN, is a bug and raises ArithmeticError.
     """
-    name = spec.scenario
     M = params["M"]
-    u, v, w = coords["u"], coords["v"], coords["w"]
-    if name == "kickstart":
-        _, tail = closedform._cutoff(k, closedform.TOL_Q, 0)
-        deficit = np.full(shape, kickstart_deficit(k))
-    elif M > 0:
+    if M > 0:
         # the full grid in one call, as the heavy-field sum is a matrix
         # product whose rounding may depend on the stack shape: it is not
         # split into row blocks, and its waveform is built in place instead
         cfg = CavityConfig(delta=params["delta"], M=M)
-        tau = _tau_bar(np.broadcast_to(u, shape), cfg)
+        tau = _tau_bar(np.broadcast_to(coords["u"], shape), cfg)
         deficit = np.asarray(
             massive_limit_deficit(k, M, tau, params["delta"], params["n_max"])
         )
         tail = closedform._massive_tail(k, M, params["n_max"])
     else:
-        _, tail = closedform._cutoff(k, closedform.TOL_SUM, _N_FACTORS[name])
-        p = np.exp(1j * u)
-        if name == "one-way":
-            deficit = one_way_deficit(k, p)
-        elif name == "alpha-centauri":
-            deficit = two_way_deficit(k, p, np.exp(1j * v))
-        else:
-            deficit = round_trip_deficit(k, p, np.exp(1j * v), np.exp(1j * w))
+        deficit, tail = _massless_closed(spec.scenario, k, **coords)
         deficit = np.broadcast_to(deficit, shape)
     lowest = float(np.min(deficit))
     if not lowest >= -1e-10:  # NaN fails this too
@@ -373,10 +378,8 @@ def _general_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: 
     )
     u, v, w = (np.broadcast_to(coords[name], shape).ravel() for name in ("u", "v", "w"))
     results = [
-        scenario_negativity(
-            _build_scenario(spec.scenario, u[i], v[i], w[i], cfg, spec.segments)
-        )
-        for i in range(u.size)
+        scenario_negativity(_build_scenario(spec.scenario, cfg, *uvw, spec.segments))
+        for uvw in zip(u, v, w)
     ]
     deficit = np.array([d for d, _ in results]).reshape(shape)
     if np.isnan(deficit).any():
@@ -605,7 +608,7 @@ def estimate_physical(
         peak = 4.0 * kickstart_deficit(k)
     elif k / M <= 0.01:
         path = "heavy-field"
-        period = 4.0 * M * delta / math.pi
+        period = _tau_bar(1.0, CavityConfig(delta=delta, M=M))
         tau = np.linspace(0.0, period, 2049)
         # the function's default n_max of 200, or 2k where it needs more
         peak = float(np.max(massive_limit_deficit(k, M, tau, delta, max(200, 2 * k))))

@@ -4,14 +4,15 @@ The fast level runs the cheap invariants (identities at moderate cutoff,
 cross-checks at a handful of phase points).  The full level raises the cutoff
 to 2000, adds doubling convergence, widens the phase grids to 64 points and
 covers the heavy-field masses.  Both levels check the column engine against
-the closed forms and against the full-matrix reference.  The boost
-identity residuals come from bogoliubov's one reader, fed the entry
-formulas a row block at a time, so no level builds a boost larger than
-n_max 500.  On a 2-vCPU x86-64 machine (Python 3.11, numpy 2.4) fast takes
-0.10-0.16 s and full 0.5-0.6 s, each at a resident peak of 47-54 MB,
-imports included; the largest traced peak of either level is 16.8 MB, in
-the column-vs-matrix check, and the identity checks peak at 3.0 MB (fast)
-and 11.9 MB (full).
+the closed forms and against the full-matrix reference; the closed-form
+checks build each trip and its closed value through sweep's map of phase
+coordinates, the one every sweep uses.  The boost identity residuals come
+from bogoliubov's one reader, fed the entry formulas a row block at a time,
+so no level builds a boost larger than n_max 500.  On a 2-vCPU x86-64
+machine (Python 3.11, numpy 2.4) fast takes 0.10-0.16 s and full 0.5-0.6 s,
+each at a resident peak of 47-54 MB, imports included; the largest traced
+peak of either level is 16.8 MB, in the column-vs-matrix check, and the
+identity checks peak at 3.0 MB (fast) and 11.9 MB (full).
 bench/verify_layers.py times and traces them check by check.
 """
 
@@ -54,7 +55,8 @@ from .scenario import (
     round_trip_scenario,
     scenario_negativity,
 )
-from .spectrum import acceleration_period, rindler_frequency
+from .spectrum import acceleration_period
+from .sweep import _build_scenario, _massless_closed
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
 
@@ -209,45 +211,37 @@ def _zero_locus_check() -> CheckResult:
     return CheckResult("deficit-vanishes-on-loci", worst, 1e-12)
 
 
+# the check label of each named trip, in check order
+_PIPELINE_LABELS = {
+    "one-way": "one-way",
+    "alpha-centauri": "two-way",
+    "round-trip": "round-trip",
+    "kickstart": "kickstart",
+}
+
+
 def _pipeline_checks(n_max: int, npoints: int, ks) -> list:
-    cfg0 = CavityConfig(n_max=n_max)
-    omega = rindler_frequency(1, cfg0)
+    """Column engine against the closed forms for the four named trips, each
+    built and evaluated through sweep's map of phase coordinates (u, v, w);
+    the kickstart trip runs at u = 0.8 alone."""
     us = np.linspace(0.15, 2.0 * math.pi - 0.15, npoints)
-    vs = np.roll(us, max(1, npoints // 3))
-    ws = np.roll(us, max(2, 2 * npoints // 3))
-    p, pp, ppp = np.exp(1j * us), np.exp(1j * vs), np.exp(1j * ws)
-    taus, tps, tds = us / omega, vs / math.pi, ws / math.pi
+    vs, ws = np.roll(us, max(1, npoints // 3)), np.roll(us, max(2, 2 * npoints // 3))
+    grid, kick = np.array([us, vs, ws]), np.array([[0.8], [0.0], [0.0]])
+    tol = 1e-8 if n_max >= 2000 else 3e-7 * (500.0 / n_max) ** 3
     checks = []
     for k in ks:
         cfg = CavityConfig(k=k, n_max=n_max)
-        cases = (
-            ("one-way", lambda i: one_way_scenario(taus[i], cfg), one_way_deficit(k, p)),
-            (
-                "two-way",
-                lambda i: alpha_centauri_scenario(taus[i], tps[i], cfg),
-                two_way_deficit(k, p, pp),
-            ),
-            (
-                "round-trip",
-                lambda i: round_trip_scenario(taus[i], tps[i], tds[i], cfg),
-                round_trip_deficit(k, p, pp, ppp),
-            ),
-        )
-        tol = 1e-8 if n_max >= 2000 else 3e-7 * (500.0 / n_max) ** 3
-        for label, scenario_at, closed in cases:
-            closed = np.asarray(closed, dtype=float)
+        for name, label in _PIPELINE_LABELS.items():
+            points = kick if name == "kickstart" else grid
+            closed, _ = _massless_closed(name, k, *points)
+            closed = np.broadcast_to(closed, points.shape[1:])
             worst = max(
-                abs(scenario_negativity(scenario_at(i))[0] - closed[i])
-                for i in range(npoints)
+                abs(scenario_negativity(_build_scenario(name, cfg, *uvw))[0] - c)
+                for uvw, c in zip(points.T.tolist(), closed.tolist())
             )
             checks.append(
                 CheckResult(f"pipeline-vs-closed-{label}-k{k}-n{n_max}", worst, tol)
             )
-        kick, _ = scenario_negativity(kickstart_scenario(0.8 / omega, cfg))
-        worst_kick = abs(kick - kickstart_deficit(k))
-        checks.append(
-            CheckResult(f"pipeline-vs-closed-kickstart-k{k}-n{n_max}", worst_kick, tol)
-        )
     return checks
 
 
@@ -318,12 +312,10 @@ def _periodicity_check(n_max: int = 200) -> CheckResult:
 
 def _doubling_check() -> CheckResult:
     """Deficit change under n_max doubling must sit inside the tail bound."""
-    u = 2.4
-    cfg_lo = CavityConfig(n_max=1000)
-    cfg_hi = CavityConfig(n_max=2000)
-    omega = rindler_frequency(1, cfg_lo)
-    lo, lo_tail = scenario_negativity(one_way_scenario(u / omega, cfg_lo))
-    hi, _ = scenario_negativity(one_way_scenario(u / omega, cfg_hi))
+    (lo, lo_tail), (hi, _) = (
+        scenario_negativity(_build_scenario("one-way", CavityConfig(n_max=n), 2.4))
+        for n in (1000, 2000)
+    )
     return CheckResult("one-way-doubling-convergence", abs(hi - lo), lo_tail + 1e-12)
 
 

@@ -79,6 +79,17 @@ def test_parse_axis_rejects_bad_input(text):
         parse_axis(text)
 
 
+def test_axis_count_follows_the_whole_number_rule():
+    # counts went through int(): 3.0 was refused by parse_axis, and a
+    # library Axis took 2.5 and failed later inside np.linspace
+    assert parse_axis("u=0:1:3.0") == Axis("u", 0.0, 1.0, 3)
+    assert Axis("u", 0.0, 1.0, 3.0).count == 3
+    assert isinstance(Axis("u", 0.0, 1.0, 3.0).count, int)
+    for build in (lambda: Axis("u", 0, 1, 2.5), lambda: parse_axis("u=0:1:2.5")):
+        with pytest.raises(ConfigError, match="axis u: count must be an integer"):
+            build()
+
+
 def test_parse_segments():
     segs = parse_segments("acc:+1:0.7,in:1.2,acc:-1:pi/2")
     assert segs == (
@@ -782,6 +793,35 @@ def test_cli_refuses_bad_indices(tmp_path, capsys, flags, config, message):
     out = tmp_path / "x.csv"
     argv = ["--scenario", "one-way", "--axis", "u=0:pi:3", "--config", str(cfg),
             "--out", str(out)]
+    assert main(argv + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_axis_count_written_as_a_float(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["--scenario", "one-way", "--out", str(out)]
+    assert main(argv + ["--axis", "u=0:1:3.0"]) == 0
+    assert len(rows_of(out.read_text(encoding="utf-8"))) == 3
+    out.unlink()
+    assert main(argv + ["--axis", "u=0:1:2.5"]) == 1
+    assert "axis u: count must be an integer, got 2.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--h", "nan"], "argument --h: number must be finite, got 'nan'"),
+        (["--k", ","], "argument --k: empty number"),
+        (["--n-max", "2x"], "argument --n-max: cannot parse number '2x'"),
+    ],
+    ids=["h-nan", "k-empty", "n-max-garbage"],
+)
+def test_cli_number_flags_keep_the_config_error_text(tmp_path, capsys, flags, message):
+    # argparse replaced the text with "invalid parse_number value: 'nan'"
+    out = tmp_path / "x.csv"
+    argv = ["--scenario", "one-way", "--axis", "u=0:pi:3", "--out", str(out)]
     assert main(argv + flags) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -88,6 +88,18 @@ def test_a_small_boost_symmetry_break_is_caught(monkeypatch):
     assert not any(c.passed for c in order1)
 
 
+def test_pipeline_checks_police_the_sweep_coordinate_map(monkeypatch):
+    # verify builds its trips through sweep's map of (u, v, w), so a map
+    # that is 1% off in every accelerated duration fails there too
+    from cavneg import sweep
+
+    tau_bar = sweep._tau_bar
+    monkeypatch.setattr(sweep, "_tau_bar", lambda u, cfg: 1.01 * tau_bar(u, cfg))
+    report = run_verification("fast")
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed and all(name.startswith("pipeline-vs-closed-") for name in failed)
+
+
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         run_verification("paranoid")
