@@ -11,9 +11,12 @@ Writes a JSON report with:
 - ``fast_total_s``: the median time of the whole fast level;
 - ``fast_maxrss_mb``: the median peak resident memory of those interpreters
   (``ru_maxrss``, imports included);
-- ``full_s``: the time of one ``run_verification("full")`` call, with the
-  time and traced peak of each of its check functions, and
-  ``full_maxrss_mb`` its peak resident memory;
+- ``full_s``: the median time of ``run_verification("full")`` over the
+  same rounds, with the median time and the traced peak of each of its
+  check functions;
+- ``full_maxrss_mb``: the median peak resident memory of the full level,
+  with ``full_maxrss_mb_min`` and ``full_maxrss_mb_max`` over the rounds,
+  since that peak moves by a few MB between interpreters of one tree;
 - whether every check passed, and the environment: nproc, Python and numpy
   versions, git SHA and whether src/ differs from it.
 
@@ -30,10 +33,10 @@ Run from the repository root:
 
 With ``--baseline REV`` the src/ tree of that git revision is extracted with
 ``git archive`` into a temporary directory and timed the same way, so the
-report holds before and after numbers. A round runs the fast level once in a
-fresh interpreter; the two trees alternate round by round, so that a slow
-spell of the host hits both. Fast-level times are medians in seconds over
-seven rounds. The full level runs once per tree, after the rounds, and the
+report holds before and after numbers. A round runs the fast level once and
+then the full level once, each in a fresh interpreter, for each tree in
+turn; the two trees alternate within every round, so that a slow spell of
+the host hits both. Times are medians in seconds over seven rounds, and the
 traced runs come last.
 """
 
@@ -145,18 +148,19 @@ def _calls(runs: list, traced: dict) -> list:
     return calls
 
 
-def _summary(rounds: list, full: dict, traced: dict) -> dict:
+def _summary(rounds: list, full: list, traced: dict) -> dict:
     return {
         "fast": _calls(rounds, traced["fast"]),
         "fast_total_s": statistics.median(r["total_s"] for r in rounds),
         "fast_checks": rounds[0]["checks"],
         "fast_maxrss_mb": statistics.median(r["maxrss_mb"] for r in rounds),
-        "full_s": full["total_s"],
-        "full_maxrss_mb": full["maxrss_mb"],
-        "full": _calls([full], traced["full"]),
-        "full_checks": full["checks"],
-        "passed": all(r["passed"] for r in rounds)
-        and full["passed"]
+        "full_s": statistics.median(r["total_s"] for r in full),
+        "full_maxrss_mb": statistics.median(r["maxrss_mb"] for r in full),
+        "full_maxrss_mb_min": min(r["maxrss_mb"] for r in full),
+        "full_maxrss_mb_max": max(r["maxrss_mb"] for r in full),
+        "full": _calls(full, traced["full"]),
+        "full_checks": full[0]["checks"],
+        "passed": all(r["passed"] for r in (*rounds, *full))
         and all(t["passed"] for t in traced.values()),
     }
 
@@ -167,10 +171,11 @@ def measure(baseline: str | None) -> dict:
         if baseline is not None:
             trees = {"before": extract_src(baseline, tmp), **trees}
         rounds = {label: [] for label in trees}
+        full = {label: [] for label in trees}
         for _ in range(REPEATS):
             for label, src in trees.items():
                 rounds[label].append(_run(src, "fast"))
-        full = {label: _run(src, "full") for label, src in trees.items()}
+                full[label].append(_run(src, "full"))
         traced = {
             label: {level: _run(src, level, traced=True) for level in ("fast", "full")}
             for label, src in trees.items()
@@ -215,7 +220,8 @@ def main(argv=None) -> int:
         print(
             f"{label} fast: {side['fast_total_s']:.3f} s, "
             f"{side['fast_maxrss_mb']:.1f} MB, {side['fast_checks']} checks; "
-            f"full: {side['full_s']:.3f} s, {side['full_maxrss_mb']:.1f} MB, "
+            f"full: {side['full_s']:.3f} s, {side['full_maxrss_mb']:.1f} MB "
+            f"({side['full_maxrss_mb_min']:.1f}-{side['full_maxrss_mb_max']:.1f}), "
             f"{side['full_checks']} checks; all passed: {side['passed']}"
         )
     print(f"wrote {args.out}")

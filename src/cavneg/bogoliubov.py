@@ -130,47 +130,105 @@ def identity_transform(n_max: int) -> PerturbativeTransform:
     )
 
 
-def _cube(x):
+def _cube(x, out=None):
     """x**3 for a float array of exact integers.  While x * x stays exact,
     below 2**53, the cube is rounded once: correctly rounded and odd in x,
-    where numpy's ** 3 misrounds a few percent of such entries."""
-    return x * x * x
+    where numpy's ** 3 misrounds a few percent of such entries.  out, when
+    given, receives x * x and then the cube."""
+    out = np.multiply(x, x, out=out)
+    return np.multiply(out, x, out=out)
 
 
-def _massless_entries(mm, nn):
-    """First-order massless boost entries for broadcastable mode indices."""
-    diff = mm - nn
-    odd = diff % 2 != 0
-    root = np.sqrt((mm * nn).astype(float))
+def _massive_quartic(modes, M: float) -> np.ndarray:
+    """(M**2 + pi**2 n**2)**(1/4) for the float mode numbers modes."""
+    return (M * M + math.pi**2 * modes**2) ** 0.25
+
+
+def _odd_lattice(n_max: int, M: float | None, size: int):
+    """The first-order boost entries per unit h on the odd lattice, the
+    mode pairs m, n whose difference is odd, which holds every nonzero
+    entry: massless for M None, for the mass M otherwise.
+
+    Returns fill(r, c, alpha1, beta1, transpose=False).  It writes into the
+    writable views alpha1 and beta1, of one shape and at most size entries,
+    the entries alpha1[m, n] and beta1[m, n] of the outgoing modes m = r,
+    r + 2, ... down their rows and the ingoing modes n = c, c + 2, ...
+    across their columns, r - c odd.  With transpose m and n swap places,
+    so the views receive entries of alpha1.T and beta1.T.  The scratch of
+    fill is allocated here, once.
+
+    Every entry has the bits of the formulas of massless_boost_transform
+    and massive_boost_transform evaluated on it alone, operation by
+    operation in the same order, only with every operand a whole block.
+    The massless denominators pi**2 d**3 depend on d = m - n alone, or on
+    d = -(m + n) for beta1, where both signs flip exactly; so one table
+    over the odd d holds them, and a view of it with unit strides is the
+    Toeplitz or Hankel matrix of a block's denominators.
+    """
+    modes = np.arange(1.0, n_max + 1.0)
     pi2 = math.pi**2
-    safe_diff = np.where(odd, diff, 1).astype(float)
-    total = (mm + nn).astype(float)
-    alpha1 = np.where(odd, -2.0 * root / (pi2 * _cube(safe_diff)), 0.0)
-    beta1 = np.where(odd, 2.0 * root / (pi2 * _cube(total)), 0.0)
-    return alpha1, beta1
+    if M is None:
+        # pi**2 d**3 for the odd d from 1 - 2 n_max to 2 n_max - 1, which
+        # cover every m - n and -(m + n); d sits at (d + 2 n_max - 1) / 2
+        table = pi2 * _cube(np.arange(1.0 - 2 * n_max, 2.0 * n_max, 2.0))
+        table.setflags(write=False)
+        item = table.itemsize
+        root = np.empty(size)
 
+        def denominators(d, steps, shape):
+            # [i, j] holds pi**2 (d + 2 steps[0] i + 2 steps[1] j)**3;
+            # ndarray refuses a view that leaves the table
+            offset = (d + 2 * n_max - 1) // 2 * item
+            return np.ndarray(shape, float, table, offset, (steps[0] * item, steps[1] * item))
 
-def _massive_quartic(idx, M: float) -> np.ndarray:
-    """(M**2 + pi**2 n**2)**(1/4) for the mode indices idx."""
-    return (M * M + math.pi**2 * idx.astype(float) ** 2) ** 0.25
+        def fill(r, c, alpha1, beta1, transpose=False):
+            rows, cols = alpha1.shape
+            num = root[: rows * cols].reshape(rows, cols)
+            np.multiply(modes[r - 1 :: 2][:rows, None], modes[c - 1 :: 2][None, :cols], out=num)
+            np.sqrt(num, out=num)
+            np.multiply(-2.0, num, out=num)
+            sign = -1 if transpose else 1
+            np.divide(num, denominators(sign * (r - c), (sign, -sign), num.shape), out=alpha1)
+            np.divide(num, denominators(-(r + c), (-1, -1), num.shape), out=beta1)
 
+        return fill
 
-def _massive_entries(mm, nn, qm, qn, M: float):
-    """First-order massive boost entries for broadcastable mode indices mm,
-    nn and their quartic roots qm, qn."""
-    odd = (mm - nn) % 2 != 0
-    pi2 = math.pi**2
+    quart = _massive_quartic(modes, M)
+    squares = modes * modes
+    triples = 3.0 * squares
     pi4 = math.pi**4
-    m2 = (mm * mm).astype(float)
-    n2 = (nn * nn).astype(float)
-    # the cube in float, as the integer cube overflows 64 bits near n_max ~
-    # 2000; x * x is exact for n_max below 9700, and the exact cube keeps
-    # alpha1 antisymmetric and beta1 symmetric bit for bit
-    cube = _cube(np.where(odd, m2 - n2, 1.0))
-    common = np.where(odd, -4.0 * (mm * nn).astype(float) / (pi4 * cube), 0.0)
-    ssum = common * (pi2 * (n2 + 3.0 * m2) + 4.0 * M * M) * qn / qm
-    sdiff = common * (pi2 * (m2 + 3.0 * n2) + 4.0 * M * M) * qm / qn
-    return 0.5 * (ssum + sdiff), 0.5 * (ssum - sdiff)
+    four_m2 = 4.0 * M * M
+    scratch = np.empty((3, size))
+
+    def fill(r, c, alpha1, beta1, transpose=False):
+        rows, cols = alpha1.shape
+        m = np.s_[r - 1 : r - 1 + 2 * rows : 2, None]
+        n = np.s_[None, c - 1 : c - 1 + 2 * cols : 2]
+        if transpose:
+            m, n = n, m
+        common, ssum, sdiff = (s[: rows * cols].reshape(rows, cols) for s in scratch)
+        # common = -4 m n / (pi**4 (m**2 - n**2)**3), the cube in float, as
+        # the integer cube overflows 64 bits near n_max ~ 2000; x * x is
+        # exact for n_max below 9700, and the exact cube keeps alpha1
+        # antisymmetric and beta1 symmetric bit for bit
+        _cube(np.subtract(squares[m], squares[n], out=common), out=ssum)
+        np.multiply(pi4, ssum, out=ssum)
+        np.multiply(modes[m], modes[n], out=common)
+        np.multiply(-4.0, common, out=common)
+        np.divide(common, ssum, out=common)
+        # ssum = common (pi**2 (n**2 + 3 m**2) + 4 M**2) q_n / q_m and
+        # sdiff the same with m and n swapped
+        for out, a, b in ((ssum, n, m), (sdiff, m, n)):
+            np.add(squares[a], triples[b], out=out)
+            np.multiply(pi2, out, out=out)
+            np.add(out, four_m2, out=out)
+            np.multiply(common, out, out=out)
+            np.multiply(out, quart[a], out=out)
+            np.divide(out, quart[b], out=out)
+        np.multiply(0.5, np.add(ssum, sdiff, out=alpha1), out=alpha1)
+        np.multiply(0.5, np.subtract(ssum, sdiff, out=beta1), out=beta1)
+
+    return fill
 
 
 def _check_boost_args(n_max: int, M: float) -> None:
@@ -189,41 +247,45 @@ def _row_blocks(n: int):
         yield slice(lo, min(lo + _ROW_BLOCK, n))
 
 
+def _row_lattice(n_max: int, M: float | None):
+    """fill of _odd_lattice(n_max, M) with the scratch for a half row block."""
+    return _odd_lattice(n_max, M, (min(_ROW_BLOCK, n_max) + 1) // 2 * ((n_max + 1) // 2))
+
+
+def _fill_rows(fill, start: int, alpha1, beta1, transpose: bool = False) -> None:
+    """Write the odd-lattice entries of the boost rows start, start + 1, ...
+    into the row blocks alpha1 and beta1, or of the rows of alpha1.T and
+    beta1.T with transpose; the entries of the even lattice keep what they
+    hold.  Each row parity meets the columns of the other."""
+    for first in (0, 1):
+        r = start + first + 1  # the mode of the first row of this parity
+        c = 1 + r % 2  # the first mode of the other parity
+        fill(r, c, alpha1[first::2, c - 1 :: 2], beta1[first::2, c - 1 :: 2], transpose)
+
+
 def _boost_blocks(n_max: int, M: float | None, transpose: bool = False):
     """Yield (rows, alpha1[rows], beta1[rows]) of the first-order boost
-    blocks per unit h, _ROW_BLOCK rows at a time, as real arrays: from the
-    massless entry formulas for M None, from the massive ones for a mass M.
-    With transpose the blocks are rows of alpha1.T and beta1.T instead.
+    blocks per unit h, _ROW_BLOCK rows at a time, as real arrays: massless
+    for M None, for the mass M otherwise.  With transpose the blocks are
+    rows of alpha1.T and beta1.T instead.
 
-    Only entries whose mode indices differ by an odd number are nonzero, so
-    the formulas run on those alone: the rows of each parity against the
-    columns of the other.  Every operation of the formulas is elementwise,
-    so each entry has the bits of the same formula evaluated on the whole
-    matrix, zeros included, while the temporaries stay the size of half a
-    block.
+    The blocks are one pair of buffers, rewritten in place for every row
+    block: a yielded block holds its values only until the next block is
+    drawn, so copy it to keep it longer.  _odd_lattice writes the odd
+    lattice alone; the buffers start at zero, and since every row block
+    starts on an even row, the zeros of the even lattice stay where they
+    are.  Each entry has the bits of the entry formulas evaluated on the
+    whole matrix, while the scratch stays the size of half a block.
     """
     _check_boost_args(n_max, 0.0 if M is None else M)
-    idx = np.arange(1, n_max + 1)
-    if M is not None:
-        quart = _massive_quartic(idx, M)
+    fill = _row_lattice(n_max, M)
+    alpha1 = np.zeros((min(_ROW_BLOCK, n_max), n_max))
+    beta1 = np.zeros_like(alpha1)
     for rows in _row_blocks(n_max):
-        alpha1 = np.zeros((rows.stop - rows.start, n_max))
-        beta1 = np.zeros_like(alpha1)
-        for first in (0, 1):
-            # block rows first, first + 2, ... meet the columns of the other
-            # parity: outgoing modes m down the block, ingoing n across, or
-            # swapped for the transpose
-            sub_rows = slice(rows.start + first, rows.stop, 2)
-            sub_cols = slice((rows.start + first + 1) % 2, None, 2)
-            m, n = np.s_[sub_rows, None], np.s_[None, sub_cols]
-            if transpose:
-                m, n = n, m
-            if M is None:
-                entries = _massless_entries(idx[m], idx[n])
-            else:
-                entries = _massive_entries(idx[m], idx[n], quart[m], quart[n], M)
-            alpha1[first::2, sub_cols], beta1[first::2, sub_cols] = entries
-        yield rows, alpha1, beta1
+        height = rows.stop - rows.start
+        a, b = alpha1[:height], beta1[:height]
+        _fill_rows(fill, rows.start, a, b, transpose)
+        yield rows, a, b
 
 
 def _boost_alpha2_diag(n_max: int, M: float | None) -> np.ndarray:
@@ -248,14 +310,14 @@ def _boost_alpha2_diag(n_max: int, M: float | None) -> np.ndarray:
 
 
 def _boost_transform(n_max: int, M: float | None) -> PerturbativeTransform:
-    """The boost of _boost_blocks(n_max, M), its blocks filled block by block."""
-    # checked before the blocks are allocated, as the generator checks late
+    """The boost of _boost_blocks(n_max, M), its entries written straight
+    into its blocks, a row block at a time."""
     _check_boost_args(n_max, 0.0 if M is None else M)
-    alpha1 = np.empty((n_max, n_max))
-    beta1 = np.empty((n_max, n_max))
-    for rows, a, b in _boost_blocks(n_max, M):
-        alpha1[rows] = a
-        beta1[rows] = b
+    alpha1 = np.zeros((n_max, n_max))
+    beta1 = np.zeros((n_max, n_max))
+    fill = _row_lattice(n_max, M)
+    for rows in _row_blocks(n_max):
+        _fill_rows(fill, rows.start, alpha1[rows], beta1[rows])
     return PerturbativeTransform(
         np.ones(n_max, dtype=complex), alpha1, beta1, _boost_alpha2_diag(n_max, M)
     )
@@ -311,11 +373,12 @@ def boost_column(n_max: int, k: int, M: float = 0.0):
     _check_boost_args(n_max, M)
     if not 1 <= k <= n_max:
         raise ValueError(f"k must satisfy 1 <= k <= n_max = {n_max}, got {k}")
-    idx = np.arange(1, n_max + 1)
-    if M == 0:
-        return _massless_entries(idx, idx[k - 1])
-    quart = _massive_quartic(idx, M)
-    return _massive_entries(idx, idx[k - 1], quart, quart[k - 1], M)
+    alpha1 = np.zeros(n_max)
+    beta1 = np.zeros(n_max)
+    r = 1 + k % 2  # the first mode of the other parity
+    fill = _odd_lattice(n_max, None if M == 0 else M, (n_max + 1) // 2)
+    fill(r, k, alpha1[r - 1 :: 2, None], beta1[r - 1 :: 2, None])
+    return alpha1, beta1
 
 
 def phase_rotation(duration: float, frequencies, n_max: int) -> PerturbativeTransform:
@@ -428,46 +491,68 @@ def _truncation_tail(last, n_max: int):
 def _identity_residual(z, alpha2_diag, blocks) -> IdentityResidual:
     """check_identities for phases z and second-order diagonal alpha2_diag,
     read from pairs ((rows, alpha1[rows], beta1[rows]), (rows,
-    alpha1.T[rows], beta1.T[rows])) whose row slices cover range(n_max) in
-    order.  The order-one maxima are exact whatever the blocking; order two
-    adds each column row by row, as numpy's axis-0 sum over a C-ordered
-    matrix does, so the sums keep those bits.  z None stands for the unit
-    phases of a boost, whose real blocks then need no product with them:
-    the order-one residuals are at + a and bt - b, and the second-order
+    alpha1.T[rows], beta1.T[rows])) whose row slices of at most _ROW_BLOCK
+    rows cover range(n_max) in order.  Each pair is read in full before the
+    next is drawn, so the blocks may be buffers that the source rewrites
+    for every pair, as _boost_blocks does.  Every product, residual and
+    power goes into scratch for one row block, allocated here once and
+    sized for the path: one float block for the moduli, or two complex
+    blocks for the products with the phases z, the second of which then
+    holds the moduli once its products are added in.
+
+    The order-one maxima are exact whatever the blocking; order two adds
+    each column row by row, as numpy's axis-0 sum over a C-ordered matrix
+    does, so the sums keep those bits.  z None stands for the unit phases
+    of a boost, whose real blocks then need no product with them: the
+    order-one residuals are at + a and bt - b, and the second-order
     diagonal enters as it is, each with the bits of the products with
     ones."""
     n_max = alpha2_diag.size
     upto = max(1, n_max // 2)
+    height = min(_ROW_BLOCK, n_max)
+    if z is None:
+        # the moduli of a residual block, and side by side |alpha1|**2 and
+        # |beta1|**2 of its first upto columns
+        moduli = np.empty((height, max(n_max, 2 * upto)))
+    else:
+        conj_z = np.conj(z)
+        resid, term = np.empty((2, height, n_max), dtype=complex)
+        # the moduli take the memory of term, whose values are spent by then
+        moduli = term.view(np.float64)
     worst = []
     col = np.zeros(upto)
     last = []
     for (rows, a, b), (_, at, bt) in blocks:
-        # one residual block at a time, dropped before the next blocks are
-        # built: a block held longer would add its size to the peak
+        h = len(a)
+        mod = moduli[:h, :n_max]
         if z is None:
-            worst.append(np.max(np.abs(at + a)))
-            worst.append(np.max(np.abs(bt - b)))
+            worst.append(np.abs(np.add(at, a, out=mod), out=mod).max())
+            worst.append(np.abs(np.subtract(bt, b, out=mod), out=mod).max())
         else:
-            r = z[rows, None] * at.conj()  # no copy when at is real
-            r += a * np.conj(z)[None, :]
-            worst.append(np.max(np.abs(r)))
-            r = z[rows, None] * bt
-            r -= b * z[None, :]
-            worst.append(np.max(np.abs(r)))
-            del r
-        for power in np.abs(a[:, :upto]) ** 2 - np.abs(b[:, :upto]) ** 2:
-            col += power
+            r, t, zr = resid[:h], term[:h], z[rows, None]
+            # a real at is its own conjugate
+            np.multiply(zr, at if at.dtype == np.float64 else np.conj(at, out=r), out=r)
+            np.add(r, np.multiply(a, conj_z[None, :], out=t), out=r)
+            worst.append(np.abs(r, out=mod).max())
+            np.multiply(zr, bt, out=r)
+            np.subtract(r, np.multiply(b, z[None, :], out=t), out=r)
+            worst.append(np.abs(r, out=mod).max())
+        power, beta_sq = moduli[:h, :upto], moduli[:h, upto : 2 * upto]
+        np.square(np.abs(a[:, :upto], out=power), out=power)
+        np.square(np.abs(b[:, :upto], out=beta_sq), out=beta_sq)
         # Only columns the diagonal residual inspects matter; near-diagonal
         # columns further right hold order-one entries.
         skip = max(0, n_max - TAIL_ROWS - rows.start)
-        if skip < len(a):
-            last.append(np.abs(a[skip:, :upto]) ** 2 + np.abs(b[skip:, :upto]) ** 2)
+        if skip < h:
+            last.append(power[skip:] + beta_sq[skip:])
+        for row in np.subtract(power, beta_sq, out=power):
+            col += row
     if z is None:
         order0 = 0.0
         resid = col + 2.0 * alpha2_diag[:upto]
     else:
         order0 = float(np.max(np.abs(np.abs(z) ** 2 - 1.0)))
-        resid = col + 2.0 * np.real(np.conj(z[:upto]) * alpha2_diag[:upto])
+        resid = col + 2.0 * np.real(conj_z[:upto] * alpha2_diag[:upto])
     order2 = float(np.max(np.abs(resid)))
     tail = float(_truncation_tail(np.concatenate(last), n_max).max()) if n_max >= 2 else 0.0
     return IdentityResidual(order0, float(np.max(worst)), order2, tail)

@@ -7,13 +7,15 @@ covers the heavy-field masses.  Both levels check the column engine against
 the closed forms and against the full-matrix reference; the closed-form
 checks build each trip and its closed value through sweep's map of phase
 coordinates, the one every sweep uses.  The boost identity residuals come
-from bogoliubov's one reader, fed the entry formulas a row block at a time,
-so no level builds a boost larger than n_max 500.  On a 2-vCPU x86-64
-machine (Python 3.11, numpy 2.4) fast takes 0.10-0.16 s and full 0.5-0.6 s,
-each at a resident peak of 47-54 MB, imports included; the largest traced
-peak of either level is 16.8 MB, in the column-vs-matrix check, and the
-identity checks peak at 3.0 MB (fast) and 11.9 MB (full).
-bench/verify_layers.py times and traces them check by check.
+from bogoliubov's one reader, fed the boost's row blocks straight from its
+entry kernel, so no level builds a boost larger than n_max 500.  On a
+2-vCPU x86-64 machine (Python 3.11, numpy 2.4) fast takes 0.15-0.16 s and
+full 0.50-0.57 s, medians over seven fresh interpreters, at resident peaks
+of 53 and 54 MB, imports included; the identity checks take 18-19 ms of
+fast and 0.34-0.38 s of full.  The largest traced peak of either level is
+16.8 MB, in the column-vs-matrix check, and the identity checks peak at
+1.9 MB (fast) and 7.2 MB (full).  bench/verify_layers.py times and traces
+them check by check.
 """
 
 from __future__ import annotations

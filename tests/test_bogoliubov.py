@@ -15,11 +15,9 @@ from cavneg.bogoliubov import (
     TAIL_ROWS,
     IdentityResidual,
     PerturbativeTransform,
+    _boost_blocks,
     _compose,
     _cube,
-    _massive_entries,
-    _massive_quartic,
-    _massless_entries,
     _truncation_tail,
     boost_column,
     check_identities,
@@ -84,32 +82,83 @@ def test_boost_column_is_matrix_column(M):
         boost_column(1, 1, M)
 
 
-def _whole_matrix_entries(n_max, M):
-    # the entry formulas on whole index matrices, as the builders once ran
+# The entry formulas as the builders once ran them: masked whole-array
+# expressions over broadcastable mode indices, zeros where m - n is even.
+# They stay here as the bitwise reference of the odd-lattice kernel.
+
+
+def _massless_entries(mm, nn):
+    diff = mm - nn
+    odd = diff % 2 != 0
+    root = np.sqrt((mm * nn).astype(float))
+    pi2 = math.pi**2
+    safe_diff = np.where(odd, diff, 1).astype(float)
+    total = (mm + nn).astype(float)
+    alpha1 = np.where(odd, -2.0 * root / (pi2 * _cube(safe_diff)), 0.0)
+    beta1 = np.where(odd, 2.0 * root / (pi2 * _cube(total)), 0.0)
+    return alpha1, beta1
+
+
+def _massive_quartic(idx, M):
+    return (M * M + math.pi**2 * idx.astype(float) ** 2) ** 0.25
+
+
+def _massive_entries(mm, nn, qm, qn, M):
+    odd = (mm - nn) % 2 != 0
+    pi2 = math.pi**2
+    pi4 = math.pi**4
+    m2 = (mm * mm).astype(float)
+    n2 = (nn * nn).astype(float)
+    cube = _cube(np.where(odd, m2 - n2, 1.0))
+    common = np.where(odd, -4.0 * (mm * nn).astype(float) / (pi4 * cube), 0.0)
+    ssum = common * (pi2 * (n2 + 3.0 * m2) + 4.0 * M * M) * qn / qm
+    sdiff = common * (pi2 * (m2 + 3.0 * n2) + 4.0 * M * M) * qm / qn
+    return 0.5 * (ssum + sdiff), 0.5 * (ssum - sdiff)
+
+
+def _reference_entries(n_max, M, rows=slice(None), cols=slice(None)):
+    # alpha1[rows, cols] and beta1[rows, cols] from the masked formulas;
+    # every operation is elementwise, so a slice has the bits of the whole
     idx = np.arange(1, n_max + 1)
+    m, n = np.s_[rows, None], np.s_[None, cols]
     if M is None:
-        return _massless_entries(idx[:, None], idx[None, :])
+        return _massless_entries(idx[m], idx[n])
     quart = _massive_quartic(idx, M)
-    return _massive_entries(idx[:, None], idx[None, :], quart[:, None], quart[None, :], M)
+    return _massive_entries(idx[m], idx[n], quart[m], quart[n], M)
 
 
 @pytest.mark.parametrize("M", [None, 0.0, 10.0, 1000.0])
-@pytest.mark.parametrize("n_max", [2, 63, 64, 65, 130])
+@pytest.mark.parametrize("n_max", [2, 3, 63, 64, 65, 130, 500, 2000])
 def test_boost_builders_equal_the_whole_matrix_formulas(n_max, M):
-    # the builders fill their blocks 64 rows at a time; entry by entry the
-    # bits are those of the formulas on the whole matrix, and boost_column
-    # reads the same columns
+    # one kernel on the odd lattice fills the built boost, every row block
+    # of _boost_blocks in both orientations and boost_column, reading its
+    # massless denominators from one table through Toeplitz and Hankel
+    # views; entry by entry each keeps the bits of the masked formulas on
+    # the whole matrix, zeros of the even lattice included.  None is the
+    # massless formulas, 0.0 the massive ones at zero mass
     t = massless_boost_transform(n_max) if M is None else massive_boost_transform(n_max, M)
-    alpha1, beta1 = _whole_matrix_entries(n_max, M)
     assert t.alpha1.dtype == t.beta1.dtype == np.float64
-    assert t.alpha1.tobytes() == alpha1.tobytes()
-    assert t.beta1.tobytes() == beta1.tobytes()
+    for lo in range(0, n_max, 500):  # row chunks keep the reference small
+        rows = slice(lo, lo + 500)
+        alpha1, beta1 = _reference_entries(n_max, M, rows)
+        assert _same_bits(t.alpha1[rows], alpha1) and _same_bits(t.beta1[rows], beta1)
+    # the row blocks and the columns against the built boost, now pinned
+    for transpose in (False, True):
+        covered = 0
+        for rows, a, b in _boost_blocks(n_max, M, transpose):
+            alpha1, beta1 = t.alpha1[rows], t.beta1[rows]
+            if transpose:
+                alpha1, beta1 = t.alpha1[:, rows].T, t.beta1[:, rows].T
+            assert _same_bits(a, alpha1) and _same_bits(b, beta1), (rows, transpose)
+            assert rows.start == covered
+            covered = rows.stop
+        assert covered == n_max
     if M == 0.0:
         return  # boost_column takes the massless formulas at M = 0
-    for k in range(1, n_max + 1):
+    half = n_max // 2
+    for k in range(1, n_max + 1) if n_max <= 130 else (1, 2, 3, half - 1, half):
         a, b = boost_column(n_max, k, 0.0 if M is None else M)
-        assert a.tobytes() == alpha1[:, k - 1].tobytes()
-        assert b.tobytes() == beta1[:, k - 1].tobytes()
+        assert _same_bits(a, t.alpha1[:, k - 1]) and _same_bits(b, t.beta1[:, k - 1]), k
 
 
 def test_massive_entries():

@@ -153,6 +153,19 @@ def test_boost_residuals_need_no_boost_matrix():
     assert _traced_peak(_boost_residuals, 2000, 10.0) < 14e6
 
 
+@pytest.mark.parametrize("M, bound", [(0.0, 6.25e6), (10.0, 7.3e6), (1000.0, 7.3e6)])
+def test_boost_residuals_keep_no_per_block_temporaries(M, bound):
+    # the live set at n_max 2000 is allocated once: two row-block pairs,
+    # one per orientation (4 x 1.02 MB), the reader's moduli block (1.02
+    # MB) and each orientation's kernel scratch for half a block, the
+    # denominator table and one block massless (0.32 MB), three blocks
+    # massive (0.77 MB).  That traces 6.11 MB massless and 7.17 MB
+    # massive.  A fresh block pair per row block crosses the bound, and so
+    # does a single temporary of |alpha1|**2 in the reader (0.51 MB, which
+    # lifts the peak by 0.22 MB)
+    assert _traced_peak(_boost_residuals, 2000, M) < bound
+
+
 def test_column_matches_matrix_check_peaks_at_the_walk_live_set():
     # the boost (4 MB at n_max 500) is dropped once the round trip's leg is
     # built, so the check peaks at the leg plus the pair it is composed
