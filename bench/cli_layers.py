@@ -8,15 +8,14 @@ as a ``perfbench`` pass does. The jobs come from ``perfbench/workloads.py``:
 are drawn from the round's seed), ``presets`` the seven figure presets. The
 stages of a ``main`` call are:
 
-- ``parser``: getting the parser that ``main`` parses with, which is
-  ``cli.build_parser`` in a tree that builds one per call and ``cli._parser``
-  in a tree that shares one;
+- ``parser``: getting the parser that ``main`` parses with,
+  ``cli._parser``;
 - ``parse``: ``parse_args``;
 - ``config``: ``cli.read_config`` and ``cli._build_spec``;
 - ``closed_grid`` and ``general_grid``: ``sweep._closed_grid`` and
   ``sweep._general_grid``;
 - ``write``: opening, writing and closing the output file inside the sweep;
-- ``rows``: the rest of the sweep call (``run_sweep`` or ``write_sweep``):
+- ``rows``: the rest of the sweep call (``write_sweep``):
   validation, coordinate grids, the validity check and the row formatting;
 - ``other``: the rest of ``main``, such as the report line;
 - ``total_s``: the whole ``main`` call.
@@ -47,11 +46,8 @@ Run from the repository root:
 
     python3 bench/cli_layers.py [--out BENCH_cli.json] [--baseline REV] [--seed N]
 
-With ``--baseline REV`` the src/ tree of that git revision is extracted with
-``git archive`` into a temporary directory and timed the same way, so the
-report holds before and after numbers. The two trees alternate round by
-round, so that a slow spell of the host hits both. Round r draws the engine
-phases from seed N + r. Times are medians in seconds over the rounds.
+Round r draws the engine phases from seed N + r (see harness.py for the
+trees and rounds).  Times are medians in seconds over the rounds.
 """
 
 from __future__ import annotations
@@ -61,16 +57,14 @@ import contextlib
 import functools
 import gc
 import io
-import json
 import os
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import harness
+
+sys.path.insert(0, os.path.join(harness.ROOT, "perfbench"))
 from workloads import make_jobs  # noqa: E402
 
 ROUNDS = 11
@@ -146,17 +140,16 @@ class _TimedFile:
 def _instrument(clock: _Clock) -> None:
     from cavneg import cli, sweep
 
-    if hasattr(cli, "_parser"):
-        cli._parser = clock.timed("parser", cli._parser)
-    else:
-        cli.build_parser = clock.timed("parser", cli.build_parser)
-    cli._Parser.parse_args = clock.timed("parse", cli._Parser.parse_args)
-    cli.read_config = clock.timed("config", cli.read_config)
-    cli._build_spec = clock.timed("config", cli._build_spec)
-    name = "write_sweep" if hasattr(cli, "write_sweep") else "run_sweep"
-    setattr(cli, name, clock.timed("sweep", getattr(cli, name)))
-    sweep._closed_grid = clock.timed("closed_grid", sweep._closed_grid)
-    sweep._general_grid = clock.timed("general_grid", sweep._general_grid)
+    for owner, name, stage in (
+        (cli, "_parser", "parser"),
+        (cli._Parser, "parse_args", "parse"),
+        (cli, "read_config", "config"),
+        (cli, "_build_spec", "config"),
+        (cli, "write_sweep", "sweep"),
+        (sweep, "_closed_grid", "closed_grid"),
+        (sweep, "_general_grid", "general_grid"),
+    ):
+        harness.wrap(owner, name, functools.partial(clock.timed, stage))
     timed_open = clock.timed("write", open)
     sweep.open = lambda *args, **kwargs: _TimedFile(clock, timed_open(*args, **kwargs))
 
@@ -191,19 +184,16 @@ def _setup(src: str):
         finally:
             numpy_s += time.perf_counter() - t0
 
-    sys.path.insert(0, src)
     builtins.__import__ = timed_import
     t0 = time.perf_counter()
     try:
-        import cavneg
+        harness.load(src)
         from cavneg import cli
     finally:
         builtins.__import__ = real_import
     t1 = time.perf_counter()
     cli.build_parser()
     t2 = time.perf_counter()
-    if not os.path.abspath(cavneg.__file__).startswith(src + os.sep):
-        raise ImportError(f"cavneg was imported from {cavneg.__file__}, not from {src}")
     return cli, {
         "numpy_import": numpy_s,
         "cavneg_import": t1 - t0 - numpy_s,
@@ -212,22 +202,23 @@ def _setup(src: str):
     }
 
 
-def _child(src: str, workload: str, seed: int, workdir: str) -> None:
-    # one pass: every job of the workload once, in a fresh interpreter
+def _probe(src: str, workload: str, seed: str) -> dict:
+    # one pass: every job of the workload once, writing into the working
+    # directory
     cli, setup = _setup(src)
     tasks = "/proc/self/task"
     threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
     clock = _Clock()
     _instrument(clock)
     argvs = []
-    for job in make_jobs(workload, seed):
+    for job in make_jobs(workload, int(seed)):
         argv = list(job["argv"])
         if job["config"] is not None:
-            path = os.path.join(workdir, job["name"] + ".cfg")
+            path = job["name"] + ".cfg"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(job["config"])
             argv += ["--config", path]
-        argvs.append((job["name"], argv + ["--out", os.path.join(workdir, job["out"])]))
+        argvs.append((job["name"], argv + ["--out", job["out"]]))
     jobs = {}
     gc.callbacks.append(clock.on_gc)
     wall0 = time.perf_counter()
@@ -246,30 +237,14 @@ def _child(src: str, workload: str, seed: int, workdir: str) -> None:
     finally:
         cpu_minus_wall = (time.process_time() - cpu0) - (time.perf_counter() - wall0)
         gc.callbacks.remove(clock.on_gc)
-    json.dump(
-        {
-            "jobs": jobs,
-            "gc_s": clock.gc_s,
-            "gc_collections": clock.gc_counts,
-            "setup": setup,
-            "threads": threads,
-            "cpu_minus_wall_s": cpu_minus_wall,
-        },
-        sys.stdout,
-    )
-
-
-def _pass(src: str, workload: str, seed: int) -> dict:
-    with tempfile.TemporaryDirectory() as workdir:
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", src, workload,
-             str(seed), workdir],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=ROOT,
-        )
-    return json.loads(proc.stdout)
+    return {
+        "jobs": jobs,
+        "gc_s": clock.gc_s,
+        "gc_collections": clock.gc_counts,
+        "setup": setup,
+        "threads": threads,
+        "cpu_minus_wall_s": cpu_minus_wall,
+    }
 
 
 def _summary(passes: list) -> dict:
@@ -303,54 +278,30 @@ def _summary(passes: list) -> dict:
     }
 
 
-def measure(baseline: str | None, seed: int) -> dict:
-    # imported here, not at the top, so that a pass process loads no numpy
-    from presets_layers import environment, extract_src
+def measure(args) -> dict:
+    def workloads(src, r):
+        return {w: harness.child(__file__, src, w, str(args.seed + r)) for w in WORKLOADS}
 
-    trees = {"after": os.path.join(ROOT, "src")}
-    with tempfile.TemporaryDirectory() as tmp:
-        if baseline is not None:
-            trees = {"before": extract_src(baseline, tmp), **trees}
-        passes = {label: {w: [] for w in WORKLOADS} for label in trees}
-        for r in range(ROUNDS):
-            for workload in WORKLOADS:
-                for label, src in trees.items():
-                    passes[label][workload].append(_pass(src, workload, seed + r))
+    with harness.trees(args.baseline) as trees:
+        passes = harness.rounds(trees, ROUNDS, workloads)
     return {
         "benchmark": "cli_layers",
         "rounds": ROUNDS,
-        "seed": seed,
+        "seed": args.seed,
         "unit": "s",
         **{
-            label: {w: _summary(p) for w, p in by_workload.items()}
-            for label, by_workload in passes.items()
+            label: {w: _summary([p[w] for p in by_round]) for w in WORKLOADS}
+            for label, by_round in passes.items()
         },
         "environment": {
-            **environment(baseline),
+            **harness.environment(args.baseline),
             # false here means no __pycache__: each pass compiles cavneg anew
             "writes_bytecode": not sys.flags.dont_write_bytecode,
         },
     }
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["--child"]:
-        # a pass: parsed by hand, so that argparse first loads with cavneg.cli
-        _, src, workload, seed, workdir = argv
-        _child(src, workload, int(seed), workdir)
-        return 0
-    import argparse
-
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--out", default=os.path.join(ROOT, "BENCH_cli.json"))
-    p.add_argument("--baseline", help="git revision to time as 'before'")
-    p.add_argument("--seed", type=int, default=51, help="engine seed of the first round")
-    args = p.parse_args(argv)
-    report = measure(args.baseline, args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+def show(report: dict):
     for label in ("before", "after"):
         if label not in report:
             continue
@@ -358,15 +309,17 @@ def main(argv=None) -> int:
             row = report[label][workload]
             cells = ", ".join(f"{s} {row[s] * 1e3:.2f}" for s in STAGES)
             setup = ", ".join(f"{s} {row['setup'][s] * 1e3:.2f}" for s in SETUP_PARTS)
-            print(
+            yield (
                 f"{label} {workload} ({row['jobs']} jobs, ms): {cells}, "
                 f"gc {row['gc_s'] * 1e3:.2f} ({row['gc_collections']}), "
                 f"cpu - wall {row['cpu_minus_wall_s'] * 1e3:.2f}; "
                 f"setup: {setup}; threads {row['threads']}"
             )
-    print(f"wrote {args.out}")
-    return 0
+
+
+def _options(p) -> None:
+    p.add_argument("--seed", type=int, default=51, help="engine seed of the first round")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, "BENCH_cli.json", measure, show, _probe, _options))

@@ -18,35 +18,26 @@ pays for anything a call caches) and the median time of a call after it
 
 Each case also records the SHA-256 of its result's bytes, so that a report
 with a baseline shows whether the values stayed bit for bit.  The report
-ends with the environment: nproc, Python and numpy versions, git SHA and
-whether src/ differs from it.
+ends with the environment record (see harness.py).
 
 Run from the repository root:
 
     python3 bench/closedform_layers.py [--out BENCH_closedform.json] [--baseline REV]
 
-With ``--baseline REV`` the src/ tree of that git revision is extracted with
-``git archive`` into a temporary directory and timed the same way, so the
-report holds before and after numbers.  A round times every case once in a
-fresh interpreter, as the median of several calls; the two trees alternate
-round by round, so that a slow spell of the host hits both.  Times are
-medians in seconds over seven rounds.
+A round times every case once in a fresh interpreter, as the median of
+several calls (see harness.py for the trees and rounds).  Times are medians
+in seconds over seven rounds.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import math
-import os
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
 
-from presets_layers import ROOT, environment, extract_src
+import harness
 
 REPEATS = 7
 CALLS = {"scalar": 15, "16": 15, "grid": 3, "grid400": 1}  # calls per case and round
@@ -92,15 +83,12 @@ def _cases(cf) -> list:
     return cases
 
 
-def _child(src: str) -> None:
-    # one round: every case once, in a fresh interpreter importing src
-    sys.path.insert(0, src)
-    import cavneg
+def _probe(src: str) -> dict:
+    # one round: every case once
+    harness.load(src)
     from cavneg import closedform
     import numpy as np
 
-    if not os.path.abspath(cavneg.__file__).startswith(src + os.sep):
-        raise ImportError(f"cavneg was imported from {cavneg.__file__}, not from {src}")
     out = {}
     for name, size, call in _cases(closedform):
         t0 = time.perf_counter()
@@ -117,18 +105,7 @@ def _child(src: str) -> None:
             "call_s": statistics.median(times),
             "sha256": hashlib.sha256(data).hexdigest(),
         }
-    json.dump(out, sys.stdout)
-
-
-def _round(src: str) -> dict:
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child", src],
-        capture_output=True,
-        text=True,
-        check=True,
-        cwd=ROOT,
-    )
-    return json.loads(proc.stdout)
+    return out
 
 
 def _summary(rounds: list) -> dict:
@@ -143,37 +120,19 @@ def _summary(rounds: list) -> dict:
     return out
 
 
-def measure(baseline: str | None) -> dict:
-    trees = {"after": os.path.join(ROOT, "src")}
-    with tempfile.TemporaryDirectory() as tmp:
-        if baseline is not None:
-            trees = {"before": extract_src(baseline, tmp), **trees}
-        rounds = {label: [] for label in trees}
-        for _ in range(REPEATS):
-            for label, src in trees.items():
-                rounds[label].append(_round(src))
+def measure(args) -> dict:
+    with harness.trees(args.baseline) as trees:
+        rounds = harness.rounds(trees, REPEATS, lambda src, r: harness.child(__file__, src))
     return {
         "benchmark": "closedform_layers",
         "repeats": REPEATS,
         "unit": "s",
         **{label: _summary(r) for label, r in rounds.items()},
-        "environment": environment(baseline),
+        "environment": harness.environment(args.baseline),
     }
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--out", default=os.path.join(ROOT, "BENCH_closedform.json"))
-    p.add_argument("--baseline", help="git revision to time as 'before'")
-    p.add_argument("--child", help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.child:
-        _child(args.child)
-        return 0
-    report = measure(args.baseline)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+def show(report: dict):
     for case, row in report["after"].items():
         line = f"{case}: {row['call_s'] * 1e3:.3f} ms (first {row['first_s'] * 1e3:.3f})"
         if "before" in report:
@@ -183,10 +142,8 @@ def main(argv=None) -> int:
                 f", before {before['call_s'] * 1e3:.3f} ms "
                 f"(first {before['first_s'] * 1e3:.3f}), {same}"
             )
-        print(line)
-    print(f"wrote {args.out}")
-    return 0
+        yield line
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, "BENCH_closedform.json", measure, show, _probe))

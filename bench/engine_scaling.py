@@ -6,8 +6,7 @@ Writes a JSON report with, for each trip shape at k = 1:
   with the growth exponent d log(time) / d log(n_max) between cutoffs;
 - the full-matrix reference (``negativity_general(effective_transform(s))``)
   at n_max = 2e3, with the deficit difference between the two paths;
-- the environment: nproc, Python and numpy versions, git SHA and whether
-  src/ differs from it.
+- the environment record (see harness.py).
 
 Run from the repository root:
 
@@ -20,32 +19,23 @@ of the matrix path, each call from scratch. The matrix round trip peaks near
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+import harness
 
 # cavneg before numpy, so that numpy loads as it does for users
+harness.load(os.path.join(harness.ROOT, "src"))
 from cavneg.scenario import (  # noqa: E402
-    alpha_centauri_scenario,
     effective_transform,
-    kickstart_scenario,
     negativity_general,
-    one_way_scenario,
-    round_trip_scenario,
     scenario_negativity,
 )
-from cavneg.spectrum import CavityConfig, rindler_frequency  # noqa: E402
-
-import numpy as np  # noqa: E402
+from cavneg.spectrum import CavityConfig  # noqa: E402
+from cavneg.sweep import _build_scenario  # noqa: E402
 
 COLUMN_N_MAX = (2_000, 20_000, 200_000)
 MATRIX_N_MAX = 2_000
@@ -53,18 +43,6 @@ COLUMN_REPEATS = 7
 MATRIX_REPEATS = 3
 # Phases u, v, w of the trip; away from the zero loci of the deficit.
 PHASES = (2.2, 1.3, 0.9)
-
-
-def _scenario(shape: str, cfg: CavityConfig):
-    u, v, w = PHASES
-    tau = u / rindler_frequency(1, cfg)
-    if shape == "one-way":
-        return one_way_scenario(tau, cfg)
-    if shape == "alpha-centauri":
-        return alpha_centauri_scenario(tau, v / math.pi, cfg)
-    if shape == "round-trip":
-        return round_trip_scenario(tau, v / math.pi, w / math.pi, cfg)
-    return kickstart_scenario(tau, cfg)
 
 
 def _median_time(fn, repeats: int):
@@ -77,22 +55,12 @@ def _median_time(fn, repeats: int):
     return statistics.median(times), result
 
 
-def _git(*args: str) -> str | None:
-    try:
-        out = subprocess.run(
-            ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
-
-
-def measure() -> dict:
+def measure(args) -> dict:
     shapes = {}
     for shape in ("one-way", "alpha-centauri", "round-trip", "kickstart"):
         column = {}
         for n_max in COLUMN_N_MAX:
-            s = _scenario(shape, CavityConfig(h=0.01, n_max=n_max))
+            s = _build_scenario(shape, CavityConfig(h=0.01, n_max=n_max), *PHASES)
             seconds, (deficit, _) = _median_time(
                 lambda: scenario_negativity(s), COLUMN_REPEATS
             )
@@ -102,7 +70,7 @@ def measure() -> dict:
             / math.log(hi / lo)
             for lo, hi in zip(COLUMN_N_MAX, COLUMN_N_MAX[1:])
         }
-        s = _scenario(shape, CavityConfig(h=0.01, n_max=MATRIX_N_MAX))
+        s = _build_scenario(shape, CavityConfig(h=0.01, n_max=MATRIX_N_MAX), *PHASES)
         seconds, (ref, _) = _median_time(
             lambda: negativity_general(effective_transform(s), 1), MATRIX_REPEATS
         )
@@ -124,36 +92,18 @@ def measure() -> dict:
         "repeats": {"column": COLUMN_REPEATS, "matrix": MATRIX_REPEATS},
         "unit": "s",
         "shapes": shapes,
-        "environment": {
-            "nproc": os.cpu_count(),
-            "machine": platform.machine(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "git_sha": _git("rev-parse", "HEAD"),
-            # true when src/ differs from that commit, so the SHA alone does
-            # not name the code that was timed
-            "src_modified": bool(_git("status", "--porcelain", "--", "src")),
-        },
+        "environment": harness.environment(),
     }
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--out", default=os.path.join(ROOT, "BENCH_engine.json"))
-    args = p.parse_args(argv)
-    report = measure()
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+def show(report: dict):
     for shape, row in report["shapes"].items():
         col = ", ".join(
             f"n={n}: {v['seconds'] * 1e3:.2f} ms" for n, v in row["column"].items()
         )
         mat = row["matrix"][str(MATRIX_N_MAX)]["seconds"]
-        print(f"{shape}: column {col}; matrix n={MATRIX_N_MAX}: {mat:.3f} s")
-    print(f"wrote {args.out}")
-    return 0
+        yield f"{shape}: column {col}; matrix n={MATRIX_N_MAX}: {mat:.3f} s"
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, "BENCH_engine.json", measure, show))

@@ -22,38 +22,28 @@ Writes a JSON report with, for each preset fig2-fig5b:
   come from runs without it, since tracing slows every allocation);
 - ``negativities_distinct``: how many distinct negativity cells the CSV
   holds, counted per k block;
-- the environment: nproc, Python and numpy versions, git SHA and whether
-  src/ differs from it.
+- the environment record (see harness.py).
 
 Run from the repository root:
 
     python3 bench/presets_layers.py [--out BENCH_presets.json] [--baseline REV]
 
-With ``--baseline REV`` the src/ tree of that git revision is extracted with
-``git archive`` into a temporary directory and timed the same way, so the
-report holds before and after numbers. A round runs every preset once in a
-fresh interpreter; the two trees alternate round by round, so that a slow
-spell of the host hits both. Times are medians in seconds over seven rounds;
-the traced runs come last, one per tree.
+A round runs every preset once in a fresh interpreter (see harness.py for
+the trees and rounds).  Times are medians in seconds over seven rounds; the
+traced runs come last, one per tree.
 """
 
 from __future__ import annotations
 
-import argparse
+import functools
 import hashlib
-import io
-import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
-import tarfile
-import tempfile
 import time
 import tracemalloc
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import harness
+
 PRESETS = ("fig2", "fig3", "fig4a", "fig4b", "fig4c", "fig5a", "fig5b")
 REPEATS = 7
 COUNTS = (
@@ -66,31 +56,23 @@ COUNTS = (
 PEAKS = ("traced_peak_mb", "closed_traced_peak_mb")
 
 
-def _git(*args: str) -> str | None:
-    try:
-        out = subprocess.run(
-            ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
-
-
 def _time_once(name: str) -> dict:
     """One run_sweep of a preset, with the time inside _closed_grid split out."""
     from cavneg import sweep
 
-    inner = sweep._closed_grid
     spent = [0.0]
 
-    def timed(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return inner(*args, **kwargs)
-        finally:
-            spent[0] += time.perf_counter() - t0
+    def timing(inner):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                spent[0] += time.perf_counter() - t0
 
-    sweep._closed_grid = timed
+        return timed
+
+    inner = harness.wrap(sweep, "_closed_grid", timing)
     try:
         t0 = time.perf_counter()
         text = sweep.run_sweep(sweep.preset_spec(name))
@@ -110,7 +92,7 @@ def _counts(name: str, text: str) -> dict:
 
     counts = dict.fromkeys(COUNTS[:4], 0)
 
-    def counting(fn, key):
+    def counting(key, fn):
         def counted(*args):
             # the phases are the second argument in every tree
             x = args[1]
@@ -123,9 +105,10 @@ def _counts(name: str, text: str) -> dict:
         return counted
 
     wrapped = {"_q_flat": "q_phases", "_product_tile": "product_phases"}
-    inner = {fn: getattr(closedform, fn) for fn in wrapped}
-    for fn, key in wrapped.items():
-        setattr(closedform, fn, counting(inner[fn], key))
+    inner = {
+        fn: harness.wrap(closedform, fn, functools.partial(counting, key))
+        for fn, key in wrapped.items()
+    }
     try:
         sweep.run_sweep(sweep.preset_spec(name))
     finally:
@@ -142,19 +125,21 @@ def _traced_peaks(name: str) -> dict:
     _closed_grid calls, each counted from where tracing stood at its start."""
     from cavneg import sweep
 
-    inner = sweep._closed_grid
     peaks = {"run": 0, "closed": 0}
 
-    def traced(*args, **kwargs):
-        # keep the run's peak so far, then read the call's own
-        peaks["run"] = max(peaks["run"], tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        try:
-            return inner(*args, **kwargs)
-        finally:
-            peaks["closed"] = max(peaks["closed"], tracemalloc.get_traced_memory()[1])
+    def tracing(inner):
+        def traced(*args, **kwargs):
+            # keep the run's peak so far, then read the call's own
+            peaks["run"] = max(peaks["run"], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                peaks["closed"] = max(peaks["closed"], tracemalloc.get_traced_memory()[1])
 
-    sweep._closed_grid = traced
+        return traced
+
+    inner = harness.wrap(sweep, "_closed_grid", tracing)
     tracemalloc.start()
     try:
         sweep.run_sweep(sweep.preset_spec(name))
@@ -168,16 +153,11 @@ def _traced_peaks(name: str) -> dict:
     }
 
 
-def _child(src: str, traced: bool) -> None:
-    # one round: every preset once, in a fresh interpreter importing src
-    sys.path.insert(0, src)
-    import cavneg
-
-    if not os.path.abspath(cavneg.__file__).startswith(src + os.sep):
-        raise ImportError(f"cavneg was imported from {cavneg.__file__}, not from {src}")
+def _probe(src: str, traced: str = "") -> dict:
+    # one round: every preset once; "traced" asks for the traced peaks
+    harness.load(src)
     if traced:
-        json.dump({name: _traced_peaks(name) for name in PRESETS}, sys.stdout)
-        return
+        return {name: _traced_peaks(name) for name in PRESETS}
     out = {}
     for name in PRESETS:
         run = _time_once(name)
@@ -190,21 +170,7 @@ def _child(src: str, traced: bool) -> None:
             sha256=hashlib.sha256(data).hexdigest(),
         )
         out[name] = run
-    json.dump(out, sys.stdout)
-
-
-def _round(src: str, traced: bool = False) -> dict:
-    argv = [sys.executable, os.path.abspath(__file__), "--child", src]
-    if traced:
-        argv.append("--traced")
-    proc = subprocess.run(
-        argv,
-        capture_output=True,
-        text=True,
-        check=True,
-        cwd=ROOT,
-    )
-    return json.loads(proc.stdout)
+    return out
 
 
 def _summary(rounds: list, traced: dict) -> dict:
@@ -232,78 +198,26 @@ def _summary(rounds: list, traced: dict) -> dict:
     return presets
 
 
-def extract_src(rev: str, dest: str) -> str:
-    blob = subprocess.run(
-        ["git", "archive", "--format=tar", rev, "src"],
-        cwd=ROOT,
-        capture_output=True,
-        check=True,
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
-        tar.extractall(dest, filter="data")
-    return os.path.join(dest, "src")
-
-
-def measure(baseline: str | None) -> dict:
-    trees = {"after": os.path.join(ROOT, "src")}
-    with tempfile.TemporaryDirectory() as tmp:
-        if baseline is not None:
-            trees = {"before": extract_src(baseline, tmp), **trees}
-        rounds = {label: [] for label in trees}
-        for _ in range(REPEATS):
-            for label, src in trees.items():
-                rounds[label].append(_round(src))
-        traced = {label: _round(src, traced=True) for label, src in trees.items()}
+def measure(args) -> dict:
+    with harness.trees(args.baseline) as trees:
+        rounds = harness.rounds(trees, REPEATS, lambda src, r: harness.child(__file__, src))
+        traced = {label: harness.child(__file__, src, "traced") for label, src in trees.items()}
     return {
         "benchmark": "presets_layers",
         "repeats": REPEATS,
         "unit": "s",
         **{label: _summary(r, traced[label]) for label, r in rounds.items()},
-        "environment": environment(baseline),
+        "environment": harness.environment(args.baseline),
     }
 
 
-def environment(baseline: str | None) -> dict:
-    """The machine, the library versions and the code a report timed."""
-    # numpy is imported here, not at the top, so that a child process loads
-    # it through cavneg, as users do
-    import numpy as np
-
-    env = {
-        "nproc": os.cpu_count(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "git_sha": _git("rev-parse", "HEAD"),
-        # true when src/ differs from that commit, so the SHA alone does
-        # not name the code that was timed as "after"
-        "src_modified": bool(_git("status", "--porcelain", "--", "src")),
-    }
-    if baseline is not None:
-        env["baseline_sha"] = _git("rev-parse", baseline)
-    return env
-
-
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--out", default=os.path.join(ROOT, "BENCH_presets.json"))
-    p.add_argument("--baseline", help="git revision to time as 'before'")
-    p.add_argument("--child", help=argparse.SUPPRESS)
-    p.add_argument("--traced", action="store_true", help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.child:
-        _child(args.child, args.traced)
-        return 0
-    report = measure(args.baseline)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+def show(report: dict):
     for label in ("before", "after"):
         if label not in report:
             continue
         for name in PRESETS + ("all",):
             row = report[label][name]
-            print(
+            yield (
                 f"{label} {name}: total {row['total_s'] * 1e3:.1f} ms, "
                 f"closed {row['closed_s'] * 1e3:.1f} ms, "
                 f"rows {row['rows_s'] * 1e3:.1f} ms ({row['rows']} rows, "
@@ -313,9 +227,7 @@ def main(argv=None) -> int:
                 f"product phases distinct; {row['traced_peak_mb']:.2f} MB traced, "
                 f"{row['closed_traced_peak_mb']:.2f} MB in _closed_grid)"
             )
-    print(f"wrote {args.out}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, "BENCH_presets.json", measure, show, _probe))

@@ -17,45 +17,41 @@ Writes a JSON report with:
 - ``full_maxrss_mb``: the median peak resident memory of the full level,
   with ``full_maxrss_mb_min`` and ``full_maxrss_mb_max`` over the rounds,
   since that peak moves by a few MB between interpreters of one tree;
-- whether every check passed, and the environment: nproc, Python and numpy
-  versions, git SHA and whether src/ differs from it.
+- whether every check passed, and the environment record (see harness.py).
 
 A check function is any ``_*_check`` or ``_*_checks`` function of the
-verify module; none of them calls another.  Its ``traced_peak_mb`` is the
-largest memory, in 10**6 bytes, that ``tracemalloc`` saw allocated during
-the call, including what was held when it began.  The peaks come from one
-more run of each level with tracing on; times and resident memory come from
-runs without it, since tracing slows every allocation.
+verify module; none of them calls another, and the run fails unless the
+names they return are the report's checks, in order, so a check that no
+such function returns stops the run instead of dropping out of it.  Its
+``traced_peak_mb`` is the largest memory, in 10**6 bytes, that
+``tracemalloc`` saw allocated during the call, including what was held when
+it began.  The peaks come from one more run of each level with tracing on;
+times and resident memory come from runs without it, since tracing slows
+every allocation.
 
 Run from the repository root:
 
     python3 bench/verify_layers.py [--out BENCH_verify.json] [--baseline REV]
 
-With ``--baseline REV`` the src/ tree of that git revision is extracted with
-``git archive`` into a temporary directory and timed the same way, so the
-report holds before and after numbers. A round runs the fast level once and
-then the full level once, each in a fresh interpreter, for each tree in
-turn; the two trees alternate within every round, so that a slow spell of
-the host hits both. Times are medians in seconds over seven rounds, and the
-traced runs come last.
+A round runs the fast level once and then the full level once, each in a
+fresh interpreter, for each tree in turn (see harness.py for the trees and
+rounds).  Times are medians in seconds over seven rounds, and the traced
+runs come last.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
+import functools
 import resource
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
 import tracemalloc
 
-from presets_layers import ROOT, environment, extract_src
+import harness
 
 REPEATS = 7
+LEVELS = ("fast", "full")
 
 
 def _names(out) -> list:
@@ -72,7 +68,7 @@ def _timed_checks(verify, traced: bool) -> list:
     traced peak) to, in call order."""
     calls = []
 
-    def wrap(name, fn):
+    def timing(name, fn):
         def timed(*args, **kwargs):
             if traced:
                 tracemalloc.reset_peak()
@@ -89,43 +85,38 @@ def _timed_checks(verify, traced: bool) -> list:
 
     for name, fn in list(vars(verify).items()):
         if name.startswith("_") and name.endswith(("_check", "_checks")) and callable(fn):
-            setattr(verify, name, wrap(name, fn))
+            harness.wrap(verify, name, functools.partial(timing, name))
     return calls
 
 
-def _child(src: str, level: str, traced: bool) -> None:
-    # one level once, in a fresh interpreter importing src
-    sys.path.insert(0, src)
-    import cavneg
+def _probe(src: str, level: str, traced: str = "") -> dict:
+    # one level once; "traced" traces its memory
+    harness.load(src)
     from cavneg import verify
 
-    if not os.path.abspath(cavneg.__file__).startswith(src + os.sep):
-        raise ImportError(f"cavneg was imported from {cavneg.__file__}, not from {src}")
-    calls = _timed_checks(verify, traced)
+    calls = _timed_checks(verify, bool(traced))
     if traced:
         tracemalloc.start()
     t0 = time.perf_counter()
     report = verify.run_verification(level)
     total = time.perf_counter() - t0
-    json.dump(
-        {
-            "total_s": total,
-            # kilobytes on Linux
-            "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "calls": calls,
-            "checks": len(report.checks),
-            "passed": report.passed,
-        },
-        sys.stdout,
-    )
-
-
-def _run(src: str, level: str, traced: bool = False) -> dict:
-    argv = [sys.executable, os.path.abspath(__file__), "--child", src, "--level", level]
-    if traced:
-        argv.append("--traced")
-    proc = subprocess.run(argv, capture_output=True, text=True, check=True, cwd=ROOT)
-    return json.loads(proc.stdout)
+    returned = [name for call in calls for name in call["checks"]]
+    expected = [check.name for check in report.checks]
+    if returned != expected:
+        missing = [name for name in expected if name not in returned]
+        raise RuntimeError(
+            f"the {level} level's checks {missing} come from no _*_check(s) function"
+            if missing
+            else f"the {level} level's check functions return its checks out of order"
+        )
+    return {
+        "total_s": total,
+        # kilobytes on Linux
+        "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "calls": calls,
+        "checks": len(report.checks),
+        "passed": report.passed,
+    }
 
 
 def _calls(runs: list, traced: dict) -> list:
@@ -148,85 +139,60 @@ def _calls(runs: list, traced: dict) -> list:
     return calls
 
 
-def _summary(rounds: list, full: list, traced: dict) -> dict:
+def _summary(rounds: list, traced: dict) -> dict:
+    fast = [r["fast"] for r in rounds]
+    full = [r["full"] for r in rounds]
     return {
-        "fast": _calls(rounds, traced["fast"]),
-        "fast_total_s": statistics.median(r["total_s"] for r in rounds),
-        "fast_checks": rounds[0]["checks"],
-        "fast_maxrss_mb": statistics.median(r["maxrss_mb"] for r in rounds),
+        "fast": _calls(fast, traced["fast"]),
+        "fast_total_s": statistics.median(r["total_s"] for r in fast),
+        "fast_checks": fast[0]["checks"],
+        "fast_maxrss_mb": statistics.median(r["maxrss_mb"] for r in fast),
         "full_s": statistics.median(r["total_s"] for r in full),
         "full_maxrss_mb": statistics.median(r["maxrss_mb"] for r in full),
         "full_maxrss_mb_min": min(r["maxrss_mb"] for r in full),
         "full_maxrss_mb_max": max(r["maxrss_mb"] for r in full),
         "full": _calls(full, traced["full"]),
         "full_checks": full[0]["checks"],
-        "passed": all(r["passed"] for r in (*rounds, *full))
+        "passed": all(r["passed"] for r in (*fast, *full))
         and all(t["passed"] for t in traced.values()),
     }
 
 
-def measure(baseline: str | None) -> dict:
-    trees = {"after": os.path.join(ROOT, "src")}
-    with tempfile.TemporaryDirectory() as tmp:
-        if baseline is not None:
-            trees = {"before": extract_src(baseline, tmp), **trees}
-        rounds = {label: [] for label in trees}
-        full = {label: [] for label in trees}
-        for _ in range(REPEATS):
-            for label, src in trees.items():
-                rounds[label].append(_run(src, "fast"))
-                full[label].append(_run(src, "full"))
-        traced = {
-            label: {level: _run(src, level, traced=True) for level in ("fast", "full")}
-            for label, src in trees.items()
-        }
+def measure(args) -> dict:
+    def levels(src, *flags):
+        return {level: harness.child(__file__, src, level, *flags) for level in LEVELS}
+
+    with harness.trees(args.baseline) as trees:
+        rounds = harness.rounds(trees, REPEATS, lambda src, r: levels(src))
+        traced = {label: levels(src, "traced") for label, src in trees.items()}
     return {
         "benchmark": "verify_layers",
         "repeats": REPEATS,
         "unit": "s",
-        **{
-            label: _summary(rounds[label], full[label], traced[label])
-            for label in trees
-        },
-        "environment": environment(baseline),
+        **{label: _summary(rounds[label], traced[label]) for label in trees},
+        "environment": harness.environment(args.baseline),
     }
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--out", default=os.path.join(ROOT, "BENCH_verify.json"))
-    p.add_argument("--baseline", help="git revision to time as 'before'")
-    p.add_argument("--child", help=argparse.SUPPRESS)
-    p.add_argument("--level", default="fast", help=argparse.SUPPRESS)
-    p.add_argument("--traced", action="store_true", help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.child:
-        _child(args.child, args.level, args.traced)
-        return 0
-    report = measure(args.baseline)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+def show(report: dict):
     for label in ("before", "after"):
         if label not in report:
             continue
         side = report[label]
-        for level in ("fast", "full"):
+        for level in LEVELS:
             for call in side[level]:
-                print(
+                yield (
                     f"{label} {level} {call['function']}: {call['s'] * 1e3:.1f} ms, "
                     f"{call['traced_peak_mb']:.1f} MB traced ({', '.join(call['checks'])})"
                 )
-        print(
+        yield (
             f"{label} fast: {side['fast_total_s']:.3f} s, "
             f"{side['fast_maxrss_mb']:.1f} MB, {side['fast_checks']} checks; "
             f"full: {side['full_s']:.3f} s, {side['full_maxrss_mb']:.1f} MB "
             f"({side['full_maxrss_mb_min']:.1f}-{side['full_maxrss_mb_max']:.1f}), "
             f"{side['full_checks']} checks; all passed: {side['passed']}"
         )
-    print(f"wrote {args.out}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, "BENCH_verify.json", measure, show, _probe))

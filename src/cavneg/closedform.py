@@ -416,7 +416,7 @@ def massive_limit_deficit(
     limit is no longer accurate, raises ValueError, and so does n_max below
     2k, the engine's rule k <= n_max / 2, as the sum would stop short of the
     modes around k that dominate it.  An M whose fourth power overflows a
-    float raises OverflowError.
+    float, an infinite M included, raises OverflowError.
     """
     if not M > 0:
         raise ValueError("the heavy-field limit needs M > 0; use the massless forms")
@@ -434,7 +434,9 @@ def massive_limit_deficit(
     try:
         m4 = M**4
     except OverflowError:
-        raise OverflowError(f"M = {M!r} is too large: M**4 overflows a float") from None
+        m4 = math.inf
+    if not m4 < math.inf:
+        raise OverflowError(f"M = {M!r} is too large: M**4 overflows a float")
     start = 1 if k % 2 == 0 else 2
     n = np.arange(start, n_max + 1, 2, dtype=float)
     wk = math.sqrt(M * M + (math.pi * k) ** 2)

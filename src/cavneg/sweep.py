@@ -609,6 +609,11 @@ def estimate_physical(
     elif k / M <= 0.01:
         path = "heavy-field"
         period = _tau_bar(1.0, CavityConfig(delta=delta, M=M))
+        if not period < math.inf:
+            # an infinite M included: the samples of the period would be NaN
+            raise OverflowError(
+                f"M = {M!r} is too large: the heavy-field period overflows a float"
+            )
         tau = np.linspace(0.0, period, 2049)
         # the function's default n_max of 200, or 2k where it needs more
         peak = float(np.max(massive_limit_deficit(k, M, tau, delta, max(200, 2 * k))))

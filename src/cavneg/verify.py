@@ -171,16 +171,15 @@ def _form_agreement_checks(npoints: int) -> list:
     ]
 
 
-def _two_by_two_check(corrupt_a11: float) -> CheckResult:
+def _two_by_two_check() -> CheckResult:
     """One-way deficit error of the two-coefficient replacement, relative to
     the quarter-period deficit 2 Q(1,1); lands at 0.66% against the 0.7%
-    bound, so even small corruption of a11 trips it."""
+    bound, so even small corruption of A_11 trips it."""
     us = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
     z = np.exp(1j * us)
-    a11 = A_11 * (1.0 + corrupt_a11)
 
     def small(zz):
-        return A_10 * np.real(zz) + 0.5 * a11 * np.real(zz**3)
+        return A_10 * np.real(zz) + 0.5 * A_11 * np.real(zz**3)
 
     q_one = kickstart_deficit(1)
     exact = 2.0 * (q_one - np.asarray(q_function(1, z)))
@@ -355,9 +354,8 @@ def _heavy_field_engine_check() -> CheckResult:
     return CheckResult("heavy-field-closed-vs-pipeline-M1000", worst, 1e-3)
 
 
-def run_verification(level: str = "fast", corrupt_a11: float = 0.0) -> VerificationReport:
-    """Run the invariant suite; corrupt_a11 perturbs the 2x2 bound check's
-    small coefficient so the tester itself can be tested."""
+def run_verification(level: str = "fast") -> VerificationReport:
+    """Run the invariant suite at level "fast" or "full"."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     checks: list = []
@@ -367,7 +365,7 @@ def run_verification(level: str = "fast", corrupt_a11: float = 0.0) -> Verificat
         checks.append(_q_series_check())
         checks.append(_positivity_check(2000))
         checks += _form_agreement_checks(16)
-        checks.append(_two_by_two_check(corrupt_a11))
+        checks.append(_two_by_two_check())
         checks.append(_zero_locus_check())
         checks += _pipeline_checks(500, 4, (1,))
         checks.append(_column_matches_matrix_check(500))
@@ -379,7 +377,7 @@ def run_verification(level: str = "fast", corrupt_a11: float = 0.0) -> Verificat
         checks.append(_q_series_check())
         checks.append(_positivity_check(10000))
         checks += _form_agreement_checks(64)
-        checks.append(_two_by_two_check(corrupt_a11))
+        checks.append(_two_by_two_check())
         checks.append(_zero_locus_check())
         checks += _pipeline_checks(2000, 8, (1, 2))
         checks.append(_column_matches_matrix_check(500))

@@ -552,6 +552,9 @@ def test_heavy_field_input_validation():
     # M**4 overflows a float: the error names M
     with pytest.raises(OverflowError, match=r"M = 1e\+100"):
         massive_limit_deficit(1, 1e100, 1.0)
+    # so does an infinite M, whose fourth power is inf, not an error
+    with pytest.raises(OverflowError, match="M = inf is too large"):
+        massive_limit_deficit(1, math.inf, 0.5)
 
 
 def test_heavy_field_rejects_a_nan_mass_or_length():

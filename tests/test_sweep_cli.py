@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -958,6 +959,17 @@ def test_cli_estimate(capsys):
     assert "--estimate takes one --k, got 2" in capsys.readouterr().err
     assert main(argv + ["--k", "2.0"]) == 0
     assert "k = 2\n" in capsys.readouterr().out
+    # an M that overflows to inf, or a period that does, is refused before
+    # the period is sampled: no NaN peak, no numpy warning
+    for tail in (["--delta", "1e300", "--mass", "1e-27"],
+                 ["--delta", "1", "--wavelength", "1e-320"],
+                 ["--delta", "1e250", "--mass", "3e-223"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--estimate", "--accel", "10", *tail]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is too large: the heavy-field period overflows" in captured.err
 
 
 def test_cli_estimate_mode_index(capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cavneg
-from cavneg import bogoliubov
+from cavneg import bogoliubov, verify
 from cavneg.bogoliubov import _boost, _boost_residuals, check_identities
 from cavneg.verify import (
     _PERIODICITY_TAUS,
@@ -61,8 +61,9 @@ def test_fast_suite_keeps_its_checks_and_thresholds(fast_report):
         assert check.threshold == pytest.approx(threshold, rel=1e-12, abs=0.0), name
 
 
-def test_corrupted_coefficient_is_caught():
-    report = run_verification("fast", corrupt_a11=-1.0)
+def test_corrupted_coefficient_is_caught(monkeypatch):
+    monkeypatch.setattr(verify, "A_11", 0.0)
+    report = run_verification("fast")
     assert not report.passed
     failed = [c.name for c in report.checks if not c.passed]
     assert failed == ["two-by-two-replacement-bound"]
