@@ -14,7 +14,7 @@ Run from the repository root:
 
 Times are medians in seconds over seven calls of the column path and three
 of the matrix path, each call from scratch. The matrix round trip peaks near
-640 MB of resident memory at n_max = 2e3.
+550 MB of resident memory at n_max = 2e3.
 """
 
 from __future__ import annotations

@@ -238,7 +238,7 @@ def _check_boost_args(n_max: int, M: float) -> None:
         raise ValueError(f"M must be non-negative, got {M}")
 
 
-_ROW_BLOCK = 64  # rows per block of the boost entries, composition and the identity check
+_ROW_BLOCK = 64  # rows per block of the boost entries and the identity check
 
 
 def _row_blocks(n: int):
@@ -408,62 +408,20 @@ def compose(
     order this keeps the off-diagonal blocks first order and the alpha
     diagonal through second order.  The blocks of the result are complex.
     """
-    return _compose(second, first, 1)
-
-
-def _compose(
-    second: PerturbativeTransform,
-    first: PerturbativeTransform,
-    sign: int,
-    out=None,
-) -> PerturbativeTransform:
-    """compose() with the first-order blocks of ``second`` taken times sign,
-    +1 or -1, without forming them.  Negation is exact, so sign -1 gives the
-    values of composing the negated transform; the second-order diagonal of
-    ``second`` enters unchanged, as it does for a boost leg of either sign.
-
-    out, when given, is a pair of writable complex n_max x n_max arrays
-    (alpha1, beta1) that the first-order blocks of the result are written
-    into; the result holds read-only views of them.  first's blocks may be
-    views of that same pair, since the cross terms of the diagonal are read
-    before the pair is written.  Without out the pair is fresh.  The only
-    other scratch is one block of _ROW_BLOCK rows.
-    """
     if second.n_max != first.n_max:
         raise ValueError(
             f"size mismatch: {second.n_max} vs {first.n_max} modes"
         )
-    n = first.n_max
-    z2 = second.order0
-    z1 = first.order0
-    order0 = z2 * z1
-    if out is None:
-        out = tuple(np.empty((n, n), dtype=complex) for _ in range(2))
-    alpha1, beta1 = out
-    work = np.empty((min(_ROW_BLOCK, n), n), dtype=complex)
-    cross_a = np.einsum("nm,mn->n", second.alpha1, first.alpha1)
-    # conj(B1), a block of its columns at a time, goes to the scratch rows
-    cross_b = np.empty(n, dtype=complex)
-    for rows in _row_blocks(n):
-        conj_cols = np.conj(first.beta1[:, rows].T, out=work[: rows.stop - rows.start])
-        cross_b[rows] = np.einsum("nm,nm->n", second.beta1[rows], conj_cols)
-    if sign != 1:
-        cross_a, cross_b = -cross_a, -cross_b
-    alpha2 = z2 * first.alpha2_diag + second.alpha2_diag * z1 + cross_a + cross_b
-    # the sign rides on the phase vectors, whose negation is exact and cheap
-    z1s = z1 if sign == 1 else -z1
-    # A = z2 A1 + A2 z1s and B = z2 B1 + B2 conj(z1s), in that operand order
-    for block, prev, seg, phase in (
-        (alpha1, first.alpha1, second.alpha1, z1s),
-        (beta1, first.beta1, second.beta1, np.conj(z1s)),
-    ):
-        for rows in _row_blocks(n):
-            part = block[rows]
-            scratch = work[: rows.stop - rows.start]
-            np.multiply(z2[rows, None], prev[rows], out=part)
-            np.multiply(seg[rows], phase[None, :], out=scratch)
-            np.add(part, scratch, out=part)
-    return PerturbativeTransform(order0, alpha1.view(), beta1.view(), alpha2)
+    z2, a2, b2, d2 = second.order0, second.alpha1, second.beta1, second.alpha2_diag
+    z1, a1, b1, d1 = first.order0, first.alpha1, first.beta1, first.alpha2_diag
+    return PerturbativeTransform(
+        z2 * z1,
+        z2[:, None] * a1 + a2 * z1[None, :],
+        z2[:, None] * b1 + b2 * np.conj(z1)[None, :],
+        z2 * d1 + d2 * z1
+        + np.einsum("nm,mn->n", a2, a1)
+        + np.einsum("nm,mn->n", b2, np.conj(b1)),
+    )
 
 
 def inverse(t: PerturbativeTransform) -> PerturbativeTransform:

@@ -17,14 +17,14 @@ independent of h because the transform blocks are stored per unit h.  The
 engine returns the pair (deficit, truncation tail); the closed forms return
 the deficit alone, and the sweep takes their tails from the series cutoff.
 scenario_negativity carries that column through the segments in O(n_max)
-each; effective_transform composes the full n_max x n_max blocks and,
-through negativity_general, is the reference the column path is checked
-against.  It builds each accelerated leg once per distinct duration, since a
-leg of the opposite sign differs only in the sign of its first-order blocks.
+each; effective_transform builds every segment's full n_max x n_max blocks
+and composes them, and through negativity_general it is the reference the
+column path is checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,11 +34,13 @@ from .bogoliubov import (
     TAIL_ROWS,
     PerturbativeTransform,
     _boost,
-    _compose,
     _truncation_tail,
     boost_column,
+    compose,
     identity_transform,
+    phase_rotation,
 )
+from .closedform import _check_phase
 from .spectrum import CavityConfig, rindler_frequency
 
 __all__ = [
@@ -91,7 +93,9 @@ class Scenario:
     """Ordered trajectory segments plus the cavity configuration.
 
     kickstart=True omits the boost back to the inertial basis after the final
-    segment, which must then be an Accelerated one.
+    segment, which must then be an Accelerated one.  A segment whose
+    largest phase, at mode n_max, a float resolves more coarsely than 1e-6
+    rad raises ValueError: the engines' phases would have lost their digits.
     """
 
     segments: tuple
@@ -105,6 +109,12 @@ class Scenario:
                 raise TypeError(f"unsupported segment {seg!r}")
         if self.kickstart and (not segs or not isinstance(segs[-1], Accelerated)):
             raise ValueError("a kickstart scenario must end with an Accelerated segment")
+        freqs = _frequencies(self.cfg)
+        for seg in segs:
+            rate = float(freqs[type(seg)][-1])
+            # an overflowing spectrum gives a NaN deficit, refused downstream
+            if math.isfinite(rate):
+                _check_phase(rate * seg.duration, f"a segment of duration {seg.duration:.6g}")
         object.__setattr__(self, "segments", segs)
 
 
@@ -123,6 +133,11 @@ def _accelerated_frequencies(cfg: CavityConfig) -> np.ndarray:
     return _inertial_frequencies(cfg)
 
 
+def _frequencies(cfg: CavityConfig) -> dict:
+    """The mode frequencies of each segment kind."""
+    return {Inertial: _inertial_frequencies(cfg), Accelerated: _accelerated_frequencies(cfg)}
+
+
 def _accelerated_segment(
     boost: PerturbativeTransform,
     cfg: CavityConfig,
@@ -131,145 +146,55 @@ def _accelerated_segment(
     open_ended: bool,
 ) -> PerturbativeTransform:
     z = np.exp(1j * _accelerated_frequencies(cfg) * duration)
-    n = cfg.n_max
-    alpha1 = np.empty((n, n), dtype=complex)
-    beta1 = np.empty((n, n), dtype=complex)
     if open_ended:
         # boost then accelerated-frame evolution, no boost back
-        np.multiply(sign * z[:, None], boost.alpha1, out=alpha1)
-        np.multiply(sign * z[:, None], boost.beta1, out=beta1)
-        alpha2 = z * boost.alpha2_diag
-    else:
-        # boost, evolution, inverse boost collapse to a closed form: the
-        # antisymmetry of alpha1 and symmetry of beta1 in the boost blocks
-        # turn the chain into phase differences, written into the blocks
-        # before the signed boost multiplies them
-        np.subtract(z[:, None], z[None, :], out=alpha1)
-        np.multiply(sign * boost.alpha1, alpha1, out=alpha1)
-        np.subtract(z[:, None], np.conj(z)[None, :], out=beta1)
-        np.multiply(sign * boost.beta1, beta1, out=beta1)
-        # each square of the boost lives for its einsum only
-        alpha2 = (
-            2.0 * z * boost.alpha2_diag
-            + np.einsum("mn,m->n", np.real(boost.alpha1) ** 2, z)
-            - np.einsum("mn,m->n", np.real(boost.beta1) ** 2, np.conj(z))
+        return PerturbativeTransform(
+            z,
+            sign * z[:, None] * boost.alpha1,
+            sign * z[:, None] * boost.beta1,
+            z * boost.alpha2_diag,
         )
-    return PerturbativeTransform(z, alpha1, beta1, alpha2)
+    # boost, evolution, inverse boost collapse to a closed form: the
+    # antisymmetry of alpha1 and symmetry of beta1 in the boost blocks turn
+    # the chain into phase differences
+    return PerturbativeTransform(
+        z,
+        sign * boost.alpha1 * (z[:, None] - z[None, :]),
+        sign * boost.beta1 * (z[:, None] - np.conj(z)[None, :]),
+        2.0 * z * boost.alpha2_diag
+        + np.einsum("mn,m->n", boost.alpha1**2, z)
+        - np.einsum("mn,m->n", boost.beta1**2, np.conj(z)),
+    )
 
 
-def _transform_steps(s: Scenario, boost: PerturbativeTransform | None = None):
-    """Yield the end-to-end transform after each segment of s, in order.
-
-    Each distinct (duration, open_ended) leg is built once, with the sign of
-    its first use; a later use of the opposite sign negates its first-order
-    blocks inside the composition instead of copying them.  boost is as for
-    effective_transform.  Every leg is built before the first step, and
-    then the walk drops its reference to the boost, so the boost lives on
-    only while its caller holds it.
-
-    The first step is the first accelerated leg itself, or pure phases with
-    real zero blocks for an inertial start; both are read-only and never
-    written.  The walk allocates one writable pair of n_max x n_max
-    first-order blocks at its first later step, so a one-segment walk
-    allocates none: inertial phases are written from the previous step's
-    blocks into the pair, in place once those blocks are views of it, and
-    each composition writes the pair in place, with a scratch block of 64
-    rows only.  So every yielded transform's alpha1 and beta1 hold their
-    values only until the next step is drawn; copy them to keep them longer.
-    Each leg builds its blocks in place and squares the boost for its
-    second-order diagonal only while it is built.
-    """
-    cfg = s.cfg
-    if boost is not None and boost.n_max != cfg.n_max:
-        raise ValueError(
-            f"boost has n_max = {boost.n_max}, the scenario needs {cfg.n_max}"
-        )
-    n = cfg.n_max
-    last = len(s.segments) - 1
-    keys = [
-        (seg.duration, s.kickstart and i == last)
-        if isinstance(seg, Accelerated)
-        else None
+def _transform_steps(s: Scenario):
+    """Yield the end-to-end transform after each segment of s, in order:
+    one fresh transform per segment, composed onto the steps before it."""
+    cfg, last = s.cfg, len(s.segments) - 1
+    legs = any(isinstance(seg, Accelerated) for seg in s.segments)
+    boost = _boost(cfg.n_max, cfg.M) if legs else None
+    segments = (
+        phase_rotation(seg.duration, _inertial_frequencies(cfg), cfg.n_max)
+        if isinstance(seg, Inertial)
+        else _accelerated_segment(boost, cfg, seg.sign, seg.duration, s.kickstart and i == last)
         for i, seg in enumerate(s.segments)
-    ]
-    legs = {}
-    for seg, key in zip(s.segments, keys):
-        if key is not None and key not in legs:
-            if boost is None:
-                boost = _boost(cfg.n_max, cfg.M)
-            legs[key] = (
-                _accelerated_segment(boost, cfg, seg.sign, seg.duration, key[1]),
-                seg.sign,
-            )
-    del boost
-    out = None  # (alpha1, beta1) from the first step that writes
-    total = None
-    for seg, key in zip(s.segments, keys):
-        if key is None:
-            phases = np.exp(1j * _inertial_frequencies(cfg) * seg.duration)
-            if total is None:
-                zero = np.zeros((n, n))
-                total = PerturbativeTransform(phases, zero, zero, np.zeros(n))
-                yield total
-                continue
-            if out is None:
-                out = tuple(np.empty((n, n), dtype=complex) for _ in range(2))
-            # left-compose the pure phases: compose() with a diagonal second
-            # factor, without the arithmetic on its zero blocks
-            for block, prev in zip(out, (total.alpha1, total.beta1)):
-                np.multiply(phases[:, None], prev, out=block)
-            total = PerturbativeTransform(
-                phases * total.order0,
-                out[0].view(),
-                out[1].view(),
-                phases * total.alpha2_diag,
-            )
-            yield total
-            continue
-        leg, leg_sign = legs[key]
-        if total is None:
-            # no earlier segment: the leg has this segment's sign
-            total = leg
-        else:
-            if out is None:
-                out = tuple(np.empty((n, n), dtype=complex) for _ in range(2))
-            total = _compose(leg, total, seg.sign * leg_sign, out)
-        yield total
+    )
+    yield from itertools.accumulate(segments, lambda total, t: compose(t, total))
 
 
-def effective_transform(
-    s: Scenario, boost: PerturbativeTransform | None = None
-) -> PerturbativeTransform:
+def effective_transform(s: Scenario) -> PerturbativeTransform:
     """End-to-end transform of a scenario, per unit h, as full matrices.
 
     Accelerated segments contribute boost, accelerated-frame phases, inverse
     boost (the inverse omitted only for the kickstart tail); inertial
     segments contribute inertial phases.  Segments compose in trajectory
-    order, and each distinct accelerated leg duration is built once.  An
-    empty scenario gives the identity.  This is the O(n_max**2) reference
-    that scenario_negativity is checked against.
-
-    boost, when given, is massless_boost_transform(n_max) or
-    massive_boost_transform(n_max, M) for the scenario's n_max and M, so
-    that callers transforming several scenarios of one cavity build it
-    once; it is built here when omitted.  A boost of another n_max raises
-    ValueError.
-
-    All legs are built before the first composition, and then the boost is
-    dropped: the walk holds its distinct legs and one pair of complex
-    blocks that the compositions write in place, with no scratch block of
-    the full size.  A round trip at n_max 500 peaks near 16.7 MB traced,
-    its one leg and the pair, plus the boost while the caller holds it.
+    order; an empty scenario gives the identity.  This is the O(n_max**2)
+    reference that scenario_negativity is checked against.
     """
-    steps = _transform_steps(s, boost)
-    del boost  # the walk's reference is the only one this call keeps
     total = None
-    # the last step's blocks are never written again once the walk ends
-    for total in steps:
+    for total in _transform_steps(s):
         pass
-    if total is None:
-        return identity_transform(s.cfg.n_max)
-    return total
+    return identity_transform(s.cfg.n_max) if total is None else total
 
 
 def _check_column(k: int, n_max: int) -> None:
@@ -325,21 +250,14 @@ def scenario_negativity(s: Scenario) -> tuple:
     # loops, and the vector keeps the result bit-identical to the matrices.
     Z = np.ones(cfg.n_max, dtype=complex)
     column = None
-    freqs = {}
+    freqs = _frequencies(cfg)
     phase_vectors = {}
 
     def phases_of(seg):
-        kind = type(seg)
         # keyed on the exact bits, so -0.0 keeps phases of its own
-        key = (kind, float(seg.duration).hex())
+        key = (type(seg), float(seg.duration).hex())
         if key not in phase_vectors:
-            if kind not in freqs:
-                freqs[kind] = (
-                    _inertial_frequencies(cfg)
-                    if kind is Inertial
-                    else _accelerated_frequencies(cfg)
-                )
-            phase_vectors[key] = np.exp(1j * freqs[kind] * seg.duration)
+            phase_vectors[key] = np.exp(1j * freqs[type(seg)] * seg.duration)
         return phase_vectors[key]
 
     last = len(s.segments) - 1

@@ -4,29 +4,29 @@ The fast level runs the cheap invariants (identities at moderate cutoff,
 cross-checks at a handful of phase points).  The full level raises the cutoff
 to 2000, adds doubling convergence, widens the phase grids to 64 points and
 covers the heavy-field masses.  Both levels check the column engine against
-the closed forms and against the full-matrix reference; the closed-form
-checks build each trip and its closed value through sweep's map of phase
-coordinates, the one every sweep uses.  The boost identity residuals come
-from bogoliubov's one reader, fed the boost's row blocks straight from its
-entry kernel, so no level builds a boost larger than n_max 500.  On a
-2-vCPU x86-64 machine (Python 3.11, numpy 2.4) fast takes 0.15-0.16 s and
-full 0.50-0.57 s, medians over seven fresh interpreters, at resident peaks
-of 53 and 54 MB, imports included; the identity checks take 18-19 ms of
-fast and 0.34-0.38 s of full.  The largest traced peak of either level is
-16.8 MB, in the column-vs-matrix check, and the identity checks peak at
-1.9 MB (fast) and 7.2 MB (full).  bench/verify_layers.py times and traces
-them check by check.
+the closed forms, and against the full-matrix reference at n_max 200; the
+closed-form checks build each trip and its closed value through sweep's map
+of phase coordinates, the one every sweep uses.  The boost identity
+residuals come from bogoliubov's one reader, fed the boost's row blocks
+straight from its entry kernel, so no level builds a boost larger than
+n_max 200.  On a 2-vCPU x86-64 machine (Python 3.11, numpy 2.4) fast takes
+0.11-0.12 s and full 0.50-0.51 s, medians over seven fresh interpreters, at
+resident peaks of 39 MB, imports included; the identity checks take 19 ms
+of fast and 0.37-0.38 s of full, the column-vs-matrix check 55-62 ms of
+each.  The largest traced peak is 7.2 MB, in full's identity checks; the
+column-vs-matrix check peaks at 6.6 MB and fast's identity checks at 1.9
+MB.  bench/verify_layers.py times and traces them check by check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bogoliubov import (
-    _boost,
     _boost_alpha2_diag,
     _boost_residuals,
     boost_column,
@@ -48,8 +48,8 @@ from .closedform import (
 )
 from .scenario import (
     CavityConfig,
+    Scenario,
     _transform_steps,
-    alpha_centauri_scenario,
     effective_transform,
     kickstart_scenario,
     negativity_general,
@@ -248,49 +248,32 @@ def _pipeline_checks(n_max: int, npoints: int, ks) -> list:
 
 def _column_vs_matrix(n_max: int, M: float) -> float:
     """Largest deficit or tail difference between the column engine and the
-    full-matrix reference over the four trip shapes, all transformed with
-    one boost.  The one-way and out-and-stop trips are prefixes of the
-    round trip, so one walk along its chain serves all three references."""
+    full-matrix reference over two kickstart trips, the bare kickstart and
+    one that follows a leg and a coast, whose tail phase the bare one cannot
+    see, and every prefix of a round trip, read from one walk along it."""
     cfg = CavityConfig(M=M, k=2, n_max=n_max)
-    round_trip = round_trip_scenario(0.8, 0.45, 0.3, cfg)
-    prefixes = {}
-    for scenario in (
-        one_way_scenario(0.8, cfg),
-        alpha_centauri_scenario(0.8, 0.45, cfg),
-        round_trip,
-    ):
-        steps = len(scenario.segments)
-        if round_trip.segments[:steps] != scenario.segments:
-            raise RuntimeError(
-                f"the round trip no longer starts with the {steps}-segment trip"
-            )
-        prefixes[steps] = scenario
-
-    def difference(scenario, t) -> float:
-        col = scenario_negativity(scenario)
-        ref = negativity_general(t, cfg.k)
-        return max(abs(c - r) for c, r in zip(col, ref))
-
-    boost = _boost(n_max, M)
-    kick = kickstart_scenario(0.8, cfg)
-    worst = difference(kick, effective_transform(kick, boost))
-    walk = _transform_steps(round_trip, boost)
-    # the walk drops the boost once its leg is built, so its compositions
-    # run at the leg and the pair alone; each step is dropped before the
-    # next is composed
-    del boost
-    for steps, t in enumerate(walk, 1):
-        if steps in prefixes:
-            worst = max(worst, difference(prefixes[steps], t))
-    return worst
+    trip = round_trip_scenario(0.8, 0.45, 0.3, cfg)
+    kicks = (kickstart_scenario(0.8, cfg), Scenario(trip.segments[:3], cfg, kickstart=True))
+    prefixes = (Scenario(trip.segments[:steps], cfg) for steps in itertools.count(1))
+    # the kicks go first, so no kick transform is held during the walk
+    pairs = itertools.chain(
+        ((s, effective_transform(s)) for s in kicks), zip(prefixes, _transform_steps(trip))
+    )
+    return max(
+        abs(c - r)
+        for s, t in pairs
+        for c, r in zip(scenario_negativity(s), negativity_general(t, cfg.k))
+    )
 
 
 _COLUMN_MASSES = (0.0, 10.0)
+_COLUMN_N_MAX = 200
 
 
 def _column_matches_matrix_check(n_max: int) -> CheckResult:
     """Column engine against the full-matrix reference: deficit and tail for
-    the four trip shapes, massless and massive."""
+    the round trip's prefixes and the kickstart trips, massless and
+    massive."""
     worst = max(_column_vs_matrix(n_max, M) for M in _COLUMN_MASSES)
     return CheckResult(f"column-matches-matrix-n{n_max}", worst, 1e-14)
 
@@ -368,7 +351,7 @@ def run_verification(level: str = "fast") -> VerificationReport:
         checks.append(_two_by_two_check())
         checks.append(_zero_locus_check())
         checks += _pipeline_checks(500, 4, (1,))
-        checks.append(_column_matches_matrix_check(500))
+        checks.append(_column_matches_matrix_check(_COLUMN_N_MAX))
         checks.append(_periodicity_check())
     else:
         checks += _identity_checks(2000, (0.0, 10.0, 1e3))
@@ -380,7 +363,7 @@ def run_verification(level: str = "fast") -> VerificationReport:
         checks.append(_two_by_two_check())
         checks.append(_zero_locus_check())
         checks += _pipeline_checks(2000, 8, (1, 2))
-        checks.append(_column_matches_matrix_check(500))
+        checks.append(_column_matches_matrix_check(_COLUMN_N_MAX))
         checks.append(_periodicity_check())
         checks.append(_doubling_check())
         checks.append(_heavy_field_engine_check())

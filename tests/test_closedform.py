@@ -8,6 +8,7 @@ import ast
 import math
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -555,6 +556,27 @@ def test_heavy_field_input_validation():
     # so does an infinite M, whose fourth power is inf, not an error
     with pytest.raises(OverflowError, match="M = inf is too large"):
         massive_limit_deficit(1, math.inf, 0.5)
+
+
+def test_heavy_field_refuses_durations_its_phases_cannot_resolve():
+    # an infinite duration gave NaN after a numpy warning, and durations near
+    # 1e304 gave deficits near 1e8 from the cos of arguments near 1e306
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.inf, -math.inf, math.nan):
+            for tau in (bad, np.array([0.5, bad])):
+                with pytest.raises(ValueError, match="tau_bar reaches a phase of (inf|nan)"):
+                    massive_limit_deficit(1, 1000.0, tau)
+        with pytest.raises(ValueError, match="tau_bar reaches a phase of 2.3e"):
+            massive_limit_deficit(1, 1000.0, np.array([0.0, 1.27e304]))
+    # the largest cos argument, at mode 200, must stay below 2**33, where a
+    # float still resolves 1e-6 rad
+    M = 1000.0
+    wk, wn = math.hypot(M, math.pi), math.hypot(M, 200 * math.pi)
+    reach = 2.0**33 / abs(math.pi**2 * (1 - 200**2) / (wk + wn))
+    assert float(massive_limit_deficit(1, M, np.array([1.0, 0.999 * reach]))[1]) > 0.0
+    with pytest.raises(ValueError, match="above 1e-06 rad"):
+        massive_limit_deficit(1, M, -1.001 * reach)
 
 
 def test_heavy_field_rejects_a_nan_mass_or_length():

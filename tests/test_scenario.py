@@ -1,7 +1,6 @@
 """Trajectory assembly and the general negativity pipeline."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,26 +242,6 @@ def test_column_engine_equals_the_per_segment_loop(k, M):
         assert [x.hex() for x in got] == [x.hex() for x in ref], shape
 
 
-@pytest.mark.parametrize("M", [0.0, 10.0])
-@pytest.mark.parametrize(
-    "shape",
-    ["one-way", "alpha-centauri", "round-trip", "kickstart", "inertial-first",
-     "inertial-only"],
-)
-def test_effective_transform_takes_a_prebuilt_boost(shape, M):
-    cfg = CavityConfig(M=M, h=0.01, k=2, n_max=200)
-    s = _column_cases(cfg)[shape]
-    boost = (
-        massless_boost_transform(cfg.n_max)
-        if M == 0
-        else massive_boost_transform(cfg.n_max, M)
-    )
-    built = effective_transform(s)
-    given = effective_transform(s, boost)
-    for block in ("order0", "alpha1", "beta1", "alpha2_diag"):
-        assert np.array_equal(getattr(given, block), getattr(built, block)), block
-
-
 def _reference_transform(s):
     """effective_transform as one leg per accelerated segment, each built
     with its own sign and joined by the public compose."""
@@ -329,8 +308,8 @@ def _reference_cases(cfg):
 @pytest.mark.parametrize("n_max", [50, 200])
 @pytest.mark.parametrize("M", [0.0, 10.0, 1000.0])
 def test_effective_transform_equals_the_per_leg_reference(M, n_max):
-    # one build per leg duration, with the sign moved into the composition,
-    # gives the same numbers as one leg per segment
+    # the walk's segment transforms, composed in order, give the bits of
+    # the reference's own whole-block legs and phase products
     cfg = CavityConfig(M=M, h=0.01, k=2, n_max=n_max)
     for shape, s in _reference_cases(cfg).items():
         got = effective_transform(s)
@@ -341,8 +320,6 @@ def test_effective_transform_equals_the_per_leg_reference(M, n_max):
 
 @pytest.mark.parametrize("M", [0.0, 10.0])
 def test_transform_steps_pass_through_the_shorter_trips(M):
-    # each step is compared as it is drawn: its blocks are views of the
-    # walk's buffers, which the next step overwrites
     cfg = CavityConfig(M=M, h=0.01, k=2, n_max=200)
     refs = {
         1: one_way_scenario(0.8, cfg),
@@ -359,53 +336,15 @@ def test_transform_steps_pass_through_the_shorter_trips(M):
     assert list(_transform_steps(Scenario((), cfg))) == []
 
 
-@pytest.mark.parametrize("trip", ["one-way", "kickstart"])
-def test_one_segment_walk_allocates_no_buffer_pair(trip):
-    # the leg is the walk's only step, so no n_max x n_max pair is
-    # allocated: at n_max 500 the walk peaks at 10.2 MB (one-way) and
-    # 8.3 MB (kickstart), where a pair of complex blocks adds 8
-    cfg = CavityConfig(h=0.01, k=2, n_max=500)
-    boost = _boost(cfg.n_max, 0.0)
-    build = one_way_scenario if trip == "one-way" else kickstart_scenario
-    s = build(0.8, cfg)
-    tracemalloc.start()
-    try:
-        effective_transform(s, boost)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
-
-
-@pytest.mark.parametrize("M", [0.0, 10.0])
-def test_round_trip_walk_peaks_at_its_live_set(M):
-    # the leg and the pair it is composed into, 8 MB each at n_max 500, are
-    # all a walk needs: it peaks at 16.7 MB, one 64-row scratch block above
-    # them, where held boost squares, whole-matrix leg temporaries and a
-    # full scratch block took it to 24.2 MB
-    cfg = CavityConfig(M=M, h=0.01, k=2, n_max=500)
-    boost = _boost(cfg.n_max, M)
-    s = round_trip_scenario(0.8, 0.45, 0.3, cfg)
-    tracemalloc.start()
-    try:
-        effective_transform(s, boost)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 18e6
-
-
 @pytest.mark.parametrize("M", [0.0, 10.0])
 def test_effective_transform_outlives_a_second_walk(M):
-    # every walk owns its buffers, so a result stays put when the same
-    # boost serves another scenario
+    # a result stays put while other scenarios of the cavity are walked
     cfg = CavityConfig(M=M, h=0.01, k=2, n_max=200)
-    boost = _boost(cfg.n_max, M)
     cases = _column_cases(cfg)
-    first = effective_transform(cases["round-trip"], boost)
+    first = effective_transform(cases["round-trip"])
     kept = {b: np.array(getattr(first, b)) for b in ("order0", "alpha1", "beta1", "alpha2_diag")}
     for s in cases.values():
-        effective_transform(s, boost)
+        effective_transform(s)
     for block, values in kept.items():
         assert np.array_equal(getattr(first, block), values), block
         assert not getattr(first, block).flags.writeable, block
@@ -432,10 +371,18 @@ def test_truncation_tails_keep_the_block_mean_rule(M, n_max):
         assert check_identities(t).tail_estimate == tail
 
 
-def test_effective_transform_rejects_a_boost_of_another_size():
-    cfg = CavityConfig(h=0.01, k=2, n_max=200)
-    with pytest.raises(ValueError, match="n_max = 100"):
-        effective_transform(one_way_scenario(0.8, cfg), massless_boost_transform(100))
+@pytest.mark.parametrize("M", [0.0, 10.0])
+def test_scenario_refuses_durations_its_phases_cannot_resolve(M):
+    # the phase of mode n_max must stay below 2**33, where a float still
+    # resolves 1e-6 rad; past it the engines gave deficits of noise
+    cfg = CavityConfig(M=M, h=0.01, n_max=40)
+    for kind, rate in ((Inertial, _inertial_frequencies), (Accelerated, _accelerated_frequencies)):
+        reach = 2.0**33 / rate(cfg)[-1]
+        args = (1,) if kind is Accelerated else ()
+        s = Scenario((kind(*args, 0.999 * reach),), cfg)
+        assert scenario_negativity(s)[0] >= 0.0
+        with pytest.raises(ValueError, match="a segment of duration .* above 1e-06 rad"):
+            Scenario((Inertial(0.5), kind(*args, 1.001 * reach)), cfg)
 
 
 def test_column_engine_bounds_k_like_matrix_engine():

@@ -302,6 +302,19 @@ def test_cli_heavy_field_mass_whose_fourth_power_overflows(tmp_path, capsys):
     assert "M = 1e+100 is too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [[], ["--mode", "general", "--n-max", "40"]])
+def test_cli_refuses_durations_whose_phases_lose_their_digits(mode, tmp_path, capsys):
+    # these durations near 1e304 once wrote deficits near 1e8 and exited 0
+    out = tmp_path / "x.csv"
+    argv = ["--scenario", "one-way", "--M", "1000", "--k", "1", "--h", "1e-6",
+            "--axis", "u=1e300:1e301:2", *mode, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert not out.exists()
+    assert "rad, above 1e-06 rad" in capsys.readouterr().err
+
+
 def test_closed_form_tails_come_from_the_cutoff_rule():
     for k in (1, 2):
         for scenario, nfactors in (

@@ -12,6 +12,7 @@ import cavneg
 from cavneg import bogoliubov, verify
 from cavneg.bogoliubov import _boost, _boost_residuals, check_identities
 from cavneg.verify import (
+    _COLUMN_N_MAX,
     _PERIODICITY_TAUS,
     _column_matches_matrix_check,
     _identity_checks,
@@ -36,7 +37,7 @@ FAST_CHECKS = [
     ('pipeline-vs-closed-two-way-k1-n500', 3e-07),
     ('pipeline-vs-closed-round-trip-k1-n500', 3e-07),
     ('pipeline-vs-closed-kickstart-k1-n500', 3e-07),
-    ('column-matches-matrix-n500', 1e-14),
+    ('column-matches-matrix-n200', 1e-14),
     ('one-way-periodicity-n200', 1e-11),
 ]
 
@@ -168,7 +169,7 @@ def test_boost_residuals_keep_no_per_block_temporaries(M, bound):
 
 
 def test_column_matches_matrix_check_peaks_at_the_walk_live_set():
-    # the boost (4 MB at n_max 500) is dropped once the round trip's leg is
-    # built, so the check peaks at the leg plus the pair it is composed
-    # into, 16.7 MB traced, where the held boost took it to 20.8 MB
-    assert _traced_peak(_column_matches_matrix_check, 500) < 18e6
+    # at n_max 200 a complex block takes 0.64 MB; the walk holds the boost,
+    # the running total, one segment and the composition's temporaries, and
+    # traces 6.6 MB, where holding every step of the round trip adds 9 MB
+    assert _traced_peak(_column_matches_matrix_check, _COLUMN_N_MAX) < 7.5e6
