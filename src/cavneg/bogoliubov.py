@@ -11,7 +11,10 @@ with the second-order correction known on the diagonal of alpha only.  This
 module builds those coefficient blocks for the massless and massive boost,
 represents free evolution as pure phases, composes and inverts transforms
 order by order, and measures how well the canonical-commutation identities
-survive truncation.
+survive truncation, by two readers that share no line: check_identities,
+plain whole-matrix expressions on a built transform, and _boost_residuals,
+which reads the boost's row blocks straight from the entry kernel without
+building it and is checked bit for bit against the first.
 
 Storage convention: a transform acting as
 
@@ -238,7 +241,7 @@ def _check_boost_args(n_max: int, M: float) -> None:
         raise ValueError(f"M must be non-negative, got {M}")
 
 
-_ROW_BLOCK = 64  # rows per block of the boost entries and the identity check
+_ROW_BLOCK = 64  # rows per block of the boost entries and of _boost_residuals
 
 
 def _row_blocks(n: int):
@@ -446,76 +449,6 @@ def _truncation_tail(last, n_max: int):
     return 3.0 * last.mean(axis=0) * n_max / 4.0
 
 
-def _identity_residual(z, alpha2_diag, blocks) -> IdentityResidual:
-    """check_identities for phases z and second-order diagonal alpha2_diag,
-    read from pairs ((rows, alpha1[rows], beta1[rows]), (rows,
-    alpha1.T[rows], beta1.T[rows])) whose row slices of at most _ROW_BLOCK
-    rows cover range(n_max) in order.  Each pair is read in full before the
-    next is drawn, so the blocks may be buffers that the source rewrites
-    for every pair, as _boost_blocks does.  Every product, residual and
-    power goes into scratch for one row block, allocated here once and
-    sized for the path: one float block for the moduli, or two complex
-    blocks for the products with the phases z, the second of which then
-    holds the moduli once its products are added in.
-
-    The order-one maxima are exact whatever the blocking; order two adds
-    each column row by row, as numpy's axis-0 sum over a C-ordered matrix
-    does, so the sums keep those bits.  z None stands for the unit phases
-    of a boost, whose real blocks then need no product with them: the
-    order-one residuals are at + a and bt - b, and the second-order
-    diagonal enters as it is, each with the bits of the products with
-    ones."""
-    n_max = alpha2_diag.size
-    upto = max(1, n_max // 2)
-    height = min(_ROW_BLOCK, n_max)
-    if z is None:
-        # the moduli of a residual block, and side by side |alpha1|**2 and
-        # |beta1|**2 of its first upto columns
-        moduli = np.empty((height, max(n_max, 2 * upto)))
-    else:
-        conj_z = np.conj(z)
-        resid, term = np.empty((2, height, n_max), dtype=complex)
-        # the moduli take the memory of term, whose values are spent by then
-        moduli = term.view(np.float64)
-    worst = []
-    col = np.zeros(upto)
-    last = []
-    for (rows, a, b), (_, at, bt) in blocks:
-        h = len(a)
-        mod = moduli[:h, :n_max]
-        if z is None:
-            worst.append(np.abs(np.add(at, a, out=mod), out=mod).max())
-            worst.append(np.abs(np.subtract(bt, b, out=mod), out=mod).max())
-        else:
-            r, t, zr = resid[:h], term[:h], z[rows, None]
-            # a real at is its own conjugate
-            np.multiply(zr, at if at.dtype == np.float64 else np.conj(at, out=r), out=r)
-            np.add(r, np.multiply(a, conj_z[None, :], out=t), out=r)
-            worst.append(np.abs(r, out=mod).max())
-            np.multiply(zr, bt, out=r)
-            np.subtract(r, np.multiply(b, z[None, :], out=t), out=r)
-            worst.append(np.abs(r, out=mod).max())
-        power, beta_sq = moduli[:h, :upto], moduli[:h, upto : 2 * upto]
-        np.square(np.abs(a[:, :upto], out=power), out=power)
-        np.square(np.abs(b[:, :upto], out=beta_sq), out=beta_sq)
-        # Only columns the diagonal residual inspects matter; near-diagonal
-        # columns further right hold order-one entries.
-        skip = max(0, n_max - TAIL_ROWS - rows.start)
-        if skip < h:
-            last.append(power[skip:] + beta_sq[skip:])
-        for row in np.subtract(power, beta_sq, out=power):
-            col += row
-    if z is None:
-        order0 = 0.0
-        resid = col + 2.0 * alpha2_diag[:upto]
-    else:
-        order0 = float(np.max(np.abs(np.abs(z) ** 2 - 1.0)))
-        resid = col + 2.0 * np.real(conj_z[:upto] * alpha2_diag[:upto])
-    order2 = float(np.max(np.abs(resid)))
-    tail = float(_truncation_tail(np.concatenate(last), n_max).max()) if n_max >= 2 else 0.0
-    return IdentityResidual(order0, float(np.max(worst)), order2, tail)
-
-
 def check_identities(t: PerturbativeTransform) -> IdentityResidual:
     """Residuals of the Bogoliubov identities, collected per order in h.
 
@@ -533,22 +466,58 @@ def check_identities(t: PerturbativeTransform) -> IdentityResidual:
     evaluated for n up to n_max / 2 so the truncated column sums retain
     headroom.  The sum runs over all m: the h**2 term of |alpha[n, n]|**2
     holds |alpha1[n, n]|**2 too, which vanishes for every transform built
-    here.  The blocks are read _ROW_BLOCK rows at a time, so the check needs
-    no n_max x n_max temporaries.
+    here.  Plain whole-matrix expressions, kept as the reference that
+    polices _boost_residuals.  The order-one residuals take complex
+    n_max x n_max temporaries: 128 MB traced at n_max 2000.
     """
-    a1, b1 = t.alpha1, t.beta1
-    blocks = (
-        ((rows, a1[rows], b1[rows]), (rows, a1[:, rows].T, b1[:, rows].T))
-        for rows in _row_blocks(t.n_max)
+    z, a1, b1, n_max = t.order0, t.alpha1, t.beta1, t.n_max
+    upto = max(1, n_max // 2)
+    r1 = np.abs(z[:, None] * np.conj(a1.T) + a1 * np.conj(z)[None, :]).max()
+    r2 = np.abs(z[:, None] * b1.T - b1 * z[None, :]).max()
+    power = np.abs(a1[:, :upto]) ** 2 - np.abs(b1[:, :upto]) ** 2
+    resid = power.sum(axis=0) + 2.0 * np.real(np.conj(z[:upto]) * t.alpha2_diag[:upto])
+    last = np.abs(a1[-TAIL_ROWS:, :upto]) ** 2 + np.abs(b1[-TAIL_ROWS:, :upto]) ** 2
+    return IdentityResidual(
+        float(np.max(np.abs(np.abs(z) ** 2 - 1.0))),
+        float(np.maximum(r1, r2)),
+        float(np.max(np.abs(resid))),
+        float(_truncation_tail(last, n_max).max()) if n_max >= 2 else 0.0,
     )
-    return _identity_residual(t.order0, t.alpha2_diag, blocks)
 
 
 def _boost_residuals(n_max: int, M: float) -> IdentityResidual:
     """check_identities(_boost(n_max, M)), read off the entry formulas a row
-    block at a time, without the n_max x n_max blocks.  The reader takes
-    the boost's unit phases as None, which forms no product with them and
-    keeps every bit that of the built boost's check."""
+    block at a time, without the n_max x n_max blocks, into one float
+    scratch block allocated once.  A boost's phases are ones and its blocks
+    real, so the order-one residuals are at + a and bt - b and the
+    second-order diagonal enters as it is, with the bits of the products
+    with ones.  The order-one maxima are exact whatever the blocking; order
+    two adds each column row by row, as numpy's axis-0 sum over a C-ordered
+    matrix does, so it keeps those bits too."""
     mass = None if M == 0 else M  # the formulas _boost takes
+    upto = max(1, n_max // 2)
+    # the moduli of a residual block, and side by side |alpha1|**2 and
+    # |beta1|**2 of its first upto columns
+    moduli = np.empty((min(_ROW_BLOCK, n_max), max(n_max, 2 * upto)))
+    worst = []
+    col = np.zeros(upto)
+    last = []
     blocks = zip(_boost_blocks(n_max, mass), _boost_blocks(n_max, mass, transpose=True))
-    return _identity_residual(None, _boost_alpha2_diag(n_max, mass), blocks)
+    for (rows, a, b), (_, at, bt) in blocks:
+        h = len(a)
+        mod = moduli[:h, :n_max]
+        worst.append(np.abs(np.add(at, a, out=mod), out=mod).max())
+        worst.append(np.abs(np.subtract(bt, b, out=mod), out=mod).max())
+        power, beta_sq = moduli[:h, :upto], moduli[:h, upto : 2 * upto]
+        np.square(np.abs(a[:, :upto], out=power), out=power)
+        np.square(np.abs(b[:, :upto], out=beta_sq), out=beta_sq)
+        # Only columns the diagonal residual inspects matter; near-diagonal
+        # columns further right hold order-one entries.
+        skip = max(0, n_max - TAIL_ROWS - rows.start)
+        if skip < h:
+            last.append(power[skip:] + beta_sq[skip:])
+        for row in np.subtract(power, beta_sq, out=power):
+            col += row
+    resid = col + 2.0 * _boost_alpha2_diag(n_max, mass)[:upto]
+    tail = float(_truncation_tail(np.concatenate(last), n_max).max())
+    return IdentityResidual(0.0, float(np.max(worst)), float(np.max(np.abs(resid))), tail)

@@ -401,10 +401,16 @@ def round_trip_deficit(k: int, p, p_prime, p_dprime):
 
 
 # The coarsest float spacing a phase argument may have, in radians, so the
-# largest phase stays below 2**33.  Just under it a massless one-way engine
-# deficit at n_max = 40 errs by 9.3e-9 against the closed form (5.2e-9 from
-# truncation alone), and the heavy-field sum at M = 1000 by 6e-11 of its peak.
+# phase stays below 2**33.  Just under it a massless one-way engine deficit
+# at n_max = 40 errs by 9.3e-9 against the closed form (5.2e-9 from
+# truncation alone).
 _PHASE_SPACING = 1e-6
+
+# The share of the heavy-field sum's reach, 2 pref sum_n amp_n, that modes
+# whose phases a float cannot resolve may move it by.  Against a 40-digit sum
+# at M = 1000, k = 1, the float sum errs by 3e-11 to 2e-9 of its reach for
+# tau_bar from 5e7 to 2.5e9, so such modes add less than its own rounding.
+_NOISE_SHARE = 1e-12
 
 
 def _check_phase(largest: float, what: str) -> None:
@@ -432,8 +438,11 @@ def massive_limit_deficit(
     tau_bar with period 4 M delta / pi.  A ratio k/M above 0.05, where the
     limit is no longer accurate, raises ValueError, and so does n_max below
     2k, the engine's rule k <= n_max / 2, as the sum would stop short of the
-    modes around k that dominate it.  So does a tau_bar whose largest cos
-    argument is not finite or a float resolves more coarsely than 1e-6 rad.
+    modes around k that dominate it.  So does a tau_bar at which a mode that
+    can move the sum by more than 1e-12 of its reach, 2 pref sum_n amp_n,
+    has a cos argument that is not finite or that a float resolves more
+    coarsely than 1e-6 rad.  The modes far from k, whose arguments are the
+    largest, may be noise: each moves the sum by at most 2 pref amp_n.
     An M whose fourth power overflows a float, an infinite M included,
     raises OverflowError.
     """
@@ -464,8 +473,13 @@ def massive_limit_deficit(
     amp = n * n / (k * k - n * n) ** 6
     pref = (256.0 * k * k / math.pi**8) * m4
     t = np.asarray(tau_bar, dtype=float)
-    # the largest cos argument of the waveform below; inf and NaN fail too
-    _check_phase(float(np.max(np.abs(t), initial=0.0) * np.max(np.abs(dw))) / delta, "tau_bar")
+    # the modes of largest |dw| whose weights add up to at most _NOISE_SHARE
+    # of all may hold noise; the largest cos argument of the rest must
+    # resolve, and inf and NaN fail too
+    order = np.argsort(np.abs(dw))
+    weight = np.cumsum(amp[order][::-1])[::-1]  # of a mode and all of larger |dw|
+    need = abs(dw[order][np.count_nonzero(weight > _NOISE_SHARE * weight[0]) - 1])
+    _check_phase(float(np.max(np.abs(t), initial=0.0) * need) / delta, "tau_bar")
     # the waveform matrix is built in place, so the pass holds one; the
     # product runs over the whole grid at once, as row blocks of it would
     # round differently

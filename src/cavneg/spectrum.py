@@ -125,21 +125,12 @@ def rindler_frequency(n: int, cfg: CavityConfig) -> float:
 
 def acceleration_period(cfg: CavityConfig) -> float:
     """Proper time after which every accelerated massless mode phase returns
-    to one: 2 delta atanh(h/2) / (h/2), which is 2 pi / rindler_frequency(1).
+    to one: 2 pi / rindler_frequency(1), which is 2 delta atanh(h/2) / (h/2).
 
     Even in h, increasing in |h|, with inertial limit 2 delta (the light
-    bounce time) as h -> 0.
+    bounce time) as h -> 0.  Raises as rindler_frequency does.
     """
-    if cfg.M > 0:
-        raise NotImplementedError(
-            "the accelerated mode spectrum is implemented for M = 0 only"
-        )
-    if not abs(cfg.h) < 2:
-        raise ValueError(f"|h| must stay below 2, got {cfg.h}")
-    if cfg.h == 0:
-        return 2.0 * cfg.delta
-    half = cfg.h / 2.0
-    return 2.0 * cfg.delta * math.atanh(half) / half
+    return 2.0 * math.pi / rindler_frequency(1, cfg)
 
 
 def physical_to_dimensionless(

@@ -7,9 +7,9 @@ covers the heavy-field masses.  Both levels check the column engine against
 the closed forms, and against the full-matrix reference at n_max 200; the
 closed-form checks build each trip and its closed value through sweep's map
 of phase coordinates, the one every sweep uses.  The boost identity
-residuals come from bogoliubov's one reader, fed the boost's row blocks
-straight from its entry kernel, so no level builds a boost larger than
-n_max 200.  On a 2-vCPU x86-64 machine (Python 3.11, numpy 2.4) fast takes
+residuals come from bogoliubov._boost_residuals, which reads the boost's row
+blocks straight from its entry kernel, so no level builds a boost larger
+than n_max 200.  On a 2-vCPU x86-64 machine (Python 3.11, numpy 2.4) fast takes
 0.11-0.12 s and full 0.50-0.51 s, medians over seven fresh interpreters, at
 resident peaks of 39 MB, imports included; the identity checks take 19 ms
 of fast and 0.37-0.38 s of full, the column-vs-matrix check 55-62 ms of

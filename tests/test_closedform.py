@@ -28,6 +28,8 @@ from cavneg.closedform import (
     two_way_deficit,
     two_way_deficit_sum,
 )
+from cavneg.spectrum import CavityConfig
+from cavneg.sweep import _tau_bar, physical_to_dimensionless
 
 
 @pytest.mark.parametrize(
@@ -567,16 +569,52 @@ def test_heavy_field_refuses_durations_its_phases_cannot_resolve():
             for tau in (bad, np.array([0.5, bad])):
                 with pytest.raises(ValueError, match="tau_bar reaches a phase of (inf|nan)"):
                     massive_limit_deficit(1, 1000.0, tau)
-        with pytest.raises(ValueError, match="tau_bar reaches a phase of 2.3e"):
+        # the phase of mode 28, the one that decides
+        with pytest.raises(ValueError, match="tau_bar reaches a phase of 4.9e"):
             massive_limit_deficit(1, 1000.0, np.array([0.0, 1.27e304]))
-    # the largest cos argument, at mode 200, must stay below 2**33, where a
-    # float still resolves 1e-6 rad
+    # modes 30 to 200 hold 6.9e-13 of the weight, under its share of 1e-12,
+    # and modes 28 to 200 1.3e-12; so the cos argument of mode 28 must stay
+    # below 2**33, where a float still resolves 1e-6 rad
     M = 1000.0
-    wk, wn = math.hypot(M, math.pi), math.hypot(M, 200 * math.pi)
-    reach = 2.0**33 / abs(math.pi**2 * (1 - 200**2) / (wk + wn))
+    wk, wn = math.hypot(M, math.pi), math.hypot(M, 28 * math.pi)
+    reach = 2.0**33 / abs(math.pi**2 * (1 - 28**2) / (wk + wn))
     assert float(massive_limit_deficit(1, M, np.array([1.0, 0.999 * reach]))[1]) > 0.0
     with pytest.raises(ValueError, match="above 1e-06 rad"):
         massive_limit_deficit(1, M, -1.001 * reach)
+
+
+def test_heavy_field_sum_keeps_modes_whose_far_partners_are_noise():
+    # at tau_bar 5e7 mode 200's argument, 9.05e9 rad, has lost its digits,
+    # but modes this far from k = 1 weigh 1e-21 of the sum; the dominant
+    # mode 2 sits near 7.4e5 rad
+    import mpmath
+
+    with mpmath.workdps(40):
+        M, tau = mpmath.mpf(1000), mpmath.mpf(5e7)
+        wk = mpmath.sqrt(M**2 + mpmath.pi**2)
+        want = M**4 * 256 / mpmath.pi**8 * mpmath.fsum(
+            n**2 / mpmath.mpf(1 - n**2) ** 6
+            * (1 - mpmath.cos((wk - mpmath.sqrt(M**2 + (mpmath.pi * n) ** 2)) * tau))
+            for n in range(2, 201, 2)
+        )
+    got = massive_limit_deficit(1, 1000.0, 5e7)
+    assert abs(got - float(want)) <= 2e-10 * float(want)  # 9.2e-11 measured
+
+
+def test_heavy_field_estimate_grid_at_k_25000_resolves_its_modes():
+    # --estimate --accel 1e-5 --delta 1 --mass 1e-33 --k 25000 samples one
+    # period at 2049 points; its last sample reaches 1.18e10 rad at mode
+    # 49999, which refused the whole estimate, though the modes k +- 1 that
+    # carry the sum sit near 3.1e5 rad.  The peak, at the middle sample, is
+    # the printed 1.7646e+26
+    peaks = []
+    for k in (2500, 25000):
+        _, M, _ = physical_to_dimensionless(1e-5, 1.0, 1e-33, None, k)
+        tau = np.linspace(0.0, _tau_bar(1.0, CavityConfig(delta=1.0, M=M)), 2049)
+        peaks.append(massive_limit_deficit(k, M, tau[[0, 1024, 2048]], 1.0, 2 * k)[1])
+    assert f"{peaks[1]:.6g}" == "1.7646e+26"
+    # the modes near k carry the sum: it falls like k**-2 at a fixed mass
+    assert peaks[1] == pytest.approx(peaks[0] / 100, rel=1e-6)
 
 
 def test_heavy_field_rejects_a_nan_mass_or_length():
