@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         # NumericValidityError, a closed-form deficit below -1e-10 or NaN,
         # which sweep._closed_grid refuses, and a heavy-field M whose fourth
-        # power or sampled period overflows
+        # power overflows
         print(f"numeric validity error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # ConfigError included

@@ -423,29 +423,8 @@ def _check_phase(largest: float, what: str) -> None:
         )
 
 
-def massive_limit_deficit(
-    k: int, M: float, tau_bar, delta: float = 1.0, n_max: int = 200
-):
-    """Single-leg deficit in the heavy-field limit, vectorized over tau_bar:
-
-        M**4 (256 k**2 / pi**8) sum_n n**2 / (k**2 - n**2)**6
-            * (1 - cos((sqrt(M**2 + pi**2 k**2) - sqrt(M**2 + pi**2 n**2))
-                       tau_bar / delta))
-
-    over positive n of parity opposite to k.  The frequency difference is
-    evaluated as pi**2 (k**2 - n**2) / (sum of the square roots) to dodge the
-    cancellation that dominates at large M.  Approximately periodic in
-    tau_bar with period 4 M delta / pi.  A ratio k/M above 0.05, where the
-    limit is no longer accurate, raises ValueError, and so does n_max below
-    2k, the engine's rule k <= n_max / 2, as the sum would stop short of the
-    modes around k that dominate it.  So does a tau_bar at which a mode that
-    can move the sum by more than 1e-12 of its reach, 2 pref sum_n amp_n,
-    has a cos argument that is not finite or that a float resolves more
-    coarsely than 1e-6 rad.  The modes far from k, whose arguments are the
-    largest, may be noise: each moves the sum by at most 2 pref amp_n.
-    An M whose fourth power overflows a float, an infinite M included,
-    raises OverflowError.
-    """
+def _massive_modes(k: int, M: float, delta: float, n_max: int):
+    """The refusals of the heavy-field sum, and its dw, amp and pref."""
     if not M > 0:
         raise ValueError("the heavy-field limit needs M > 0; use the massless forms")
     if k < 1:
@@ -472,6 +451,40 @@ def massive_limit_deficit(
     dw = (math.pi**2) * (k * k - n * n) / (wk + wn)
     amp = n * n / (k * k - n * n) ** 6
     pref = (256.0 * k * k / math.pi**8) * m4
+    return dw, amp, pref
+
+
+def _massive_reach(k: int, M: float, n_max: int) -> float:
+    # the bound no duration exceeds, as each 1 - cos is at most 2
+    _, amp, pref = _massive_modes(k, M, 1.0, n_max)
+    return 2.0 * pref * float(np.sum(amp))
+
+
+def massive_limit_deficit(
+    k: int, M: float, tau_bar, delta: float = 1.0, n_max: int = 200
+):
+    """Single-leg deficit in the heavy-field limit, vectorized over tau_bar:
+
+        M**4 (256 k**2 / pi**8) sum_n n**2 / (k**2 - n**2)**6
+            * (1 - cos((sqrt(M**2 + pi**2 k**2) - sqrt(M**2 + pi**2 n**2))
+                       tau_bar / delta))
+
+    over positive n of parity opposite to k.  The frequency difference is
+    evaluated as pi**2 (k**2 - n**2) / (sum of the square roots) to dodge the
+    cancellation that dominates at large M.  Approximately periodic in
+    tau_bar with period 4 M delta / pi.  A ratio k/M above 0.05, where the
+    limit is no longer accurate, raises ValueError, and so does n_max below
+    2k, the engine's rule k <= n_max / 2, as the sum would stop short of the
+    modes around k that dominate it.  So does a tau_bar at which a mode that
+    can move the sum by more than 1e-12 of its reach, 2 pref sum_n amp_n,
+    has a cos argument that is not finite or that a float resolves more
+    coarsely than 1e-6 rad.  The modes far from k, whose arguments are the
+    largest, may be noise: each moves the sum by at most 2 pref amp_n.
+    That reach, which no tau_bar exceeds, is the peak --estimate reports.
+    An M whose fourth power overflows a float, an infinite M included,
+    raises OverflowError.
+    """
+    dw, amp, pref = _massive_modes(k, M, delta, n_max)
     t = np.asarray(tau_bar, dtype=float)
     # the modes of largest |dw| whose weights add up to at most _NOISE_SHARE
     # of all may hold noise; the largest cos argument of the rest must

@@ -593,12 +593,10 @@ def estimate_physical(
     transverse_wavelength: float | None = None,
     k: int = 1,
 ) -> PhysicalEstimate:
-    """Convert laboratory numbers and report the peak one-way deficit.
-
-    The massless closed form applies at M = 0; a heavy field (k/M <= 0.01)
-    uses the heavy-field waveform sampled over one period.  Intermediate
-    masses have no closed form here.
-    """
+    """Convert laboratory numbers and report the peak one-way deficit: the
+    reach of the one-way form, the bound no duration exceeds.  That is 4 Q(k,
+    1) at M = 0 and 2 pref sum_n amp_n of the heavy-field sum (k/M <= 0.01).
+    Intermediate masses have no closed form here."""
     k = _integral("k", k)
     h, M, report = physical_to_dimensionless(
         accel, delta, mass, transverse_wavelength, k
@@ -608,15 +606,8 @@ def estimate_physical(
         peak = 4.0 * kickstart_deficit(k)
     elif k / M <= 0.01:
         path = "heavy-field"
-        period = _tau_bar(1.0, CavityConfig(delta=delta, M=M))
-        if not period < math.inf:
-            # an infinite M included: the samples of the period would be NaN
-            raise OverflowError(
-                f"M = {M!r} is too large: the heavy-field period overflows a float"
-            )
-        tau = np.linspace(0.0, period, 2049)
         # the function's default n_max of 200, or 2k where it needs more
-        peak = float(np.max(massive_limit_deficit(k, M, tau, delta, max(200, 2 * k))))
+        peak = closedform._massive_reach(k, M, max(200, 2 * k))
     else:
         raise ConfigError(
             f"k/M = {k / M:.3g} sits between the massless and heavy-field "

@@ -528,7 +528,7 @@ def test_heavy_field_waveform_holds_one_grid_matrix():
     M = 1e3
     tau = 4.0 * M * np.linspace(0.0, 3.0, 2401) / math.pi
     assert _traced_peak(massive_limit_deficit, 30, M, tau, 1.0, 200) < 2.2e6
-    # estimate_physical's period on 2049 points: 1.77 MB, against 3.28 MB
+    # one period on 2049 points: 1.77 MB, against 3.28 MB
     period = np.linspace(0.0, 4.0 * M / math.pi, 2049)
     assert _traced_peak(massive_limit_deficit, 1, M, period, 1.0, 200) < 1.9e6
 
@@ -602,11 +602,11 @@ def test_heavy_field_sum_keeps_modes_whose_far_partners_are_noise():
 
 
 def test_heavy_field_estimate_grid_at_k_25000_resolves_its_modes():
-    # --estimate --accel 1e-5 --delta 1 --mass 1e-33 --k 25000 samples one
-    # period at 2049 points; its last sample reaches 1.18e10 rad at mode
-    # 49999, which refused the whole estimate, though the modes k +- 1 that
-    # carry the sum sit near 3.1e5 rad.  The peak, at the middle sample, is
-    # the printed 1.7646e+26
+    # three samples of one period at the M of --estimate --accel 1e-5
+    # --delta 1 --mass 1e-33: at the last, mode 49999 of k = 25000 reaches
+    # 1.18e10 rad, yet the sum is kept, as the modes k +- 1 that carry it sit
+    # near 3.1e5 rad.  The middle sample meets the reach that the k = 25000
+    # estimate prints, 1.7646e+26, to six digits
     peaks = []
     for k in (2500, 25000):
         _, M, _ = physical_to_dimensionless(1e-5, 1.0, 1e-33, None, k)
@@ -615,6 +615,59 @@ def test_heavy_field_estimate_grid_at_k_25000_resolves_its_modes():
     assert f"{peaks[1]:.6g}" == "1.7646e+26"
     # the modes near k carry the sum: it falls like k**-2 at a fixed mass
     assert peaks[1] == pytest.approx(peaks[0] / 100, rel=1e-6)
+
+
+# (k, M) of the reach checks: k/M = 0.01, the smallest mass the estimate's
+# heavy-field path takes, at several k, k = 1 at M = 1000, and the k = 250,
+# M ~ 28428 of --estimate --accel 1e-5 --delta 1 --mass 1e-38 --k 250
+_REACH_CASES = [
+    (1, 100.0), (1, 1000.0), (3, 1000.0), (10, 1000.0), (25, 2500.0),
+    (2, 200.0), (5, 500.0), (250, 28427.9),
+]
+
+
+@pytest.mark.parametrize("k, M", _REACH_CASES)
+def test_heavy_field_reach_is_the_peak_of_a_dense_scan(k, M):
+    # near half a period every phase is close to an odd multiple of pi: the
+    # largest of 20,001 samples on [0.45, 0.55] of the period sits 3.3e-6 of
+    # the reach below it at most, where 2049 samples of the whole period
+    # fell up to 1.5e-3 below
+    n_max = max(200, 2 * k)
+    reach = closedform._massive_reach(k, M, n_max)
+    tau = 4.0 * M / math.pi * np.linspace(0.45, 0.55, 20001)
+    peak = max(
+        float(np.max(massive_limit_deficit(k, M, part, 1.0, n_max)))
+        for part in np.array_split(tau, 10)
+    )
+    assert 0.0 <= reach - peak <= 1e-5 * reach
+
+
+@pytest.mark.parametrize("k, M", _REACH_CASES)
+def test_heavy_field_waveform_never_exceeds_its_reach(k, M):
+    # each 1 - cos is at most 2: two periods on 4097 points, and durations
+    # drawn across a hundred periods
+    n_max = max(200, 2 * k)
+    period = 4.0 * M / math.pi
+    drawn = np.random.default_rng(7).uniform(0.0, 100.0 * period, 1000)
+    tau = np.concatenate((np.linspace(0.0, 2.0 * period, 4097), drawn))
+    wave = massive_limit_deficit(k, M, tau, 1.0, n_max)
+    assert float(np.max(wave)) <= closedform._massive_reach(k, M, n_max)
+
+
+def test_heavy_field_reach_keeps_the_waveform_refusals():
+    # one setup serves both: the same refusals, in the same order
+    for args, error, match in (
+        ((1, 0.0, 200), ValueError, "needs M > 0"),
+        ((0, 1000.0, 200), ValueError, "mode index must be >= 1, got 0"),
+        ((30, 100.0, 200), ValueError, "k/M = 0.3"),
+        ((30, 1000.0, 59), ValueError, "at least 2k = 60, got 59"),
+        ((1, 1e100, 200), OverflowError, r"M = 1e\+100"),
+        ((1, math.inf, 200), OverflowError, "M = inf is too large"),
+    ):
+        with pytest.raises(error, match=match):
+            closedform._massive_reach(*args)
+        with pytest.raises(error, match=match):
+            massive_limit_deficit(args[0], args[1], 0.5, 1.0, args[2])
 
 
 def test_heavy_field_rejects_a_nan_mass_or_length():

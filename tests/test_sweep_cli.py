@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -688,6 +689,22 @@ def test_estimate_mode_index_is_a_whole_number():
             estimate_physical(10.0, 10.0, k=2.5, **kw)
 
 
+def test_estimate_at_k_25000_holds_no_waveform_grid():
+    # the heavy-field peak is the reach of the form, one sum over the modes:
+    # 1.2 MB traced, where 2049 samples of a period against 25,000 modes
+    # built a 410 MB matrix and took 3.4-3.6 s
+    tracemalloc.start()
+    try:
+        est = estimate_physical(1e-5, 1.0, mass=1e-33, k=25000)
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traced < 3e6
+    assert est.path == "heavy-field"
+    assert est.peak_deficit_scaled == closedform._massive_reach(25000, est.M, 50000)
+    assert f"{est.peak_deficit_scaled:.6g}" == "1.7646e+26"
+
+
 def test_estimate_intermediate_mass_refused():
     with pytest.raises(ConfigError):
         estimate_physical(1.0, 1.0, transverse_wavelength=1.0, k=30)
@@ -972,27 +989,30 @@ def test_cli_estimate(capsys):
     assert "--estimate takes one --k, got 2" in capsys.readouterr().err
     assert main(argv + ["--k", "2.0"]) == 0
     assert "k = 2\n" in capsys.readouterr().out
-    # an M that overflows to inf, or a period that does, is refused before
-    # the period is sampled: no NaN peak, no numpy warning
-    for tail in (["--delta", "1e300", "--mass", "1e-27"],
-                 ["--delta", "1", "--wavelength", "1e-320"],
-                 ["--delta", "1e250", "--mass", "3e-223"]):
+    # an M that overflows to inf is refused through M**4, and a reach whose
+    # degradation overflows through the 1/2 bound: no NaN peak, no warning
+    for tail, message in (
+        (["--delta", "1e300", "--mass", "1e-27"], "M = inf is too large: M**4"),
+        (["--delta", "1", "--wavelength", "1e-320"], "M = inf is too large: M**4"),
+        (["--delta", "1e250", "--mass", "3e-223"], "peak degradation inf exceeds"),
+    ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["--estimate", "--accel", "10", *tail]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "is too large: the heavy-field period overflows" in captured.err
+        assert message in captured.err
 
 
 def test_cli_estimate_mode_index(capsys):
     # k = 0 is refused, not run as k = 1
     assert main(["--estimate", "--accel", "9.81", "--delta", "1", "--k", "0"]) == 1
     assert "mode index must be >= 1, got 0" in capsys.readouterr().err
-    # at M ~ 28428 the heavy-field sum for k = 250 runs past mode 2k = 500
+    # at M ~ 28428 the heavy-field sum for k = 250 runs past mode 2k = 500;
+    # its reach, where 2049 samples of a period gave 1.7632e+10
     assert main(["--estimate", "--accel", "1e-5", "--delta", "1",
                  "--mass", "1e-38", "--k", "250"]) == 0
-    assert "peak deficit_scaled = 1.7632e+10" in capsys.readouterr().out
+    assert "peak deficit_scaled = 1.76461e+10" in capsys.readouterr().out
 
 
 def test_cli_estimate_refuses_the_sweep_settings_it_ignores(tmp_path, monkeypatch, capsys):

@@ -1,15 +1,17 @@
 """The verification suite and its negative control."""
 
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import cavneg
-from cavneg import bogoliubov, verify
+from cavneg import bogoliubov, closedform, spectrum, verify
 from cavneg.bogoliubov import _boost, _boost_residuals, check_identities
 from cavneg.verify import (
     _COLUMN_N_MAX,
@@ -100,6 +102,38 @@ def test_pipeline_checks_police_the_sweep_coordinate_map(monkeypatch):
     report = run_verification("fast")
     failed = [c.name for c in report.checks if not c.passed]
     assert failed and all(name.startswith("pipeline-vs-closed-") for name in failed)
+
+
+def test_heavy_field_check_at_M10000_catches_a_weight_error(monkeypatch):
+    # the mode weights, and so the estimate's reach, 0.1% off read 1.0e-3
+    # at M = 10**4 against 1.1e-6 unbroken; at M = 1000 they read 9.5e-4,
+    # under that check's 1e-3
+    modes = closedform._massive_modes
+
+    def broken(*args):
+        dw, amp, pref = modes(*args)
+        return dw, amp * 1.001, pref
+
+    check = verify._heavy_field_engine_check(1e4, (0.3, 0.5, 0.9, 1.7), 1e-5)
+    assert check.name == "heavy-field-closed-vs-pipeline-M10000" and check.passed
+    monkeypatch.setattr(closedform, "_massive_modes", broken)
+    assert not verify._heavy_field_engine_check(1e4, (0.3, 0.5, 0.9, 1.7), 1e-5).passed
+
+
+def test_rindler_check_catches_a_truncated_atanh(monkeypatch):
+    # atanh by its 3-term series errs by 1.6e-6 at h = 0.3 and 2.5e-3 at
+    # h = 1, where the pinned-value tests were the only ones to see it
+    assert verify._rindler_wall_ratio_check().passed
+    series = SimpleNamespace(pi=math.pi, atanh=lambda x: x + x**3 / 3 + x**5 / 5)
+    monkeypatch.setattr(spectrum, "math", series)
+    assert not verify._rindler_wall_ratio_check().passed
+
+
+def test_dropped_and_caught_check_catches_the_boost_for_its_inverse(monkeypatch):
+    # dropping by the boost instead of its inverse reads 2.6e9 tails
+    assert verify._dropped_and_caught_check().passed
+    monkeypatch.setattr(verify, "inverse", lambda t: t)
+    assert verify._dropped_and_caught_check().residual > 1e9
 
 
 def test_unknown_level_rejected():
