@@ -14,7 +14,7 @@ pays for anything a call caches) and the median time of a call after it
   fig3, ``round_trip_deficit`` adds fig4b's p'' = exp(2 pi i / 3), and the
   one-phase functions get the 10,201 products p p';
 - ``grid400``: the same mesh at 400 x 400, for ``round_trip_deficit`` only,
-  which there runs its product sum on tiles of the mesh.
+  which there runs its product sum one term at a time over the whole mesh.
 
 Each case also records the SHA-256 of its result's bytes, so that a report
 with a baseline shows whether the values stayed bit for bit.  The report

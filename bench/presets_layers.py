@@ -13,8 +13,9 @@ Writes a JSON report with, for each preset fig2-fig5b:
   of them were bitwise distinct within their call, from an untimed second
   run;
 - ``product_phases`` and ``product_phases_distinct``: the same for the
-  factor values of the product sums' tiles (``closedform._product_tile``),
-  whose power chains run on the distinct ones, from that run;
+  factor values of the product sums' large-grid passes
+  (``closedform._product_tile``, one per call over the whole grid), whose
+  power chains run on the distinct ones, from that run;
 - ``traced_peak_mb`` and ``closed_traced_peak_mb``: the largest memory, in
   10**6 bytes, that ``tracemalloc`` saw allocated during the ``run_sweep``
   call and during any one of its ``sweep._closed_grid`` calls, including
@@ -84,8 +85,8 @@ def _time_once(name: str) -> dict:
 
 def _counts(name: str, text: str) -> dict:
     """Phase arguments of the Q series pass and factor values of the
-    product-sum tiles over an untimed run, and the distinct negativities of
-    the CSV text of the timed one."""
+    large-grid product sums over an untimed run, and the distinct
+    negativities of the CSV text of the timed one."""
     import numpy as np
 
     from cavneg import closedform, sweep

@@ -244,28 +244,6 @@ def _check_boost_args(n_max: int, M: float) -> None:
 _ROW_BLOCK = 64  # rows per block of the boost entries and of _boost_residuals
 
 
-def _row_blocks(n: int):
-    """Slices of _ROW_BLOCK consecutive rows covering range(n)."""
-    for lo in range(0, n, _ROW_BLOCK):
-        yield slice(lo, min(lo + _ROW_BLOCK, n))
-
-
-def _row_lattice(n_max: int, M: float | None):
-    """fill of _odd_lattice(n_max, M) with the scratch for a half row block."""
-    return _odd_lattice(n_max, M, (min(_ROW_BLOCK, n_max) + 1) // 2 * ((n_max + 1) // 2))
-
-
-def _fill_rows(fill, start: int, alpha1, beta1, transpose: bool = False) -> None:
-    """Write the odd-lattice entries of the boost rows start, start + 1, ...
-    into the row blocks alpha1 and beta1, or of the rows of alpha1.T and
-    beta1.T with transpose; the entries of the even lattice keep what they
-    hold.  Each row parity meets the columns of the other."""
-    for first in (0, 1):
-        r = start + first + 1  # the mode of the first row of this parity
-        c = 1 + r % 2  # the first mode of the other parity
-        fill(r, c, alpha1[first::2, c - 1 :: 2], beta1[first::2, c - 1 :: 2], transpose)
-
-
 def _boost_blocks(n_max: int, M: float | None, transpose: bool = False):
     """Yield (rows, alpha1[rows], beta1[rows]) of the first-order boost
     blocks per unit h, _ROW_BLOCK rows at a time, as real arrays: massless
@@ -275,19 +253,24 @@ def _boost_blocks(n_max: int, M: float | None, transpose: bool = False):
     The blocks are one pair of buffers, rewritten in place for every row
     block: a yielded block holds its values only until the next block is
     drawn, so copy it to keep it longer.  _odd_lattice writes the odd
-    lattice alone; the buffers start at zero, and since every row block
-    starts on an even row, the zeros of the even lattice stay where they
-    are.  Each entry has the bits of the entry formulas evaluated on the
-    whole matrix, while the scratch stays the size of half a block.
+    lattice alone, each row parity meeting the columns of the other; the
+    buffers start at zero, and since every row block starts on an even
+    row, the zeros of the even lattice stay where they are.  Each entry has
+    the bits of the entry formulas evaluated on the whole matrix, while the
+    scratch stays the size of half a block.
     """
     _check_boost_args(n_max, 0.0 if M is None else M)
-    fill = _row_lattice(n_max, M)
-    alpha1 = np.zeros((min(_ROW_BLOCK, n_max), n_max))
+    height = min(_ROW_BLOCK, n_max)
+    fill = _odd_lattice(n_max, M, (height + 1) // 2 * ((n_max + 1) // 2))
+    alpha1 = np.zeros((height, n_max))
     beta1 = np.zeros_like(alpha1)
-    for rows in _row_blocks(n_max):
-        height = rows.stop - rows.start
-        a, b = alpha1[:height], beta1[:height]
-        _fill_rows(fill, rows.start, a, b, transpose)
+    for start in range(0, n_max, _ROW_BLOCK):
+        rows = slice(start, min(start + _ROW_BLOCK, n_max))
+        a, b = alpha1[: rows.stop - start], beta1[: rows.stop - start]
+        for first in (0, 1):
+            r = start + first + 1  # the mode of the first row of this parity
+            c = 1 + r % 2  # the first mode of the other parity
+            fill(r, c, a[first::2, c - 1 :: 2], b[first::2, c - 1 :: 2], transpose)
         yield rows, a, b
 
 
@@ -313,14 +296,14 @@ def _boost_alpha2_diag(n_max: int, M: float | None) -> np.ndarray:
 
 
 def _boost_transform(n_max: int, M: float | None) -> PerturbativeTransform:
-    """The boost of _boost_blocks(n_max, M), its entries written straight
-    into its blocks, a row block at a time."""
-    _check_boost_args(n_max, 0.0 if M is None else M)
-    alpha1 = np.zeros((n_max, n_max))
-    beta1 = np.zeros((n_max, n_max))
-    fill = _row_lattice(n_max, M)
-    for rows in _row_blocks(n_max):
-        _fill_rows(fill, rows.start, alpha1[rows], beta1[rows])
+    """The boost of _boost_blocks(n_max, M), each row block copied into
+    place."""
+    _check_boost_args(n_max, 0.0 if M is None else M)  # before allocating
+    alpha1 = np.empty((n_max, n_max))
+    beta1 = np.empty((n_max, n_max))
+    for rows, a, b in _boost_blocks(n_max, M):
+        alpha1[rows] = a
+        beta1[rows] = b
     return PerturbativeTransform(
         np.ones(n_max, dtype=complex), alpha1, beta1, _boost_alpha2_diag(n_max, M)
     )

@@ -31,9 +31,9 @@ the Q forms and below TOL_SUM for the product sums.  Each call runs one
 series pass: the Q forms over the bitwise-distinct values of all their phase
 arguments (Q(k, 1) together with every Q of a deficit, the z and z**2 Li6
 chains together with the residual window), scattered back to every
-position; a product sum over all its factors, and on a large grid over the
-bitwise-distinct factor values of each tile, whose weights every term
-gathers back to each position.  A pass forms each power as the product of
+position; a product sum over all its factors, and on a large grid over
+their bitwise-distinct values, whose weights each term gathers back to
+every position of the whole grid at once.  A pass forms each power as the product of
 the one before and its step and adds the terms in order, elementwise, so
 its values have the bits of a term-by-term loop on each value alone; a 0-d
 argument runs as a one-element array, so a scalar and the same value inside
@@ -312,29 +312,15 @@ def _product_sum(k: int, factors):
         out = np.empty((len(coeffs) + 1,) + shape)
         np.multiply(term, factor_rows[-1], out=out[1:])
         return _term_sums(out), tail
-    # large grids: one term at a time, on tiles along the first axis with
-    # more than one point, each small enough to stay in cache; a factor that
-    # is constant along that axis repeats its powers on every tile
-    acc = np.zeros(shape)
-    axis = next((i for i, n in enumerate(shape) if n > 1), None)
-    rows = 1 if axis is None else max(1, _TILE // math.prod(shape[axis + 1 :]))
-    if axis is None or rows >= shape[axis]:
-        _product_tile(coeffs, x, shapes, acc)
-        return acc, tail
-    factors = _split(x, shapes)
-    for lo in range(0, shape[axis], rows):
-        cut = (slice(None),) * axis + (slice(lo, lo + rows),)
-        tile = [f[cut] if f.shape[axis] > 1 else f for f in factors]
-        x = np.concatenate([f.ravel() for f in tile])
-        _product_tile(coeffs, x, [f.shape for f in tile], acc[cut])
-    return acc, tail
+    return _product_tile(coeffs, x, shapes, shape), tail
 
 
-def _product_tile(coeffs, x, shapes, acc):
-    # the large-grid loop of _product_sum on one tile: x holds its factors
-    # flat, of the given shapes; the power chains run on the bitwise-distinct
-    # values of x alone, and each term gathers their weights back to every
-    # position of every factor; the sum is added into acc in place
+def _product_tile(coeffs, x, shapes, shape):
+    # the large-grid loop of _product_sum, one term at a time over the whole
+    # grid: x holds its factors flat, of the given shapes, which broadcast to
+    # shape; the power chains run on the bitwise-distinct values of x alone,
+    # and each term gathers their weights back to every position of every
+    # factor
     x, inverse = _distinct(x)
     step = x * x
     diff = np.empty_like(x)
@@ -342,7 +328,8 @@ def _product_tile(coeffs, x, shapes, acc):
     weight = np.empty(inverse.size)
     first, *rest = _split(weight, shapes)
     lead = np.empty(first.shape)
-    term = np.empty(acc.shape)
+    acc = np.zeros(shape)
+    term = np.empty(shape)
     for c in coeffs:
         np.subtract(x, 1.0, out=diff)
         np.abs(diff, out=chain)
@@ -355,6 +342,7 @@ def _product_tile(coeffs, x, shapes, acc):
             product = np.multiply(product, f, out=term)
         acc += product
         np.multiply(x, step, out=x)
+    return acc
 
 
 def one_way_deficit_sum(k: int, p):

@@ -219,6 +219,18 @@ def _integral(name: str, value) -> int:
     return int(value)
 
 
+# the largest k of the closed forms, whose series run over r up to k, so
+# their time and memory grow linearly with k: on a 2-vCPU x86-64 machine a
+# one-point sweep or an estimate at k = 10**5 takes at most 0.13 s and 44
+# MB, at 10**6 up to 7.3 s and 91 MB, and --k 1e20 would exhaust the memory
+_MAX_K = 100_000
+
+
+def _check_closed_form_k(k: int) -> None:
+    if k > _MAX_K:
+        raise ConfigError(f"k = {k} is above {_MAX_K}, the largest the closed forms take")
+
+
 def _validated(spec: SweepSpec) -> dict:
     if spec.scenario not in SCENARIOS:
         raise ConfigError(
@@ -241,6 +253,8 @@ def _validated(spec: SweepSpec) -> dict:
         params[key] = float(params[key])
     if not params["k"] or min(params["k"]) < 1:
         raise ConfigError(f"k must hold indices >= 1, got {ks!r}")
+    if spec.mode != "general":
+        _check_closed_form_k(max(params["k"]))
     if not params["delta"] > 0:
         raise ConfigError(f"delta must be positive, got {params['delta']}")
     if not params["M"] >= 0:
@@ -598,6 +612,7 @@ def estimate_physical(
     1) at M = 0 and 2 pref sum_n amp_n of the heavy-field sum (k/M <= 0.01).
     Intermediate masses have no closed form here."""
     k = _integral("k", k)
+    _check_closed_form_k(k)
     h, M, report = physical_to_dimensionless(
         accel, delta, mass, transverse_wavelength, k
     )

@@ -4,23 +4,17 @@ The fast level runs the cheap invariants (identities at moderate cutoff,
 cross-checks at a handful of phase points).  The full level raises the
 cutoff to 2000, adds doubling convergence, widens the phase grids to 64
 points, covers the heavy-field masses (M = 1000, and M = 10**4, where the
-closed form is close enough to police its mode weights and so the reach that
---estimate reports), checks the Rindler spectrum against its wall-ratio form
-and the gravitational drop-fall-catch chain against the one-way form.  Both
-levels check the column engine against the closed forms, and against the
-full-matrix reference at n_max 200; the closed-form checks build each trip
-and its closed value through sweep's map of phase coordinates, the one every
-sweep uses.  The boost identity residuals come from
-bogoliubov._boost_residuals, which reads the boost's row blocks straight
-from its entry kernel, so no level builds a boost larger than n_max 200.  On
-a 2-vCPU x86-64 machine (Python 3.11, numpy 2.4) fast takes 0.07 s and full
-0.36 s, medians over seven fresh interpreters, at resident peaks of 39 MB,
-imports included; the identity checks take 12 ms of fast and 0.26 s of full,
-the column-vs-matrix check 35-39 ms of each, the drop-fall-catch check 18
-ms.  The largest traced peak is 7.2 MB, in full's identity checks; the
-column-vs-matrix check peaks at 6.6 MB, the drop-fall-catch check at 5.8 MB
-and fast's identity checks at 1.9 MB.  bench/verify_layers.py times and
-traces them check by check.
+closed form is close enough to police its mode weights), checks the reach
+that --estimate reports against a short scan of the heavy-field form, the
+Rindler spectrum against its wall-ratio form and the gravitational
+drop-fall-catch chain against the one-way form.  Both levels check the
+column engine against the closed forms, and against the full-matrix
+reference at n_max 200; the closed-form checks build each trip and its
+closed value through sweep's map of phase coordinates, the one every sweep
+uses.  The boost identity residuals come from bogoliubov._boost_residuals,
+which reads the boost's row blocks straight from its entry kernel, so no
+level builds a boost larger than n_max 200.  bench/verify_layers.py times
+and traces the levels check by check and writes BENCH_verify.json.
 """
 
 from __future__ import annotations
@@ -45,6 +39,7 @@ from .bogoliubov import (
 from .closedform import (
     A_10,
     A_11,
+    _massive_reach,
     kickstart_deficit,
     massive_limit_deficit,
     one_way_deficit,
@@ -68,7 +63,7 @@ from .scenario import (
     scenario_negativity,
 )
 from .spectrum import acceleration_period, rindler_frequency
-from .sweep import _build_scenario, _massless_closed
+from .sweep import _build_scenario, _massless_closed, _tau_bar
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
 
@@ -350,6 +345,19 @@ def _heavy_field_engine_check(M: float, fractions, threshold: float) -> CheckRes
     return CheckResult(f"heavy-field-closed-vs-pipeline-M{M:g}", worst, threshold)
 
 
+def _massive_reach_check() -> CheckResult:
+    """The reach that --estimate reports at k = 1, M = 1000, 2 pref sum_n
+    amp_n, against the largest heavy-field deficit on a short scan near
+    u = 1/2, where every phase lies close to an odd multiple of pi.  The
+    relative gap reads 4.7e-10 measured, and a gap of either sign fails, so
+    a reach 5e-4 low reads 5e-4."""
+    k, M, n_max = 1, 1e3, 200
+    tau = _tau_bar(np.linspace(0.499, 0.501, 401), CavityConfig(M=M))
+    peak = float(np.max(massive_limit_deficit(k, M, tau, 1.0, n_max)))
+    reach = _massive_reach(k, M, n_max)
+    return CheckResult(f"heavy-field-reach-vs-scan-M{M:g}", abs(reach - peak) / reach, 1e-9)
+
+
 def _rindler_wall_ratio_check() -> CheckResult:
     """rindler_frequency and acceleration_period against the wall-ratio
     form n pi h / (delta ln(b/a)), with the walls at chi = 1/h -+ 1/2, so
@@ -421,6 +429,7 @@ def run_verification(level: str = "fast") -> VerificationReport:
         checks.append(_doubling_check())
         checks.append(_heavy_field_engine_check(1e3, (0.3, 0.9), 1e-3))
         checks.append(_heavy_field_engine_check(1e4, (0.3, 0.5, 0.9, 1.7), 1e-5))
+        checks.append(_massive_reach_check())
         checks.append(_rindler_wall_ratio_check())
         checks.append(_dropped_and_caught_check())
     return VerificationReport(level=level, checks=tuple(checks))

@@ -349,10 +349,12 @@ def _round_trip_factors(p, pp, ppp):
     return [p, p * pp, p * p * pp * ppp]
 
 
-def test_tiled_product_sums_equal_the_term_by_term_reference():
-    # 150 x 150 points split into tiles along the first axis; a 1 x 20000
-    # row has one point on that axis and tiles along the second
+def test_large_grid_product_sums_equal_the_term_by_term_reference():
+    # grids above _BLOCK run one term at a time over the whole grid: a
+    # square mesh, and a 1 x 20000 row with one point on its first axis
+    r_max, _ = closedform._cutoff(1, closedform.TOL_SUM, 3)
     for rows, cols in ((150, 150), (1, 20000)):
+        assert (r_max + 1) * rows * cols > closedform._BLOCK
         p = np.exp(1j * np.linspace(0.1, 6.2, rows))[:, None]
         pp = np.exp(1j * np.linspace(0.3, 5.9, cols))[None, :]
         ppp = np.exp(0.7j)
@@ -360,8 +362,8 @@ def test_tiled_product_sums_equal_the_term_by_term_reference():
         ref = _product_sum_reference(1, _round_trip_factors(p, pp, ppp))
         assert got.shape == (rows, cols)
         assert np.array_equal(got, ref), (rows, cols)
-    # the tiles run their chains on the distinct values of their factors and
-    # gather the weights back: factors whose values repeat bit for bit
+    # the chains run on the distinct values of the factors and each term
+    # gathers the weights back: factors whose values repeat bit for bit
     fig4 = np.linspace(0.0, 2.0 * math.pi, 101)
     wide = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 200))
     # 1+0j and 1-0j are two values to the gather; both sit on a zero locus
@@ -372,8 +374,8 @@ def test_tiled_product_sums_equal_the_term_by_term_reference():
         "fig4": _round_trip_factors(
             np.exp(1j * fig4)[:, None], np.exp(1j * fig4)[None, :], np.exp(2.1j)
         ),
-        # the same on three tiles of 81 rows
-        "equal axes, tiled": _round_trip_factors(
+        # the same on a 200 x 200 mesh
+        "equal axes, wide": _round_trip_factors(
             wide[:, None], wide[None, :], np.exp(-0.6j)
         ),
         # a factor with one value at every grid point
@@ -386,7 +388,6 @@ def test_tiled_product_sums_equal_the_term_by_term_reference():
             signed[:, None], signed[None, :], complex(1.0, -0.0)
         ),
     }
-    r_max, _ = closedform._cutoff(1, closedform.TOL_SUM, 3)
     for name, factors in cases.items():
         shape = np.broadcast_shapes(*(np.shape(f) for f in factors))
         assert (r_max + 1) * math.prod(shape) > closedform._BLOCK, name

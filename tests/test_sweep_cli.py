@@ -5,6 +5,8 @@ import hashlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -708,6 +710,55 @@ def test_estimate_at_k_25000_holds_no_waveform_grid():
 def test_estimate_intermediate_mass_refused():
     with pytest.raises(ConfigError):
         estimate_physical(1.0, 1.0, transverse_wavelength=1.0, k=30)
+
+
+# a child under a 1 GiB address-space limit: a k that reaches the series
+# there fails with MemoryError instead of growing until the machine kills it
+_BOUNDED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from cavneg.cli import main\n"
+    "print(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scenario", "one-way", "--k", "1e20"],
+        ["--scenario", "round-trip", "--mode", "both", "--n-max", "400", "--k", "1,100001"],
+        ["--estimate", "--accel", "10", "--delta", "10", "--k", "1e20"],
+        ["--estimate", "--accel", "1e-5", "--delta", "1", "--mass", "1e-10", "--k", "1e20"],
+    ],
+    ids=["one-way", "both", "estimate-massless", "estimate-heavy-field"],
+)
+def test_k_above_the_closed_form_bound_is_refused(tmp_path, argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_MAIN, *argv],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.stdout.strip() == "1", done.stderr
+    assert f"is above {sweep._MAX_K}, the largest the closed forms take" in done.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_k_at_the_closed_form_bound_is_accepted():
+    k = sweep._MAX_K
+    rows = rows_of(run_sweep(SweepSpec("one-way", fixed={"k": k, "h": 1e-9})))
+    assert [int(r["k"]) for r in rows] == [k]
+    assert estimate_physical(10.0, 10.0, k=k).k == k
+    with pytest.raises(ConfigError, match=f"above {k}"):
+        estimate_physical(10.0, 10.0, k=k + 1)
+    # the engine takes its bound from n_max
+    with pytest.raises(ValueError, match="n_max must be at least"):
+        run_sweep(SweepSpec("one-way", fixed={"k": k + 1}, mode="general"))
 
 
 # ---------------------------------------------------------------- CLI

@@ -120,6 +120,16 @@ def test_heavy_field_check_at_M10000_catches_a_weight_error(monkeypatch):
     assert not verify._heavy_field_engine_check(1e4, (0.3, 0.5, 0.9, 1.7), 1e-5).passed
 
 
+@pytest.mark.parametrize("scale", [0.9995, 1.0005])
+def test_reach_check_catches_a_scale_error(monkeypatch, scale):
+    # the reach off by 5e-4 either way reads 5e-4 against 4.7e-10 unbroken
+    check = verify._massive_reach_check()
+    assert check.name == "heavy-field-reach-vs-scan-M1000" and check.passed
+    reach = verify._massive_reach
+    monkeypatch.setattr(verify, "_massive_reach", lambda *args: reach(*args) * scale)
+    assert not verify._massive_reach_check().passed
+
+
 def test_rindler_check_catches_a_truncated_atanh(monkeypatch):
     # atanh by its 3-term series errs by 1.6e-6 at h = 0.3 and 2.5e-3 at
     # h = 1, where the pinned-value tests were the only ones to see it
