@@ -42,12 +42,25 @@ sees. The report's environment records whether Python writes bytecode: where
 it does not (``PYTHONDONTWRITEBYTECODE``), every pass compiles cavneg from
 source, and ``cavneg_import`` includes that compile.
 
+The presets workload also holds ``untimed``, per preset, from one pass per
+tree after the rounds that runs each preset once counted, then once traced:
+``rows``, ``csv_bytes`` and ``sha256`` of the CSV written; ``q_phases`` and
+``product_phases``, the phase arguments that the Q series pass
+(``closedform._q_flat``) and the product sums' large-grid pass
+(``closedform._product_tile``) received, with how many were bitwise distinct
+within their call (``_distinct``); ``negativities_distinct``, the distinct
+negativity cells per k block; and ``traced_peak_mb`` and
+``closed_traced_peak_mb``, the largest memory (10**6 bytes) that
+``tracemalloc`` saw allocated during the ``main`` call and during any one of
+its ``sweep._closed_grid`` calls, counting what was held when each began.
+
 Run from the repository root:
 
     python3 bench/cli_layers.py [--out BENCH_cli.json] [--baseline REV] [--seed N]
 
 Round r draws the engine phases from seed N + r (see harness.py for the
 trees and rounds).  Times are medians in seconds over the rounds.
+``--child SRC untimed`` prints the untimed pass of the tree SRC alone.
 """
 
 from __future__ import annotations
@@ -56,11 +69,13 @@ import builtins
 import contextlib
 import functools
 import gc
+import hashlib
 import io
 import os
 import statistics
 import sys
 import time
+import tracemalloc
 
 import harness
 
@@ -81,6 +96,16 @@ STAGES = (
     "total_s",
 )
 SETUP_PARTS = ("numpy_import", "cavneg_import", "parser_build", "total_s")
+COUNTS = ("q_phases", "q_phases_distinct", "product_phases", "product_phases_distinct")
+UNTIMED = (
+    "rows",
+    "csv_bytes",
+    "sha256",
+    *COUNTS,
+    "negativities_distinct",
+    "traced_peak_mb",
+    "closed_traced_peak_mb",
+)
 
 
 class _Clock:
@@ -202,16 +227,11 @@ def _setup(src: str):
     }
 
 
-def _probe(src: str, workload: str, seed: str) -> dict:
-    # one pass: every job of the workload once, writing into the working
-    # directory
-    cli, setup = _setup(src)
-    tasks = "/proc/self/task"
-    threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
-    clock = _Clock()
-    _instrument(clock)
+def _argvs(workload: str, seed: int) -> list:
+    """(name, argv) of each job, with its config file written into the
+    working directory; argv ends with the output file."""
     argvs = []
-    for job in make_jobs(workload, int(seed)):
+    for job in make_jobs(workload, seed):
         argv = list(job["argv"])
         if job["config"] is not None:
             path = job["name"] + ".cfg"
@@ -219,6 +239,114 @@ def _probe(src: str, workload: str, seed: str) -> dict:
                 fh.write(job["config"])
             argv += ["--config", path]
         argvs.append((job["name"], argv + ["--out", job["out"]]))
+    return argvs
+
+
+@contextlib.contextmanager
+def _wrapped(owner, name: str, make_wrapper):
+    original = harness.wrap(owner, name, make_wrapper)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+def _run(cli, argv: list) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"{argv}: exit code {code}")
+
+
+def _counted(cli, argv: list) -> dict:
+    """The phases that the Q series and product sums' passes get in one main call."""
+    import numpy as np
+
+    from cavneg import closedform
+
+    counts = dict.fromkeys(COUNTS, 0)
+
+    def counting(key, fn):
+        def counted(*args):
+            x = args[1]  # the phases: the second argument in every tree
+            counts[key] += x.size
+            counts[key + "_distinct"] += len(np.unique(x.view(np.int64).reshape(-1, 2), axis=0))
+            return fn(*args)
+
+        return counted
+
+    with _wrapped(closedform, "_q_flat", functools.partial(counting, "q_phases")), \
+            _wrapped(closedform, "_product_tile", functools.partial(counting, "product_phases")):
+        _run(cli, argv)
+    return counts
+
+
+def _traced(cli, argv: list) -> dict:
+    """Traced peaks of one main call and of the largest of its _closed_grid
+    calls, each counted from where tracing stood at its start."""
+    from cavneg import sweep
+
+    peaks = {"run": 0, "closed": 0}
+
+    def tracing(inner):
+        def traced(*args, **kwargs):
+            # keep the run's peak so far, then read the call's own
+            peaks["run"] = max(peaks["run"], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                peaks["closed"] = max(peaks["closed"], tracemalloc.get_traced_memory()[1])
+
+        return traced
+
+    with _wrapped(sweep, "_closed_grid", tracing):
+        tracemalloc.start()
+        try:
+            _run(cli, argv)
+            peaks["run"] = max(peaks["run"], tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return {
+        "traced_peak_mb": max(peaks.values()) / 1e6,
+        "closed_traced_peak_mb": peaks["closed"] / 1e6,
+    }
+
+
+def _untimed(src: str) -> dict:
+    # each preset once counted, then once traced: the counted run warms the
+    # process, so the traced one holds no first-call set-up
+    cli, _ = _setup(src)
+    out = {}
+    for name, argv in _argvs("presets", 0):
+        counts = _counted(cli, argv)
+        with open(argv[-1], "rb") as fh:
+            data = fh.read()
+        header, *rows = data.decode("utf-8").splitlines()
+        column = header.split(",").index("negativity")
+        cells = {(row.split(",")[1], row.split(",")[column]) for row in rows}
+        out[name] = {
+            "rows": len(rows),
+            "csv_bytes": len(data),
+            "sha256": hashlib.sha256(data).hexdigest(),
+            **counts,
+            "negativities_distinct": len(cells),
+            **_traced(cli, argv),
+        }
+    return out
+
+
+def _probe(src: str, workload: str, seed: str = "0") -> dict:
+    # one pass: every job of the workload once, writing into the working
+    # directory; workload "untimed" is the presets' untimed pass
+    if workload == "untimed":
+        return _untimed(src)
+    cli, setup = _setup(src)
+    tasks = "/proc/self/task"
+    threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+    clock = _Clock()
+    _instrument(clock)
+    argvs = _argvs(workload, int(seed))
     jobs = {}
     gc.callbacks.append(clock.on_gc)
     wall0 = time.perf_counter()
@@ -284,15 +412,19 @@ def measure(args) -> dict:
 
     with harness.trees(args.baseline) as trees:
         passes = harness.rounds(trees, ROUNDS, workloads)
+        untimed = {label: harness.child(__file__, src, "untimed") for label, src in trees.items()}
+    report = {
+        label: {w: _summary([p[w] for p in by_round]) for w in WORKLOADS}
+        for label, by_round in passes.items()
+    }
+    for label, presets in untimed.items():
+        report[label]["presets"]["untimed"] = presets
     return {
         "benchmark": "cli_layers",
         "rounds": ROUNDS,
         "seed": args.seed,
         "unit": "s",
-        **{
-            label: {w: _summary([p[w] for p in by_round]) for w in WORKLOADS}
-            for label, by_round in passes.items()
-        },
+        **report,
         "environment": {
             **harness.environment(args.baseline),
             # false here means no __pycache__: each pass compiles cavneg anew
@@ -315,6 +447,8 @@ def show(report: dict):
                 f"cpu - wall {row['cpu_minus_wall_s'] * 1e3:.2f}; "
                 f"setup: {setup}; threads {row['threads']}"
             )
+        for name, row in report[label]["presets"]["untimed"].items():
+            yield f"{label} {name}: " + ", ".join(f"{key} {row[key]}" for key in UNTIMED)
 
 
 def _options(p) -> None:

@@ -80,6 +80,8 @@ _TILE = 16384  # chains per in-place tile of a larger series pass
 # 400, u in {0.3, 1.0, 1.7}) its worst relative error is 6e-3 at k/M = 0.01,
 # 2.2e-2 at 0.03 (fig5b), 0.11 at 0.05, 0.36 at 0.1 and 0.93 at 1/3
 _MAX_K_OVER_M = 0.05
+# largest k/M of the heavy-field --estimate, where that error is 6e-3
+_ESTIMATE_K_OVER_M = 0.01
 
 # lowest two coefficients of Q(1, .): a_10 = 4/pi**4 and
 # a_11 = 4/(729 pi**4) + (6/pi**4)(1/243 - 1/729) = 16/(729 pi**4)

@@ -42,6 +42,7 @@ import numpy as np
 
 from . import closedform
 from .closedform import (
+    _ESTIMATE_K_OVER_M,
     _MAX_K_OVER_M,
     kickstart_deficit,
     massive_limit_deficit,
@@ -226,6 +227,17 @@ def _integral(name: str, value) -> int:
 _MAX_K = 100_000
 
 
+# the largest n_max where it sizes arrays, the engine's columns and the
+# heavy-field sum's modes, whose memory grows linearly with it: on a 2-vCPU
+# x86-64 machine a one-point general sweep at n_max = 10**6 takes at most
+# 0.3 s and 244 MB, at 5 * 10**6 up to 1.9 s and 1.1 GB, and 10**9 asks for
+# 7.45 GiB in one array
+_MAX_N_MAX = 1_000_000
+# the largest heavy-field waveform, grid points x n_max / 2 cos values built
+# at once: 10**7 of them take 0.4 s and 112 MB, 5 * 10**7 1.7 s and 417 MB
+_MAX_WAVEFORM = 10_000_000
+
+
 def _check_closed_form_k(k: int) -> None:
     if k > _MAX_K:
         raise ConfigError(f"k = {k} is above {_MAX_K}, the largest the closed forms take")
@@ -287,6 +299,19 @@ def _validated(spec: SweepSpec) -> dict:
         raise ConfigError(
             f"k/M = {k_over_m:.3g} is above {_MAX_K_OVER_M}, where the heavy-field "
             "closed form is no longer accurate; use mode=general"
+        )
+    heavy = params["M"] > 0 and spec.mode != "general"
+    if (heavy or spec.mode != "closed-form") and params["n_max"] > _MAX_N_MAX:
+        raise ConfigError(
+            f"n_max = {params['n_max']} is above {_MAX_N_MAX}, the largest the "
+            "engine and the heavy-field closed form take"
+        )
+    points = math.prod(axis.count for axis in spec.axes)
+    if heavy and points * ((params["n_max"] + 1) // 2) > _MAX_WAVEFORM:
+        raise ConfigError(
+            f"the heavy-field waveform of {points} grid points at n_max = "
+            f"{params['n_max']} holds more than {_MAX_WAVEFORM} values; use fewer "
+            "points or a smaller n_max"
         )
     return params
 
@@ -619,7 +644,7 @@ def estimate_physical(
     if M == 0:
         path = "massless"
         peak = 4.0 * kickstart_deficit(k)
-    elif k / M <= 0.01:
+    elif k / M <= _ESTIMATE_K_OVER_M:
         path = "heavy-field"
         # the function's default n_max of 200, or 2k where it needs more
         peak = closedform._massive_reach(k, M, max(200, 2 * k))

@@ -53,3 +53,19 @@ def test_trees_are_equal_length_siblings(harness):
         for src in (before, after):
             assert os.path.isfile(os.path.join(src, "cavneg", "__init__.py"))
     assert not os.path.exists(before)
+
+
+def test_the_untimed_presets_pass_reads_every_wrapped_name(harness, monkeypatch):
+    # a renamed _q_flat, _product_tile or _closed_grid stops the child
+    monkeypatch.syspath_prepend(os.path.join(harness.ROOT, "perfbench"))
+    from workloads import PRESET_DIGESTS
+
+    cli_layers = importlib.import_module("cli_layers")
+    report = harness.child(cli_layers.__file__, os.path.join(harness.ROOT, "src"), "untimed")
+    assert {name: row["sha256"] for name, row in report.items()} == PRESET_DIGESTS
+    for row in report.values():
+        assert set(row) == set(cli_layers.UNTIMED)
+        assert row["closed_traced_peak_mb"] > 0
+    # fig3 runs the Q series pass, fig4a the product sums' large-grid pass
+    assert report["fig3"]["q_phases"] > 0
+    assert report["fig4a"]["product_phases"] > 0

@@ -712,14 +712,29 @@ def test_estimate_intermediate_mass_refused():
         estimate_physical(1.0, 1.0, transverse_wavelength=1.0, k=30)
 
 
-# a child under a 1 GiB address-space limit: a k that reaches the series
-# there fails with MemoryError instead of growing until the machine kills it
+# a child under a 1 GiB address-space limit: a k or n_max that reaches the
+# arrays there fails with MemoryError instead of growing until the machine
+# kills it
 _BOUNDED_MAIN = (
     "import resource, sys\n"
     "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
     "from cavneg.cli import main\n"
     "print(main(sys.argv[1:]))\n"
 )
+
+
+def _bounded_main(cwd, argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", _BOUNDED_MAIN, *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -733,17 +748,7 @@ _BOUNDED_MAIN = (
     ids=["one-way", "both", "estimate-massless", "estimate-heavy-field"],
 )
 def test_k_above_the_closed_form_bound_is_refused(tmp_path, argv):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-c", _BOUNDED_MAIN, *argv],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    done = _bounded_main(tmp_path, argv)
     assert done.stdout.strip() == "1", done.stderr
     assert f"is above {sweep._MAX_K}, the largest the closed forms take" in done.stderr
     assert not list(tmp_path.iterdir())
@@ -759,6 +764,46 @@ def test_k_at_the_closed_form_bound_is_accepted():
     # the engine takes its bound from n_max
     with pytest.raises(ValueError, match="n_max must be at least"):
         run_sweep(SweepSpec("one-way", fixed={"k": k + 1}, mode="general"))
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--mode", "general", "--n-max", "1e9"], f"is above {sweep._MAX_N_MAX}, the largest"),
+        (["--mode", "both", "--n-max", "1e8"], f"is above {sweep._MAX_N_MAX}, the largest"),
+        (["--M", "1e9", "--n-max", "1e9", "--axis", "u=0:1:3"],
+         f"is above {sweep._MAX_N_MAX}, the largest"),
+        (["--M", "1e3", "--n-max", "2e5", "--axis", "u=0:1:101"],
+         f"holds more than {sweep._MAX_WAVEFORM} values"),
+    ],
+    ids=["general", "both", "heavy-field", "heavy-field-waveform"],
+)
+def test_n_max_above_the_array_bounds_is_refused(tmp_path, argv, message):
+    done = _bounded_main(tmp_path, ["--scenario", "one-way", "--k", "1", *argv])
+    assert done.stdout.strip() == "1", done.stderr
+    assert message in done.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_n_max_at_the_array_bounds_is_accepted():
+    n_max = sweep._MAX_N_MAX
+    for mode in ("general", "both"):
+        spec = SweepSpec("one-way", fixed={"n_max": n_max}, mode=mode)
+        assert sweep._validated(spec)["n_max"] == n_max
+    rows = rows_of(run_sweep(SweepSpec(
+        "one-way", fixed={"M": 1e3, "h": 1e-9, "n_max": n_max}
+    )))
+    assert len(rows) == 1 and float(rows[0]["deficit_scaled"]) >= 0
+    # 100,000 modes at as many points as the waveform bound allows, then one more
+    count = sweep._MAX_WAVEFORM // 100_000
+    spec = SweepSpec(
+        "one-way", axes=(Axis("u", 0.0, 1.0, count),), fixed={"M": 1e3, "n_max": 200_000}
+    )
+    assert sweep._validated(spec)["n_max"] == 200_000
+    with pytest.raises(ConfigError, match=f"more than {sweep._MAX_WAVEFORM} values"):
+        sweep._validated(replace(spec, axes=(Axis("u", 0.0, 1.0, count + 1),)))
+    # a massless closed form reads no n_max
+    assert sweep._validated(SweepSpec("one-way", fixed={"n_max": 10**9}))["n_max"] == 10**9
 
 
 # ---------------------------------------------------------------- CLI
