@@ -143,12 +143,12 @@ def rounds(found: dict, repeats: int, run) -> dict:
     return out
 
 
-def main(doc: str, out: str, measure, show, probe=None, options=None) -> int:
+def main(doc: str, out: str, measure, show, probe, options=None) -> int:
     """A layer script's command line.  ``--child ARGS`` prints
     probe(*ARGS) as JSON; otherwise the script parses ``--out`` (default
-    out, in the repository root), ``--baseline`` when it has a probe, and
-    what options(parser) adds, writes measure(args) to --out as JSON and
-    prints show(report)'s lines."""
+    out, in the repository root), ``--baseline`` and what options(parser)
+    adds, writes measure(args) to --out as JSON and prints show(report)'s
+    lines."""
     argv = sys.argv[1:]
     if argv[:1] == ["--child"]:
         # parsed by hand, so that argparse loads in a child no earlier than
@@ -159,8 +159,7 @@ def main(doc: str, out: str, measure, show, probe=None, options=None) -> int:
 
     p = argparse.ArgumentParser(description=doc.splitlines()[0])
     p.add_argument("--out", default=os.path.join(ROOT, out))
-    if probe is not None:
-        p.add_argument("--baseline", help="git revision to time as 'before'")
+    p.add_argument("--baseline", help="git revision to time as 'before'")
     if options is not None:
         options(p)
     args = p.parse_args(argv)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import json
+import math
 import os
 import subprocess
 import types
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture
@@ -69,3 +72,36 @@ def test_the_untimed_presets_pass_reads_every_wrapped_name(harness, monkeypatch)
     # fig3 runs the Q series pass, fig4a the product sums' large-grid pass
     assert report["fig3"]["q_phases"] > 0
     assert report["fig4a"]["product_phases"] > 0
+
+
+def test_every_bench_script_has_one_record():
+    # a folded or deleted script leaves no orphan record behind
+    records = {}
+    for path in ROOT.glob("BENCH_*.json"):
+        name = json.loads(path.read_text(encoding="utf-8"))["benchmark"]
+        records.setdefault(name, []).append(path.name)
+    scripts = {path.stem for path in BENCH.glob("*.py")} - {"harness"}
+    assert {name: len(paths) for name, paths in records.items()} == dict.fromkeys(scripts, 1)
+
+
+def test_the_cheap_kernel_cases_run_against_src(harness):
+    # the case list binds every kernel function, so a renamed one fails here;
+    # the n_max 2e5 and full-matrix cases are listed but not run
+    kernel_layers = importlib.import_module("kernel_layers")
+    groups = kernel_layers._cases()
+    names = [name for _, group in groups for name, _ in group]
+    assert len(set(names)) == len(names) == 14 + 3 * 4 + 4
+
+    def cheap(name):
+        size = name.split("/")[-1]
+        return size in ("scalar", "16") or name.startswith("scenario_negativity/") and size == "2000"
+
+    report = kernel_layers.run(
+        [(1, [(name, call) for name, call in group if cheap(name)]) for _, group in groups]
+    )
+    assert len(report) == 9 + 4
+    for name, row in report.items():
+        assert row["first_s"] > 0 and row["call_s"] > 0
+        assert len(row["sha256"]) == 64
+        if name.startswith("scenario_negativity/"):
+            assert math.isfinite(row["value"]) and row["value"] > 0

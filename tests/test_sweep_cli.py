@@ -712,8 +712,8 @@ def test_estimate_intermediate_mass_refused():
         estimate_physical(1.0, 1.0, transverse_wavelength=1.0, k=30)
 
 
-# a child under a 1 GiB address-space limit: a k or n_max that reaches the
-# arrays there fails with MemoryError instead of growing until the machine
+# a child under a 1 GiB address-space limit: a k, n_max or grid that reaches
+# the arrays there fails with MemoryError instead of growing until the machine
 # kills it
 _BOUNDED_MAIN = (
     "import resource, sys\n"
@@ -804,6 +804,35 @@ def test_n_max_at_the_array_bounds_is_accepted():
         sweep._validated(replace(spec, axes=(Axis("u", 0.0, 1.0, count + 1),)))
     # a massless closed form reads no n_max
     assert sweep._validated(SweepSpec("one-way", fixed={"n_max": 10**9}))["n_max"] == 10**9
+
+
+@pytest.mark.parametrize(
+    "argv,points",
+    [
+        (["--scenario", "one-way", "--axis", "u=0:1:1e9"], 10**9),
+        (["--scenario", "alpha-centauri", "--axis", "u=0:1:1e5", "--axis", "v=0:1:1e5"],
+         10**10),
+        (["--scenario", "one-way", "--mode", "general", "--axis", "u=0:1:1e8"], 10**8),
+    ],
+    ids=["one-way", "alpha-centauri", "general"],
+)
+def test_a_grid_above_the_point_bound_is_refused(tmp_path, argv, points):
+    done = _bounded_main(tmp_path, argv)
+    assert done.stdout.strip() == "1", done.stderr
+    assert f"the grid of {points} points is above {sweep._MAX_POINTS}" in done.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_grid_at_the_point_bound_is_accepted():
+    side = math.isqrt(sweep._MAX_POINTS)
+    assert side * side == sweep._MAX_POINTS
+    line = (Axis("u", 0.0, 1.0, sweep._MAX_POINTS),)
+    square = (Axis("u", 0.0, 1.0, side), Axis("v", 0.0, 1.0, side))
+    for axes in (line, square):
+        assert sweep._validated(SweepSpec("alpha-centauri", axes=axes))
+    wider = (Axis("u", 0.0, 1.0, side), Axis("v", 0.0, 1.0, side + 1))
+    with pytest.raises(ConfigError, match=f"is above {sweep._MAX_POINTS}, the largest"):
+        sweep._validated(SweepSpec("alpha-centauri", axes=wider))
 
 
 # ---------------------------------------------------------------- CLI
