@@ -1,12 +1,13 @@
-"""Time each stage of ``cavneg.cli.main`` over the benchmark's engine jobs and
-the figure presets.
+"""Time each stage of ``cavneg.cli.main`` over the benchmark's engine jobs,
+the figure presets and both verification levels.
 
 A pass runs the jobs of one workload through ``main``, one after the other,
 in a fresh interpreter that has imported cavneg and built one parser first,
 as a ``perfbench`` pass does. The jobs come from ``perfbench/workloads.py``:
 ``engine`` is four one-point ``--mode both`` runs at n_max 2000 (its phases
-are drawn from the round's seed), ``presets`` the seven figure presets. The
-stages of a ``main`` call are:
+are drawn from the round's seed), ``presets`` the seven figure presets and
+``verify-fast`` one ``--verify fast``.  ``verify-full``, one ``--verify
+full``, is this script's own. The stages of a ``main`` call are:
 
 - ``parser``: getting the parser that ``main`` parses with,
   ``cli._parser``;
@@ -17,7 +18,10 @@ stages of a ``main`` call are:
 - ``write``: opening, writing and closing the output file inside the sweep;
 - ``rows``: the rest of the sweep call (``write_sweep``):
   validation, coordinate grids, the validity check and the row formatting;
-- ``other``: the rest of ``main``, such as the report line;
+- ``checks``: the check functions, every ``_*_check(s)`` function of
+  ``verify``;
+- ``other``: the rest of ``main``, such as the report line or the rendered
+  verification report;
 - ``total_s``: the whole ``main`` call.
 
 The report holds, per tree and workload, the median over rounds of each stage
@@ -34,7 +38,15 @@ pass:
 - ``threads``: the native threads of the process after set-up, read from
   ``/proc/self/task`` (null where that is missing);
 - ``cpu_minus_wall_s``: process CPU time minus wall time over the jobs, which
-  is above zero when a second thread burns CPU beside the program.
+  is above zero when a second thread burns CPU beside the program;
+- ``maxrss_mb``: the pass's peak resident memory (``ru_maxrss``, imports
+  included), with ``maxrss_mb_min`` and ``maxrss_mb_max`` over the rounds.
+
+The verify workloads also hold ``per_check``: each check function call, in
+call order, with the checks it returned and its median time.  A pass stops
+unless the wrapped functions return every check that ``main`` renders, in
+order, so a check that bypasses them stops the run instead of going
+unmeasured.
 
 A pass process imports neither numpy nor argparse before cavneg, as a
 ``perfbench`` pass does, so the set-up split and the threads are those a user
@@ -53,6 +65,8 @@ negativity cells per k block; and ``traced_peak_mb`` and
 ``closed_traced_peak_mb``, the largest memory (10**6 bytes) that
 ``tracemalloc`` saw allocated during the ``main`` call and during any one of
 its ``sweep._closed_grid`` calls, counting what was held when each began.
+The same pass then runs each verify job once traced, which adds each check
+function call's ``traced_peak_mb`` to ``per_check``.
 
 Run from the repository root:
 
@@ -72,6 +86,7 @@ import gc
 import hashlib
 import io
 import os
+import resource
 import statistics
 import sys
 import time
@@ -83,7 +98,8 @@ sys.path.insert(0, os.path.join(harness.ROOT, "perfbench"))
 from workloads import make_jobs  # noqa: E402
 
 ROUNDS = 11
-WORKLOADS = ("engine", "presets")
+VERIFY = ("verify-fast", "verify-full")
+WORKLOADS = ("engine", "presets", *VERIFY)
 STAGES = (
     "parser",
     "parse",
@@ -92,6 +108,7 @@ STAGES = (
     "general_grid",
     "rows",
     "write",
+    "checks",
     "other",
     "total_s",
 )
@@ -109,10 +126,12 @@ UNTIMED = (
 
 
 class _Clock:
-    """Seconds per stage of the current job, and the garbage collector's."""
+    """Seconds per stage of the current job, its check function calls, and
+    the garbage collector's seconds."""
 
     def __init__(self):
         self.spent: dict = {}
+        self.calls: list = []
         self.gc_s = 0.0
         self.gc_counts = [0, 0, 0]
         self._gc_t0 = 0.0
@@ -125,6 +144,28 @@ class _Clock:
                 return fn(*args, **kwargs)
             finally:
                 self.spent[stage] = self.spent.get(stage, 0.0) + time.perf_counter() - t0
+
+        return wrapper
+
+    def checked(self, function: str, fn):
+        """fn, a check function of verify, timed as the checks stage; each
+        call is logged with the checks it returned and, while tracemalloc
+        traces, its traced peak."""
+
+        def wrapper(*args, **kwargs):
+            traced = tracemalloc.is_tracing()
+            if traced:
+                tracemalloc.reset_peak()
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            elapsed = time.perf_counter() - t0
+            self.spent["checks"] = self.spent.get("checks", 0.0) + elapsed
+            results = out if isinstance(out, list) else [out]
+            call = {"function": function, "checks": [c.name for c in results], "s": elapsed}
+            if traced:
+                call["traced_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+            self.calls.append(call)
+            return out
 
         return wrapper
 
@@ -162,9 +203,18 @@ class _TimedFile:
             self._write(chunk)
 
 
+def _instrument_checks(clock: _Clock) -> None:
+    from cavneg import verify
+
+    for name, fn in list(vars(verify).items()):
+        if name.startswith("_") and name.endswith(("_check", "_checks")) and callable(fn):
+            harness.wrap(verify, name, functools.partial(clock.checked, name))
+
+
 def _instrument(clock: _Clock) -> None:
     from cavneg import cli, sweep
 
+    _instrument_checks(clock)
     for owner, name, stage in (
         (cli, "_parser", "parser"),
         (cli._Parser, "parse_args", "parse"),
@@ -182,12 +232,10 @@ def _instrument(clock: _Clock) -> None:
 def _stages(spent: dict, total: float) -> dict:
     grids = spent.get("closed_grid", 0.0) + spent.get("general_grid", 0.0)
     sweep_s = spent.get("sweep", 0.0)
-    out = {
-        key: spent.get(key, 0.0)
-        for key in ("parser", "parse", "config", "closed_grid", "general_grid", "write")
-    }
+    out = {key: spent.get(key, 0.0) for key in STAGES}
     out["rows"] = sweep_s - grids - out["write"]
-    out["other"] = total - sweep_s - out["parser"] - out["parse"] - out["config"]
+    outside = sum(out[key] for key in ("parser", "parse", "config", "checks"))
+    out["other"] = total - sweep_s - outside
     out["total_s"] = total
     return out
 
@@ -227,18 +275,27 @@ def _setup(src: str):
     }
 
 
+def _jobs(workload: str, seed: int) -> list:
+    if workload == "verify-full":
+        return [{"name": workload, "argv": ["--verify", "full"], "out": None, "config": None}]
+    return make_jobs(workload, seed)
+
+
 def _argvs(workload: str, seed: int) -> list:
     """(name, argv) of each job, with its config file written into the
-    working directory; argv ends with the output file."""
+    working directory; argv ends with the output file of a job that writes
+    one."""
     argvs = []
-    for job in make_jobs(workload, seed):
+    for job in _jobs(workload, seed):
         argv = list(job["argv"])
         if job["config"] is not None:
             path = job["name"] + ".cfg"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(job["config"])
             argv += ["--config", path]
-        argvs.append((job["name"], argv + ["--out", job["out"]]))
+        if job["out"] is not None:
+            argv += ["--out", job["out"]]
+        argvs.append((job["name"], argv))
     return argvs
 
 
@@ -251,11 +308,31 @@ def _wrapped(owner, name: str, make_wrapper):
         setattr(owner, name, original)
 
 
-def _run(cli, argv: list) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def _run(cli, argv: list) -> str:
+    """One main call; return what it printed, or raise unless it exits 0."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     if code != 0:
         raise RuntimeError(f"{argv}: exit code {code}")
+    return buf.getvalue()
+
+
+def _guard(stdout: str, calls: list) -> None:
+    """Raise unless the checks that a main call rendered are the checks its
+    check function calls returned, in order."""
+    rendered = [
+        line[5:].partition(":")[0] for line in stdout.splitlines()
+        if line.startswith(("PASS ", "FAIL "))
+    ]
+    returned = [name for call in calls for name in call["checks"]]
+    if rendered != returned:
+        missing = [name for name in rendered if name not in returned]
+        raise RuntimeError(
+            f"the checks {missing} come from no _*_check(s) function of verify"
+            if missing
+            else "the check functions of verify return their checks out of order"
+        )
 
 
 def _counted(cli, argv: list) -> dict:
@@ -315,9 +392,10 @@ def _traced(cli, argv: list) -> dict:
 
 def _untimed(src: str) -> dict:
     # each preset once counted, then once traced: the counted run warms the
-    # process, so the traced one holds no first-call set-up
+    # process, so the traced one holds no first-call set-up; then each
+    # verify job once traced, with its check function calls
     cli, _ = _setup(src)
-    out = {}
+    presets = {}
     for name, argv in _argvs("presets", 0):
         counts = _counted(cli, argv)
         with open(argv[-1], "rb") as fh:
@@ -325,7 +403,7 @@ def _untimed(src: str) -> dict:
         header, *rows = data.decode("utf-8").splitlines()
         column = header.split(",").index("negativity")
         cells = {(row.split(",")[1], row.split(",")[column]) for row in rows}
-        out[name] = {
+        presets[name] = {
             "rows": len(rows),
             "csv_bytes": len(data),
             "sha256": hashlib.sha256(data).hexdigest(),
@@ -333,12 +411,24 @@ def _untimed(src: str) -> dict:
             "negativities_distinct": len(cells),
             **_traced(cli, argv),
         }
+    clock = _Clock()
+    _instrument_checks(clock)
+    out = {"presets": presets}
+    for workload in VERIFY:
+        ((_, argv),) = _argvs(workload, 0)
+        clock.calls = []
+        tracemalloc.start()
+        try:
+            _guard(_run(cli, argv), clock.calls)
+        finally:
+            tracemalloc.stop()
+        out[workload] = clock.calls
     return out
 
 
 def _probe(src: str, workload: str, seed: str = "0") -> dict:
     # one pass: every job of the workload once, writing into the working
-    # directory; workload "untimed" is the presets' untimed pass
+    # directory; workload "untimed" is the untimed pass
     if workload == "untimed":
         return _untimed(src)
     cli, setup = _setup(src)
@@ -348,20 +438,19 @@ def _probe(src: str, workload: str, seed: str = "0") -> dict:
     _instrument(clock)
     argvs = _argvs(workload, int(seed))
     jobs = {}
+    calls = []
     gc.callbacks.append(clock.on_gc)
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
     try:
         for name, argv in argvs:
-            clock.spent = {}
-            buf = io.StringIO()
+            clock.spent, clock.calls = {}, []
             t0 = time.perf_counter()
-            with contextlib.redirect_stdout(buf):
-                code = cli.main(argv)
+            stdout = _run(cli, argv)
             total = time.perf_counter() - t0
-            if code != 0:
-                raise RuntimeError(f"{name}: exit code {code}")
+            _guard(stdout, clock.calls)
             jobs[name] = _stages(clock.spent, total)
+            calls += clock.calls
     finally:
         cpu_minus_wall = (time.process_time() - cpu0) - (time.perf_counter() - wall0)
         gc.callbacks.remove(clock.on_gc)
@@ -372,6 +461,9 @@ def _probe(src: str, workload: str, seed: str = "0") -> dict:
         "setup": setup,
         "threads": threads,
         "cpu_minus_wall_s": cpu_minus_wall,
+        # kilobytes on Linux
+        "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "calls": calls,
     }
 
 
@@ -389,7 +481,8 @@ def _summary(passes: list) -> dict:
         for stage in STAGES
     }
     threads = [p["threads"] for p in passes]
-    return {
+    maxrss = [p["maxrss_mb"] for p in passes]
+    summary = {
         "jobs": len(names),
         **stages,
         "gc_s": statistics.median(p["gc_s"] for p in passes),
@@ -402,8 +495,17 @@ def _summary(passes: list) -> dict:
         },
         "threads": None if None in threads else statistics.median(threads),
         "cpu_minus_wall_s": statistics.median(p["cpu_minus_wall_s"] for p in passes),
+        "maxrss_mb": statistics.median(maxrss),
+        "maxrss_mb_min": min(maxrss),
+        "maxrss_mb_max": max(maxrss),
         "per_job": per_job,
     }
+    if passes[0]["calls"]:
+        summary["per_check"] = [
+            {**call, "s": statistics.median(p["calls"][i]["s"] for p in passes)}
+            for i, call in enumerate(passes[0]["calls"])
+        ]
+    return summary
 
 
 def measure(args) -> dict:
@@ -417,8 +519,12 @@ def measure(args) -> dict:
         label: {w: _summary([p[w] for p in by_round]) for w in WORKLOADS}
         for label, by_round in passes.items()
     }
-    for label, presets in untimed.items():
-        report[label]["presets"]["untimed"] = presets
+    for label, out in untimed.items():
+        report[label]["presets"]["untimed"] = out["presets"]
+        for workload in VERIFY:
+            # the guard pins both call lists to the rendered checks
+            for call, traced in zip(report[label][workload]["per_check"], out[workload]):
+                call["traced_peak_mb"] = traced["traced_peak_mb"]
     return {
         "benchmark": "cli_layers",
         "rounds": ROUNDS,
@@ -445,8 +551,15 @@ def show(report: dict):
                 f"{label} {workload} ({row['jobs']} jobs, ms): {cells}, "
                 f"gc {row['gc_s'] * 1e3:.2f} ({row['gc_collections']}), "
                 f"cpu - wall {row['cpu_minus_wall_s'] * 1e3:.2f}; "
-                f"setup: {setup}; threads {row['threads']}"
+                f"setup: {setup}; threads {row['threads']}; "
+                f"maxrss {row['maxrss_mb']:.1f} MB "
+                f"({row['maxrss_mb_min']:.1f}-{row['maxrss_mb_max']:.1f})"
             )
+            for call in row.get("per_check", ()):
+                yield (
+                    f"{label} {workload} {call['function']}: {call['s'] * 1e3:.1f} ms, "
+                    f"{call['traced_peak_mb']:.1f} MB traced ({', '.join(call['checks'])})"
+                )
         for name, row in report[label]["presets"]["untimed"].items():
             yield f"{label} {name}: " + ", ".join(f"{key} {row[key]}" for key in UNTIMED)
 

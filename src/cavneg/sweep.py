@@ -451,7 +451,9 @@ def _coordinate_cells(spec: SweepSpec, params: dict):
 
 
 def _block_rows(spec, params, k, method, tail, deficit, negativity, general):
-    """CSV lines of one k block, streamed in row order.
+    """CSV lines of one k block, in row order, built as the writer reaches
+    them: the block's value lists and negativity cells exist only while its
+    rows are being written.
 
     Cells that are the same on every row are formatted once per block.  Per
     row the deficit goes through repr, and in both mode the general value
@@ -467,22 +469,22 @@ def _block_rows(spec, params, k, method, tail, deficit, negativity, general):
     values, index = closedform._distinct(negativity.ravel())
     pairs = [f"{n!r},{log1p(n)!r}" for n in values.tolist()]
     if general is None:
-        return (
-            f"{head},{c},{x!r},{pairs[i]},{rest}" for c, x, i in zip(cells, d, index)
-        )
+        for c, x, i in zip(cells, d, index):
+            yield f"{head},{c},{x!r},{pairs[i]},{rest}"
+        return
     g = general.ravel().tolist()
     diff = np.abs(deficit - general).ravel().tolist()
-    return (
-        f"{head},{c},{x!r},{pairs[i]},{rest},{y!r},{e!r}"
-        for c, x, i, y, e in zip(cells, d, index, g, diff)
-    )
+    for c, x, i, y, e in zip(cells, d, index, g, diff):
+        yield f"{head},{c},{x!r},{pairs[i]},{rest},{y!r},{e!r}"
 
 
 def _sweep_lines(spec: SweepSpec):
     """The CSV lines of a sweep, header first, as a lazy iterator.
 
-    Every k block is computed and validated before this returns, so a sweep
-    that fails raises here and nothing downstream has written a byte.
+    Every k block's values are computed and validated before this returns,
+    so a sweep that fails raises here and nothing downstream has written a
+    byte.  Each block's rows are formatted only when the iterator reaches
+    them, so one block's row lists are alive at a time.
     """
     params = _validated(spec)
     shape, coords = _coordinate_grids(spec, params)

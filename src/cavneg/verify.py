@@ -13,8 +13,9 @@ reference at n_max 200; the closed-form checks build each trip and its
 closed value through sweep's map of phase coordinates, the one every sweep
 uses.  The boost identity residuals come from bogoliubov._boost_residuals,
 which reads the boost's row blocks straight from its entry kernel, so no
-level builds a boost larger than n_max 200.  bench/verify_layers.py times
-and traces the levels check by check and writes BENCH_verify.json.
+level builds a boost larger than n_max 200.  bench/cli_layers.py times
+and traces the levels check by check through the command line and writes
+BENCH_cli.json.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _boost_identities(n_max: int, M: float) -> list:
+def _boost_identity_checks(n_max: int, M: float) -> list:
     res = _boost_residuals(n_max, M)
     label = f"boost-identity-M{M:g}-n{n_max}"
     # The diagonal residual floats on rounding noise proportional to the
@@ -120,11 +121,13 @@ def _boost_identities(n_max: int, M: float) -> list:
     ]
 
 
-def _identity_checks(n_max: int, masses) -> list:
-    return [c for M in masses for c in _boost_identities(n_max, M)]
+# the one cutoff, at both levels, of the massless reduction, the
+# column-vs-matrix reference, the periodicity and the dropped-and-caught chain
+_REFERENCE_N_MAX = 200
 
 
-def _massless_reduction_check(n_max: int = 200) -> CheckResult:
+def _massless_reduction_check() -> CheckResult:
+    n_max = _REFERENCE_N_MAX
     a = massless_boost_transform(n_max)
     b = massive_boost_transform(n_max, 0.0)
     residual = max(
@@ -272,13 +275,13 @@ def _column_vs_matrix(n_max: int, M: float) -> float:
 
 
 _COLUMN_MASSES = (0.0, 10.0)
-_COLUMN_N_MAX = 200
 
 
-def _column_matches_matrix_check(n_max: int) -> CheckResult:
+def _column_matches_matrix_check() -> CheckResult:
     """Column engine against the full-matrix reference: deficit and tail for
     the round trip's prefixes and the kickstart trips, massless and
     massive."""
+    n_max = _REFERENCE_N_MAX
     worst = max(_column_vs_matrix(n_max, M) for M in _COLUMN_MASSES)
     return CheckResult(f"column-matches-matrix-n{n_max}", worst, 1e-14)
 
@@ -288,7 +291,8 @@ def _column_matches_matrix_check(n_max: int) -> CheckResult:
 _PERIODICITY_TAUS = (1.1769876627435734, 0.6553755531338907, 0.705677579178132)
 
 
-def _periodicity_check(n_max: int = 200) -> CheckResult:
+def _periodicity_check() -> CheckResult:
+    n_max = _REFERENCE_N_MAX
     cfg = CavityConfig(n_max=n_max)
     period = acceleration_period(cfg)
     worst = 0.0
@@ -378,13 +382,14 @@ def _rindler_wall_ratio_check() -> CheckResult:
     return CheckResult("rindler-spectrum-wall-ratio", worst, 1e-14)
 
 
-def _dropped_and_caught_check(n_max: int = 200) -> CheckResult:
+def _dropped_and_caught_check() -> CheckResult:
     """The gravitational counterpart: a cavity held static in gravity, in
     Rindler modes, dropped (the inverse boost), falling for tau (the inertial
     phases) and caught (the boost), against the one-way form at u = pi tau
     for k = 1-3.  Each error is read in units of the engine's truncation
     tail: 0.255-0.259 measured; the boost in place of its inverse reads 2.6e9.
     """
+    n_max = _REFERENCE_N_MAX
     cfg = CavityConfig(n_max=n_max)
     boost = _boost(n_max, 0.0)
     worst = 0.0
@@ -404,7 +409,8 @@ def run_verification(level: str = "fast") -> VerificationReport:
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     checks: list = []
     if level == "fast":
-        checks += _identity_checks(500, _COLUMN_MASSES)
+        for M in _COLUMN_MASSES:
+            checks += _boost_identity_checks(500, M)
         checks.append(_massless_reduction_check())
         checks.append(_q_series_check())
         checks.append(_positivity_check(2000))
@@ -412,10 +418,11 @@ def run_verification(level: str = "fast") -> VerificationReport:
         checks.append(_two_by_two_check())
         checks.append(_zero_locus_check())
         checks += _pipeline_checks(500, 4, (1,))
-        checks.append(_column_matches_matrix_check(_COLUMN_N_MAX))
+        checks.append(_column_matches_matrix_check())
         checks.append(_periodicity_check())
     else:
-        checks += _identity_checks(2000, (0.0, 10.0, 1e3))
+        for M in (0.0, 10.0, 1e3):
+            checks += _boost_identity_checks(2000, M)
         checks.append(_massless_reduction_check())
         checks.append(_diagonal_extrapolation_check())
         checks.append(_q_series_check())
@@ -424,7 +431,7 @@ def run_verification(level: str = "fast") -> VerificationReport:
         checks.append(_two_by_two_check())
         checks.append(_zero_locus_check())
         checks += _pipeline_checks(2000, 8, (1, 2))
-        checks.append(_column_matches_matrix_check(_COLUMN_N_MAX))
+        checks.append(_column_matches_matrix_check())
         checks.append(_periodicity_check())
         checks.append(_doubling_check())
         checks.append(_heavy_field_engine_check(1e3, (0.3, 0.9), 1e-3))

@@ -58,20 +58,46 @@ def test_trees_are_equal_length_siblings(harness):
     assert not os.path.exists(before)
 
 
-def test_the_untimed_presets_pass_reads_every_wrapped_name(harness, monkeypatch):
+@pytest.fixture(scope="module")
+def untimed():
+    # one untimed cli_layers pass against src/: each preset counted and
+    # traced, then each verify level traced
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        harness = importlib.import_module("harness")
+        cli_layers = importlib.import_module("cli_layers")
+        return cli_layers, harness.child(cli_layers.__file__, str(ROOT / "src"), "untimed")
+
+
+def test_the_untimed_presets_pass_reads_every_wrapped_name(untimed, monkeypatch):
     # a renamed _q_flat, _product_tile or _closed_grid stops the child
-    monkeypatch.syspath_prepend(os.path.join(harness.ROOT, "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from workloads import PRESET_DIGESTS
 
-    cli_layers = importlib.import_module("cli_layers")
-    report = harness.child(cli_layers.__file__, os.path.join(harness.ROOT, "src"), "untimed")
-    assert {name: row["sha256"] for name, row in report.items()} == PRESET_DIGESTS
-    for row in report.values():
+    cli_layers, report = untimed
+    presets = report["presets"]
+    assert {name: row["sha256"] for name, row in presets.items()} == PRESET_DIGESTS
+    for row in presets.values():
         assert set(row) == set(cli_layers.UNTIMED)
         assert row["closed_traced_peak_mb"] > 0
     # fig3 runs the Q series pass, fig4a the product sums' large-grid pass
-    assert report["fig3"]["q_phases"] > 0
-    assert report["fig4a"]["product_phases"] > 0
+    assert presets["fig3"]["q_phases"] > 0
+    assert presets["fig4a"]["product_phases"] > 0
+
+
+def test_the_untimed_verify_pass_returns_every_check_from_a_check_function(untimed):
+    # the child stops unless the _*_check(s) functions of verify return
+    # every check that main renders, in order, so a check appended inline in
+    # run_verification fails here
+    cli_layers, report = untimed
+    for level, count in (("fast", 17), ("full", 30)):
+        calls = report[f"verify-{level}"]
+        assert sum(len(call["checks"]) for call in calls) == count
+        assert all(call["traced_peak_mb"] > 0 for call in calls)
+    rendered = "PASS a: residual 0\nPASS b: residual 0\n2/2 checks passed at level fast\n"
+    cli_layers._guard(rendered, [{"checks": ["a"]}, {"checks": ["b"]}])
+    with pytest.raises(RuntimeError, match=r"\['b'\] come from no"):
+        cli_layers._guard(rendered, [{"checks": ["a"]}])
 
 
 def test_every_bench_script_has_one_record():

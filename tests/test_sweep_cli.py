@@ -429,6 +429,25 @@ def test_streamed_file_equals_the_returned_text(monkeypatch, tmp_path, chunk):
     assert (tmp_path / "s.csv").read_bytes() == text.encode("utf-8")
 
 
+def test_a_sweep_holds_the_row_lists_of_one_k_block_at_a_time(tmp_path):
+    # every block's values are computed first, but its value lists and
+    # negativity cells are built when the writer reaches it: on 4000 points
+    # three indices trace 1.09 times what one does, and 2.25 times when
+    # every block's lists are built up front
+    def traced(ks):
+        axes = (Axis("u", 0.0, 1.0, 4000),)
+        spec = SweepSpec("one-way", axes, {"k": ks}, output=str(tmp_path / "k.csv"))
+        tracemalloc.start()
+        try:
+            assert write_sweep(spec) == 4000 * len(ks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced((1,))  # first-call set-up belongs to no block
+    assert traced((1, 2, 3)) < 1.25 * traced((1,))
+
+
 def test_default_output_dir_env(monkeypatch, tmp_path):
     monkeypatch.setenv("CAVNEG_OUT_DIR", str(tmp_path))
     assert default_output_path("fig2", None) == str(tmp_path / "fig2.csv")

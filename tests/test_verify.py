@@ -14,10 +14,9 @@ import cavneg
 from cavneg import bogoliubov, closedform, spectrum, verify
 from cavneg.bogoliubov import _boost, _boost_residuals, check_identities
 from cavneg.verify import (
-    _COLUMN_N_MAX,
     _PERIODICITY_TAUS,
+    _boost_identity_checks,
     _column_matches_matrix_check,
-    _identity_checks,
     run_verification,
 )
 
@@ -86,7 +85,7 @@ def test_a_small_boost_symmetry_break_is_caught(monkeypatch):
             yield rows, a, b
 
     monkeypatch.setattr(bogoliubov, "_boost_blocks", broken)
-    checks = _identity_checks(200, (0.0, 10.0, 1e3))
+    checks = [c for M in (0.0, 10.0, 1e3) for c in _boost_identity_checks(200, M)]
     order1 = [c for c in checks if c.name.endswith("-order1")]
     assert len(order1) == 3
     assert not any(c.passed for c in order1)
@@ -216,4 +215,4 @@ def test_column_matches_matrix_check_peaks_at_the_walk_live_set():
     # at n_max 200 a complex block takes 0.64 MB; the walk holds the boost,
     # the running total, one segment and the composition's temporaries, and
     # traces 6.6 MB, where holding every step of the round trip adds 9 MB
-    assert _traced_peak(_column_matches_matrix_check, _COLUMN_N_MAX) < 7.5e6
+    assert _traced_peak(_column_matches_matrix_check) < 7.5e6
