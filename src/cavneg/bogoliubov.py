@@ -367,21 +367,17 @@ def boost_column(n_max: int, k: int, M: float = 0.0):
     return alpha1, beta1
 
 
-def phase_rotation(duration: float, frequencies, n_max: int) -> PerturbativeTransform:
-    """Free evolution for a proper duration over the given mode spectrum.
+def phase_rotation(duration: float, frequencies) -> PerturbativeTransform:
+    """Free evolution for a proper duration over the given mode spectrum,
+    one frequency per retained mode.
 
     Pure phases z_n = exp(i frequencies[n] duration), no particle creation:
     the first-order blocks are zero and the second-order diagonal vanishes
     identically.
     """
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.size < n_max:
-        raise ValueError(
-            f"need a frequency for every retained mode, got {freqs.size} < {n_max}"
-        )
-    z = np.exp(1j * freqs[:n_max] * duration)
-    zero = np.zeros((n_max, n_max))
-    return PerturbativeTransform(z, zero, zero, np.zeros(n_max))
+    z = np.exp(1j * np.asarray(frequencies, dtype=float) * duration)
+    zero = np.zeros((z.size, z.size))
+    return PerturbativeTransform(z, zero, zero, np.zeros(z.size))
 
 
 def compose(

@@ -12,7 +12,8 @@ series Q(n, z) = sum_r a_nr Re(z**(1+2r)) with strictly positive
 coefficients a_nr; the first term of Q keeps only odd powers because
 Li6(z) - Li6(z**2)/64 = sum_{m odd} z**m / m**6.
 Phase variables: p tracks the accelerated stretches, p' the outbound coast,
-p'' the stay at the destination.
+p'' the stay at the destination.  Each public function checks each phase
+argument once (|z| <= 1 + 1e-12, NaN refused), not the products it forms.
 
 The deficits implemented here:
 
@@ -105,10 +106,10 @@ def _maybe_scalar(value, *templates):
 
 
 def _flat(*args):
-    """The phase arguments as one flat array, with the shape of each: a 0-d
+    """The arguments as one flat complex array, with the shape of each: a 0-d
     argument becomes one element, so no value reaches numpy's scalar complex
-    product, which rounds differently from its array loops."""
-    arrs = [_as_phase_array(a) for a in args]
+    product, which rounds differently from its array loops; nothing checked."""
+    arrs = [np.asarray(a, dtype=complex) for a in args]
     return np.concatenate([a.ravel() for a in arrs]), [a.shape for a in arrs]
 
 
@@ -279,7 +280,7 @@ def q_function(n: int, z):
     inverse-fourth-power tail stays below TOL_Q; both come from one series
     pass over z and z**2.
     """
-    x, (shape,) = _flat(z)
+    x, (shape,) = _flat(_as_phase_array(z))
     return _maybe_scalar(_q_flat(n, x).reshape(shape), z)
 
 
@@ -291,7 +292,7 @@ def kickstart_deficit(k: int) -> float:
 
 def one_way_deficit(k: int, p):
     """Single accelerated leg: 2 [Q(k, 1) - Q(k, p)], vectorized over p."""
-    x, shapes = _flat(1.0, p)
+    x, shapes = _flat(1.0, _as_phase_array(p))
     q_one, q_p = _split(_q_flat(k, x), shapes)
     return _maybe_scalar(2.0 * (q_one - q_p), p)
 
@@ -349,7 +350,7 @@ def _product_tile(coeffs, x, shapes, shape):
 
 def one_way_deficit_sum(k: int, p):
     """Cosine-series form of the single-leg deficit, for cross-checking."""
-    acc, _ = _product_sum(k, [p])
+    acc, _ = _product_sum(k, [_as_phase_array(p)])
     return _maybe_scalar(acc, p)
 
 
@@ -360,20 +361,18 @@ def two_way_deficit(k: int, p, p_prime):
 
     Vanishes exactly when p = 1 or p p' = 1.
     """
-    parr = _as_phase_array(p)
-    pparr = _as_phase_array(p_prime)
-    x, shapes = _flat(1.0, parr, pparr, parr * pparr, parr * parr * pparr)
+    p, pp = map(_as_phase_array, (p, p_prime))
+    x, shapes = _flat(1.0, p, pp, p * pp, p * p * pp)
     q1, qp, qpp, qppp, qp2pp = _split(_q_flat(k, x), shapes)
     value = 2.0 * (2.0 * q1 - 2.0 * qp + qpp - 2.0 * qppp + qp2pp)
-    return _maybe_scalar(value, p, p_prime)
+    return _maybe_scalar(value, p, pp)
 
 
 def two_way_deficit_sum(k: int, p, p_prime):
     """Cosine-series form of the out-and-stop deficit, for cross-checking."""
-    parr = _as_phase_array(p)
-    pparr = _as_phase_array(p_prime)
-    acc, _ = _product_sum(k, [parr, parr * pparr])
-    return _maybe_scalar(acc, p, p_prime)
+    p, pp = map(_as_phase_array, (p, p_prime))
+    acc, _ = _product_sum(k, [p, p * pp])
+    return _maybe_scalar(acc, p, pp)
 
 
 def round_trip_deficit(k: int, p, p_prime, p_dprime):
@@ -383,11 +382,9 @@ def round_trip_deficit(k: int, p, p_prime, p_dprime):
 
     Vanishes exactly when p = 1, p p' = 1, or p**2 p' p'' = 1.
     """
-    parr = _as_phase_array(p)
-    pparr = _as_phase_array(p_prime)
-    ppparr = _as_phase_array(p_dprime)
-    acc, _ = _product_sum(k, [parr, parr * pparr, parr * parr * pparr * ppparr])
-    return _maybe_scalar(acc, p, p_prime, p_dprime)
+    p, pp, ppp = map(_as_phase_array, (p, p_prime, p_dprime))
+    acc, _ = _product_sum(k, [p, p * pp, p * p * pp * ppp])
+    return _maybe_scalar(acc, p, pp, ppp)
 
 
 # The coarsest float spacing a phase argument may have, in radians, so the

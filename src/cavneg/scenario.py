@@ -6,7 +6,8 @@ each with a proper duration measured at the cavity centre.  Every accelerated
 stretch is booked as boost into the accelerated basis, free evolution there,
 boost back, so the cavity starts and ends each segment in an inertial frame.
 A kickstart scenario drops the final boost back, describing a trajectory that
-ends while still accelerating.
+ends while still accelerating.  Both engines read every segment's phases off
+one spectrum, _frequencies, built once per walk.
 
 The second-order negativity of a scenario reads column k of the end-to-end
 transform only: for an excitation in mode k it is 1/2 - h**2 * deficit, with
@@ -118,34 +119,23 @@ class Scenario:
         object.__setattr__(self, "segments", segs)
 
 
-def _inertial_frequencies(cfg: CavityConfig) -> np.ndarray:
-    n = np.arange(1, cfg.n_max + 1, dtype=float)
-    return np.sqrt(cfg.M * cfg.M + (math.pi * n) ** 2) / cfg.delta
-
-
-def _accelerated_frequencies(cfg: CavityConfig) -> np.ndarray:
-    if cfg.M == 0:
-        base = rindler_frequency(1, cfg)
-        return base * np.arange(1, cfg.n_max + 1, dtype=float)
-    # No accelerated spectrum is known at M > 0; the h -> 0 phase rule reuses
-    # the inertial frequencies, an O(h) phase error that leaves the
-    # second-order deficit structure untouched.
-    return _inertial_frequencies(cfg)
-
-
 def _frequencies(cfg: CavityConfig) -> dict:
-    """The mode frequencies of each segment kind."""
-    return {Inertial: _inertial_frequencies(cfg), Accelerated: _accelerated_frequencies(cfg)}
+    """The frequencies of modes 1 .. n_max for each segment kind, the one
+    spectrum both engines read.  At M = 0 an accelerated leg runs at the
+    Rindler rates, integer multiples of the lowest.  No accelerated spectrum
+    is known at M > 0; the h -> 0 phase rule reuses the inertial frequencies,
+    an O(h) phase error that leaves the second-order deficit structure
+    untouched."""
+    n = np.arange(1, cfg.n_max + 1, dtype=float)
+    inertial = np.sqrt(cfg.M * cfg.M + (math.pi * n) ** 2) / cfg.delta
+    accelerated = rindler_frequency(1, cfg) * n if cfg.M == 0 else inertial
+    return {Inertial: inertial, Accelerated: accelerated}
 
 
 def _accelerated_segment(
-    boost: PerturbativeTransform,
-    cfg: CavityConfig,
-    sign: int,
-    duration: float,
-    open_ended: bool,
+    boost: PerturbativeTransform, z: np.ndarray, sign: int, open_ended: bool
 ) -> PerturbativeTransform:
-    z = np.exp(1j * _accelerated_frequencies(cfg) * duration)
+    """The leg of the given sign whose accelerated-frame phases are z."""
     if open_ended:
         # boost then accelerated-frame evolution, no boost back
         return PerturbativeTransform(
@@ -171,12 +161,18 @@ def _transform_steps(s: Scenario):
     """Yield the end-to-end transform after each segment of s, in order:
     one fresh transform per segment, composed onto the steps before it."""
     cfg, last = s.cfg, len(s.segments) - 1
+    freqs = _frequencies(cfg)
     legs = any(isinstance(seg, Accelerated) for seg in s.segments)
     boost = _boost(cfg.n_max, cfg.M) if legs else None
     segments = (
-        phase_rotation(seg.duration, _inertial_frequencies(cfg), cfg.n_max)
+        phase_rotation(seg.duration, freqs[Inertial])
         if isinstance(seg, Inertial)
-        else _accelerated_segment(boost, cfg, seg.sign, seg.duration, s.kickstart and i == last)
+        else _accelerated_segment(
+            boost,
+            np.exp(1j * freqs[Accelerated] * seg.duration),
+            seg.sign,
+            s.kickstart and i == last,
+        )
         for i, seg in enumerate(s.segments)
     )
     yield from itertools.accumulate(segments, lambda total, t: compose(t, total))

@@ -427,10 +427,12 @@ def _general_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: 
         n_max=params["n_max"],
     )
     u, v, w = (np.broadcast_to(coords[name], shape).ravel() for name in ("u", "v", "w"))
-    results = [
-        scenario_negativity(_build_scenario(spec.scenario, cfg, *uvw, spec.segments))
-        for uvw in zip(u, v, w)
-    ]
+    # overflowing boost entries give NaN, refused below without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = [
+            scenario_negativity(_build_scenario(spec.scenario, cfg, *uvw, spec.segments))
+            for uvw in zip(u, v, w)
+        ]
     deficit = np.array([d for d, _ in results]).reshape(shape)
     if np.isnan(deficit).any():
         raise NumericValidityError(

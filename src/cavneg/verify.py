@@ -53,8 +53,9 @@ from .closedform import (
 )
 from .scenario import (
     CavityConfig,
+    Inertial,
     Scenario,
-    _inertial_frequencies,
+    _frequencies,
     _transform_steps,
     effective_transform,
     kickstart_scenario,
@@ -392,9 +393,10 @@ def _dropped_and_caught_check() -> CheckResult:
     n_max = _REFERENCE_N_MAX
     cfg = CavityConfig(n_max=n_max)
     boost = _boost(n_max, 0.0)
+    rates = _frequencies(cfg)[Inertial]
     worst = 0.0
     for tau in (0.3, 0.7, 1.9):
-        fall = phase_rotation(tau, _inertial_frequencies(cfg), n_max)
+        fall = phase_rotation(tau, rates)
         t = compose(boost, compose(fall, inverse(boost)))
         for k in (1, 2, 3):
             deficit, tail = negativity_general(t, k)

@@ -221,7 +221,7 @@ def test_inverse_cancels_boost():
 def test_compose_is_associative():
     cfg_freqs = math.pi * np.arange(1, 61)
     a = massless_boost_transform(60)
-    b = phase_rotation(0.8, cfg_freqs, 60)
+    b = phase_rotation(0.8, cfg_freqs)
     c = inverse(massless_boost_transform(60))
     left = compose(c, compose(b, a))
     right = compose(compose(c, b), a)
@@ -235,7 +235,7 @@ def test_composed_chain_keeps_identities():
     freqs = math.pi * np.arange(1, 201)
     chain = compose(
         inverse(massless_boost_transform(200)),
-        compose(phase_rotation(1.3, freqs, 200), massless_boost_transform(200)),
+        compose(phase_rotation(1.3, freqs), massless_boost_transform(200)),
     )
     res = check_identities(chain)
     assert res.order0_residual < 1e-14
@@ -245,10 +245,10 @@ def test_composed_chain_keeps_identities():
 
 def test_phase_rotation_adds_durations():
     freqs = np.sqrt(25.0 + math.pi**2 * np.arange(1, 31) ** 2)
-    one = phase_rotation(0.4, freqs, 30)
-    two = phase_rotation(1.1, freqs, 30)
+    one = phase_rotation(0.4, freqs)
+    two = phase_rotation(1.1, freqs)
     both = compose(two, one)
-    direct = phase_rotation(1.5, freqs, 30)
+    direct = phase_rotation(1.5, freqs)
     assert float(abs(both.order0 - direct.order0).max()) < 1e-13
 
 
@@ -329,7 +329,7 @@ def test_real_blocks_stay_real_and_composition_is_complex():
         massless_boost_transform(8),
         massive_boost_transform(8, 10.0),
         identity_transform(8),
-        phase_rotation(0.3, freqs, 8),
+        phase_rotation(0.3, freqs),
     ):
         assert all(getattr(t, b).dtype == np.float64 for b in blocks)
         assert t.order0.dtype == np.complex128

@@ -5,6 +5,7 @@ printed series.
 """
 
 import ast
+import inspect
 import math
 import sys
 import tracemalloc
@@ -708,6 +709,19 @@ def test_phases_outside_the_disk_are_rejected(call):
     for phase in (1.1, 1.1j, np.array([0.5, -1.1])):
         with pytest.raises(ValueError, match="on or inside the unit circle"):
             _NAN_PHASE_CALLS[call](phase)
+
+
+@pytest.mark.parametrize("name", sorted({call.split("-")[0] for call in _NAN_PHASE_CALLS}))
+def test_phases_within_the_rounding_allowance_are_accepted(name):
+    # each phase argument may sit 1e-12 outside the unit circle and is
+    # checked once; the products of the arguments are not checked again, so
+    # every argument at 1 + 0.9e-12 gives the deficit on the circle
+    func = getattr(closedform, name)
+    nargs = len(inspect.signature(func).parameters) - 1
+    on_circle = func(1, *[np.exp(0.7j)] * nargs)
+    got = func(1, *[(1.0 + 0.9e-12) * np.exp(0.7j)] * nargs)
+    assert math.isfinite(got)
+    assert got == pytest.approx(on_circle, rel=1e-10)
 
 
 def test_heavy_field_rejects_k_over_m_above_the_sweep_limit():

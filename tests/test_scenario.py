@@ -34,9 +34,8 @@ from cavneg.scenario import (
     negativity_general,
     one_way_scenario,
     round_trip_scenario,
-    _accelerated_frequencies,
     _column_result,
-    _inertial_frequencies,
+    _frequencies,
     _transform_steps,
     scenario_negativity,
 )
@@ -205,10 +204,10 @@ def _per_segment_column(s):
     column = boost_column(cfg.n_max, k, cfg.M)
     for i, seg in enumerate(s.segments):
         if isinstance(seg, Inertial):
-            phases = np.exp(1j * _inertial_frequencies(cfg) * seg.duration)
+            phases = np.exp(1j * _frequencies(cfg)[Inertial] * seg.duration)
             a, b, Z = phases * a, phases * b, phases * Z
             continue
-        z = np.exp(1j * _accelerated_frequencies(cfg) * seg.duration)
+        z = np.exp(1j * _frequencies(cfg)[Accelerated] * seg.duration)
         if s.kickstart and i == len(s.segments) - 1:
             a_seg = seg.sign * z * column[0]
             b_seg = seg.sign * z * column[1]
@@ -256,9 +255,9 @@ def _reference_transform(s):
     total = None
     for i, seg in enumerate(s.segments):
         if isinstance(seg, Inertial):
-            freqs = _inertial_frequencies(cfg)
+            freqs = _frequencies(cfg)[Inertial]
             if total is None:
-                total = phase_rotation(seg.duration, freqs, cfg.n_max)
+                total = phase_rotation(seg.duration, freqs)
             else:
                 phases = np.exp(1j * freqs * seg.duration)
                 total = PerturbativeTransform(
@@ -268,7 +267,7 @@ def _reference_transform(s):
                     phases * total.alpha2_diag,
                 )
             continue
-        z = np.exp(1j * _accelerated_frequencies(cfg) * seg.duration)
+        z = np.exp(1j * _frequencies(cfg)[Accelerated] * seg.duration)
         if s.kickstart and i == len(s.segments) - 1:
             leg = PerturbativeTransform(
                 z,
@@ -377,8 +376,8 @@ def test_scenario_refuses_durations_its_phases_cannot_resolve(M):
     # the phase of mode n_max must stay below 2**33, where a float still
     # resolves 1e-6 rad; past it the engines gave deficits of noise
     cfg = CavityConfig(M=M, h=0.01, n_max=40)
-    for kind, rate in ((Inertial, _inertial_frequencies), (Accelerated, _accelerated_frequencies)):
-        reach = 2.0**33 / rate(cfg)[-1]
+    for kind in (Inertial, Accelerated):
+        reach = 2.0**33 / _frequencies(cfg)[kind][-1]
         args = (1,) if kind is Accelerated else ()
         s = Scenario((kind(*args, 0.999 * reach),), cfg)
         assert scenario_negativity(s)[0] >= 0.0
@@ -417,7 +416,7 @@ def _dropped_and_caught(tau, cfg):
     # a cavity held static in gravity starts in Rindler modes: the drop is
     # the inverse boost, the fall the inertial phases, the catch the boost
     boost = _boost(cfg.n_max, cfg.M)
-    fall = phase_rotation(tau, _inertial_frequencies(cfg), cfg.n_max)
+    fall = phase_rotation(tau, _frequencies(cfg)[Inertial])
     return compose(boost, compose(fall, inverse(boost)))
 
 

@@ -523,6 +523,55 @@ def test_preset_csv_digest(name, tmp_path):
     assert out.read_bytes() == text.encode("utf-8")
 
 
+# SHA-256 of the --mode both CSVs of perfbench's engine jobs (n_max 2000, k 1,
+# phases drawn by perfbench/workloads.make_jobs) for seeds 1 and 2, and of the
+# stdout of each --verify level, recorded at commit 6cd956a.  Like the preset
+# digests they must stay byte-identical.  A change that moves them on purpose
+# records the new digests here in the same commit, next to the preset table
+# and perfbench's copy of it, and logs in CHANGES.md why the bytes moved and
+# the largest change of each value.
+ENGINE_DIGESTS = {
+    1: {
+        "one-way": "911f510385807e598ecd7c4583246ade0e73369cef8e6989aafd3ce1b4929d68",
+        "alpha-centauri": "8d78b9b08986c011679c39da05461b0235ff2700d155ebb05e4237c1abc579d4",
+        "round-trip": "794eec8ca31e829a9cc75fd6996e784f92a29b9b7c9e12f83999ee93a28d14b2",
+        "kickstart": "9b4509c6587a5e3f6f7ca7b247fb13adfb403b8a8286a8c774f898fccd8b0d89",
+    },
+    2: {
+        "one-way": "409422a8fbfa06e0d446ab7068c4f5d37ffe155d384e2b181cbd9f30fa2859c0",
+        "alpha-centauri": "440d3efa66a78f1cd129cff4a1c2d9f49c5a987c2c7f0741688b025407a7d03b",
+        "round-trip": "e42988ff6431c4a69b4990e32ae9061bdb6023df9a8c0e5d831c66e31416af64",
+        "kickstart": "b8c2cf95f3d37a6639e6b3059b11c9e9eccaa61714de8b0ae031e5220287f53d",
+    },
+}
+VERIFY_DIGESTS = {
+    "fast": "c4616a72ba646e90af71819b40c1df93485f8d95a6d85dcf40f9046c1687269d",
+    "full": "1ea4e5c69b503b5734a0269c3ed485ee4db11053f0d088581328b37daef506da",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ENGINE_DIGESTS))
+def test_engine_both_csv_digest(seed, tmp_path, monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    from workloads import make_jobs
+
+    digests = {}
+    for job in make_jobs("engine", seed):
+        config, out = tmp_path / "phases.cfg", tmp_path / job["out"]
+        config.write_text(job["config"], encoding="utf-8")
+        assert main([*job["argv"], "--config", str(config), "--out", str(out)]) == 0
+        digests[job["name"]] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == ENGINE_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("level", sorted(VERIFY_DIGESTS))
+def test_verify_stdout_digest(level, capsys):
+    assert main(["--verify", level]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[level]
+
+
 def _format_value(value) -> str:
     # the per-cell formatter the row writer replaced, kept as its reference
     if isinstance(value, str):
@@ -770,6 +819,21 @@ def test_k_above_the_closed_form_bound_is_refused(tmp_path, argv):
     done = _bounded_main(tmp_path, argv)
     assert done.stdout.strip() == "1", done.stderr
     assert f"is above {sweep._MAX_K}, the largest the closed forms take" in done.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("M", ["1e150", "1e200"])
+def test_an_overflowing_engine_writes_one_error_line(tmp_path, M):
+    # the boost entries overflow; numpy's warnings about it would come
+    # before the NaN refusal, which is all stderr holds
+    argv = ["--scenario", "one-way", "--mode", "general", "--M", M, "--n-max", "10",
+            "--out", str(tmp_path / "x.csv")]
+    done = _bounded_main(tmp_path, argv)
+    assert done.stdout.strip() == "2", done.stderr
+    assert done.stderr.splitlines() == [
+        "numeric validity error: the engine deficit came out NaN at k = 1 for "
+        f"M = {float(M)!r}, h = 0.01, n_max = 10"
+    ]
     assert not list(tmp_path.iterdir())
 
 
