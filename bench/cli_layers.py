@@ -25,9 +25,12 @@ full``, is this script's own. The stages of a ``main`` call are:
 - ``total_s``: the whole ``main`` call.
 
 The report holds, per tree and workload, the median over rounds of each stage
-summed over the jobs of a pass, the median of each job's stages, and the
-cyclic garbage collector's work during a pass (``gc_s``, and the collections
-of each generation), which the stages include wherever it fell. The wrappers
+summed over the jobs of a pass, ``total_s_min``, the smallest of those
+per-pass totals (a slow spell of the host lengthens a pass, never shortens
+it, so the minimum moves less than the median between records), the median
+of each job's stages, and the cyclic garbage collector's work during a pass
+(``gc_s``, and the collections of each generation), which the stages include
+wherever it fell. The wrappers
 that time the stages add about a microsecond per call. It also holds, per
 pass:
 
@@ -476,15 +479,15 @@ def _summary(passes: list) -> dict:
         }
         for name in names
     }
-    stages = {
-        stage: statistics.median(sum(p["jobs"][n][stage] for n in names) for p in passes)
-        for stage in STAGES
+    sums = {
+        stage: [sum(p["jobs"][n][stage] for n in names) for p in passes] for stage in STAGES
     }
     threads = [p["threads"] for p in passes]
     maxrss = [p["maxrss_mb"] for p in passes]
     summary = {
         "jobs": len(names),
-        **stages,
+        **{stage: statistics.median(values) for stage, values in sums.items()},
+        "total_s_min": min(sums["total_s"]),
         "gc_s": statistics.median(p["gc_s"] for p in passes),
         "gc_collections": [
             statistics.median(p["gc_collections"][g] for p in passes) for g in range(3)
@@ -549,6 +552,7 @@ def show(report: dict):
             setup = ", ".join(f"{s} {row['setup'][s] * 1e3:.2f}" for s in SETUP_PARTS)
             yield (
                 f"{label} {workload} ({row['jobs']} jobs, ms): {cells}, "
+                f"total_s_min {row['total_s_min'] * 1e3:.2f}, "
                 f"gc {row['gc_s'] * 1e3:.2f} ({row['gc_collections']}), "
                 f"cpu - wall {row['cpu_minus_wall_s'] * 1e3:.2f}; "
                 f"setup: {setup}; threads {row['threads']}; "

@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--h", type=parse_number, help="dimensionless acceleration")
     p.add_argument("--M", type=parse_number, help="dimensionless mass")
-    p.add_argument("--delta", type=parse_number, help="cavity length")
     p.add_argument("--n-max", type=parse_number, dest="n_max", help="mode cutoff")
     p.add_argument("--mode", choices=["closed-form", "general", "both"])
     p.add_argument(
@@ -85,6 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="convert laboratory numbers and report the peak degradation",
     )
     p.add_argument("--accel", type=parse_number, help="proper acceleration, m/s^2")
+    p.add_argument(
+        "--delta", type=parse_number, help="cavity length in metres, read by --estimate"
+    )
     p.add_argument("--mass", type=parse_number, help="field mass, kg")
     p.add_argument("--wavelength", type=parse_number, help="transverse wavelength, m")
     return p
@@ -131,7 +133,7 @@ def _parse_k(text: str) -> tuple:
     return tuple(parse_number(x) for x in text.split(","))
 
 
-_FIXED_KEYS = ("k", "h", "M", "delta", "n_max")
+_FIXED_KEYS = ("k", "h", "M", "n_max")
 
 
 def read_config(path: str) -> dict:

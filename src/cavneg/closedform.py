@@ -301,8 +301,7 @@ def _product_sum(k: int, factors):
     # sum_r a_kr prod_j |x_j**(1+2r) - 1|**2 over the given unit phases, with
     # the powers of every factor in one pass; each factor's powers stay at
     # that factor's own shape, only the product broadcasts
-    r_max, tail = _cutoff(k, TOL_SUM, len(factors))
-    coeffs = q_coefficients(k, r_max)
+    coeffs = q_coefficients(k, _cutoff(k, TOL_SUM, len(factors))[0])
     x, shapes = _flat(*factors)
     shape = np.broadcast_shapes(*shapes)
     shapes = [(1,) * (len(shape) - len(s)) + s for s in shapes]
@@ -314,8 +313,8 @@ def _product_sum(k: int, factors):
             term = term * f
         out = np.empty((len(coeffs) + 1,) + shape)
         np.multiply(term, factor_rows[-1], out=out[1:])
-        return _term_sums(out), tail
-    return _product_tile(coeffs, x, shapes, shape), tail
+        return _term_sums(out)
+    return _product_tile(coeffs, x, shapes, shape)
 
 
 def _product_tile(coeffs, x, shapes, shape):
@@ -350,8 +349,7 @@ def _product_tile(coeffs, x, shapes, shape):
 
 def one_way_deficit_sum(k: int, p):
     """Cosine-series form of the single-leg deficit, for cross-checking."""
-    acc, _ = _product_sum(k, [_as_phase_array(p)])
-    return _maybe_scalar(acc, p)
+    return _maybe_scalar(_product_sum(k, [_as_phase_array(p)]), p)
 
 
 def two_way_deficit(k: int, p, p_prime):
@@ -371,8 +369,7 @@ def two_way_deficit(k: int, p, p_prime):
 def two_way_deficit_sum(k: int, p, p_prime):
     """Cosine-series form of the out-and-stop deficit, for cross-checking."""
     p, pp = map(_as_phase_array, (p, p_prime))
-    acc, _ = _product_sum(k, [p, p * pp])
-    return _maybe_scalar(acc, p, pp)
+    return _maybe_scalar(_product_sum(k, [p, p * pp]), p, pp)
 
 
 def round_trip_deficit(k: int, p, p_prime, p_dprime):
@@ -383,8 +380,7 @@ def round_trip_deficit(k: int, p, p_prime, p_dprime):
     Vanishes exactly when p = 1, p p' = 1, or p**2 p' p'' = 1.
     """
     p, pp, ppp = map(_as_phase_array, (p, p_prime, p_dprime))
-    acc, _ = _product_sum(k, [p, p * pp, p * p * pp * ppp])
-    return _maybe_scalar(acc, p, pp, ppp)
+    return _maybe_scalar(_product_sum(k, [p, p * pp, p * p * pp * ppp]), p, pp, ppp)
 
 
 # The coarsest float spacing a phase argument may have, in radians, so the
@@ -410,7 +406,7 @@ def _check_phase(largest: float, what: str) -> None:
         )
 
 
-def _massive_modes(k: int, M: float, delta: float, n_max: int):
+def _massive_modes(k: int, M: float, n_max: int):
     """The refusals of the heavy-field sum, and its dw, amp and pref."""
     if not M > 0:
         raise ValueError("the heavy-field limit needs M > 0; use the massless forms")
@@ -421,8 +417,6 @@ def _massive_modes(k: int, M: float, delta: float, n_max: int):
             f"k/M = {k / M:.3g} is above {_MAX_K_OVER_M}, where the heavy-field "
             "limit is no longer accurate"
         )
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
     if n_max < 2 * k:
         raise ValueError(f"n_max must be at least 2k = {2 * k}, got {n_max}")
     try:
@@ -443,26 +437,24 @@ def _massive_modes(k: int, M: float, delta: float, n_max: int):
 
 def _massive_reach(k: int, M: float, n_max: int) -> float:
     # the bound no duration exceeds, as each 1 - cos is at most 2
-    _, amp, pref = _massive_modes(k, M, 1.0, n_max)
+    _, amp, pref = _massive_modes(k, M, n_max)
     return 2.0 * pref * float(np.sum(amp))
 
 
-def massive_limit_deficit(
-    k: int, M: float, tau_bar, delta: float = 1.0, n_max: int = 200
-):
+def massive_limit_deficit(k: int, M: float, tau_bar, n_max: int = 200):
     """Single-leg deficit in the heavy-field limit, vectorized over tau_bar:
 
         M**4 (256 k**2 / pi**8) sum_n n**2 / (k**2 - n**2)**6
             * (1 - cos((sqrt(M**2 + pi**2 k**2) - sqrt(M**2 + pi**2 n**2))
-                       tau_bar / delta))
+                       tau_bar))
 
     over positive n of parity opposite to k.  The frequency difference is
     evaluated as pi**2 (k**2 - n**2) / (sum of the square roots) to dodge the
     cancellation that dominates at large M.  Approximately periodic in
-    tau_bar with period 4 M delta / pi.  A ratio k/M above 0.05, where the
-    limit is no longer accurate, raises ValueError, and so does n_max below
-    2k, the engine's rule k <= n_max / 2, as the sum would stop short of the
-    modes around k that dominate it.  So does a tau_bar at which a mode that
+    tau_bar, a duration in cavity units, with period 4 M / pi.  A ratio k/M
+    above 0.05, where the limit is no longer accurate, raises ValueError,
+    and so does n_max below 2k, the engine's rule k <= n_max / 2, as the sum
+    would stop short of the modes around k that dominate it.  So does a tau_bar at which a mode that
     can move the sum by more than 1e-12 of its reach, 2 pref sum_n amp_n,
     has a cos argument that is not finite or that a float resolves more
     coarsely than 1e-6 rad.  The modes far from k, whose arguments are the
@@ -471,7 +463,7 @@ def massive_limit_deficit(
     An M whose fourth power overflows a float, an infinite M included,
     raises OverflowError.
     """
-    dw, amp, pref = _massive_modes(k, M, delta, n_max)
+    dw, amp, pref = _massive_modes(k, M, n_max)
     t = np.asarray(tau_bar, dtype=float)
     # the modes of largest |dw| whose weights add up to at most _NOISE_SHARE
     # of all may hold noise; the largest cos argument of the rest must
@@ -479,12 +471,11 @@ def massive_limit_deficit(
     order = np.argsort(np.abs(dw))
     weight = np.cumsum(amp[order][::-1])[::-1]  # of a mode and all of larger |dw|
     need = abs(dw[order][np.count_nonzero(weight > _NOISE_SHARE * weight[0]) - 1])
-    _check_phase(float(np.max(np.abs(t), initial=0.0) * need) / delta, "tau_bar")
+    _check_phase(float(np.max(np.abs(t), initial=0.0) * need), "tau_bar")
     # the waveform matrix is built in place, so the pass holds one; the
     # product runs over the whole grid at once, as row blocks of it would
     # round differently
     osc = np.multiply.outer(t, dw)
-    np.divide(osc, delta, out=osc)
     np.cos(osc, out=osc)
     np.subtract(1.0, osc, out=osc)
     value = pref * (osc @ amp)

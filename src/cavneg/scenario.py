@@ -2,10 +2,11 @@
 
 One cavity of an initially maximally entangled pair travels along a piecewise
 trajectory: uniformly accelerated stretches with a sign and inertial coasts,
-each with a proper duration measured at the cavity centre.  Every accelerated
-stretch is booked as boost into the accelerated basis, free evolution there,
-boost back, so the cavity starts and ends each segment in an inertial frame.
-A kickstart scenario drops the final boost back, describing a trajectory that
+each with a proper duration measured at the cavity centre in cavity units
+(the light bounce time is 2; see spectrum).  Every accelerated stretch is
+booked as boost into the accelerated basis, free evolution there, boost back,
+so the cavity starts and ends each segment in an inertial frame.  A
+kickstart scenario drops the final boost back, describing a trajectory that
 ends while still accelerating.  Both engines read every segment's phases off
 one spectrum, _frequencies, built once per walk.
 
@@ -127,7 +128,7 @@ def _frequencies(cfg: CavityConfig) -> dict:
     an O(h) phase error that leaves the second-order deficit structure
     untouched."""
     n = np.arange(1, cfg.n_max + 1, dtype=float)
-    inertial = np.sqrt(cfg.M * cfg.M + (math.pi * n) ** 2) / cfg.delta
+    inertial = np.sqrt(cfg.M * cfg.M + (math.pi * n) ** 2)
     accelerated = rindler_frequency(1, cfg) * n if cfg.M == 0 else inertial
     return {Inertial: inertial, Accelerated: accelerated}
 

@@ -2,14 +2,15 @@
 
 A Dirichlet cavity of proper length ``delta`` confines a scalar field whose
 dimensionless mass is ``M`` (field mass times cavity length in natural
-units).  The inertial mode spectrum is ``omega_n = sqrt(M**2 + pi**2 n**2) /
-delta``.  While the cavity rides a uniformly accelerated worldline, the
-massless modes oscillate at integer multiples of a boost frequency set by the
-dimensionless acceleration ``h`` (proper acceleration at the cavity centre
-times ``delta``).  Everything downstream works in terms of ``h``, ``M`` and
-proper durations measured at the cavity centre; this module converts
-laboratory numbers into that language and reports whether the perturbative
-treatment applies.
+units).  Times are in cavity units, a proper duration at the cavity centre
+times c / ``delta``, so the light bounce time is 2 and the inertial mode
+spectrum is ``omega_n = sqrt(M**2 + pi**2 n**2)``.  While the cavity rides a
+uniformly accelerated worldline, the massless modes oscillate at integer
+multiples of a boost frequency set by the dimensionless acceleration ``h``
+(proper acceleration at the cavity centre times ``delta``).  Everything
+downstream works in terms of ``h``, ``M`` and durations in cavity units;
+``delta`` enters only where this module converts laboratory numbers into
+that language and reports whether the perturbative treatment applies.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ MASSIVE_BOUND = 100.0
 class CavityConfig:
     """Parameters of one cavity run.
 
-    delta: proper cavity length, > 0 (metres, or 1 in natural units).
     M: dimensionless field mass, >= 0.
     h: dimensionless acceleration, signed.  |h| < 2 keeps the proper
         acceleration finite at the trailing cavity wall.
@@ -48,15 +48,12 @@ class CavityConfig:
     n_max: mode truncation cutoff, >= k + 1.
     """
 
-    delta: float = 1.0
     M: float = 0.0
     h: float = 0.0
     k: int = 1
     n_max: int = 200
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
         if not self.M >= 0:
             raise ValueError(f"M must be non-negative, got {self.M}")
         if not abs(self.h) < 2:
@@ -102,12 +99,12 @@ def validity_report(cfg: CavityConfig) -> ValidityReport:
 
 def rindler_frequency(n: int, cfg: CavityConfig) -> float:
     """Frequency of massless mode n with respect to proper time at the cavity
-    centre while uniformly accelerated.
+    centre, in cavity units, while uniformly accelerated.
 
-    Equals pi h n / (2 delta atanh(h/2)), an even function of h that tends to
-    the inertial value pi n / delta as h -> 0.  h = 0 returns that limit so
-    sweeps can include the origin.  Only the massless accelerated spectrum is
-    available; M > 0 raises NotImplementedError.
+    Equals pi h n / (2 atanh(h/2)), an even function of h that tends to the
+    inertial value pi n as h -> 0.  h = 0 returns that limit so sweeps can
+    include the origin.  Only the massless accelerated spectrum is available;
+    M > 0 raises NotImplementedError.
     """
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
@@ -118,17 +115,18 @@ def rindler_frequency(n: int, cfg: CavityConfig) -> float:
     if not abs(cfg.h) < 2:
         raise ValueError(f"|h| must stay below 2, got {cfg.h}")
     if cfg.h == 0:
-        return math.pi * n / cfg.delta
+        return math.pi * n
     half = cfg.h / 2.0
-    return math.pi * n * half / (cfg.delta * math.atanh(half))
+    return math.pi * n * half / math.atanh(half)
 
 
 def acceleration_period(cfg: CavityConfig) -> float:
     """Proper time after which every accelerated massless mode phase returns
-    to one: 2 pi / rindler_frequency(1), which is 2 delta atanh(h/2) / (h/2).
+    to one: 2 pi / rindler_frequency(1), which is 2 atanh(h/2) / (h/2) in
+    cavity units.
 
-    Even in h, increasing in |h|, with inertial limit 2 delta (the light
-    bounce time) as h -> 0.  Raises as rindler_frequency does.
+    Even in h, increasing in |h|, with inertial limit 2 (the light bounce
+    time) as h -> 0.  Raises as rindler_frequency does.
     """
     return 2.0 * math.pi / rindler_frequency(1, cfg)
 

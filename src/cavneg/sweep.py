@@ -3,14 +3,16 @@
 A sweep walks a grid over up to three phase coordinates
 
     u: boost frequency times accelerated duration
-    v: pi times outbound coast duration over delta
-    w: pi times destination stay duration over delta
+    v: pi times outbound coast duration
+    w: pi times destination stay duration
 
 holding the remaining parameters fixed, and records one row per grid point.
-For a heavy field (M > 0) the u coordinate is read as pi tau_bar / (4 M
-delta), one unit per approximate period of the heavy-field waveform, and the
-deficit column keeps its usual per-h**2 scaling (divide by M**4 to land on
-the conventional heavy-field normalization).  This module alone turns (u, v,
+Durations are in cavity units (the light bounce time is 2), so the cavity
+length is no parameter of a sweep.  For a heavy field (M > 0) the u
+coordinate is read as pi tau_bar / (4 M), one unit per approximate period of
+the heavy-field waveform, and the deficit column keeps its usual per-h**2
+scaling (divide by M**4 to land on the conventional heavy-field
+normalization).  This module alone turns (u, v,
 w) into a trip (_tau_bar, _build_scenario) and into a named massless trip's
 closed form and series tail (_massless_closed); verify's pipeline checks and
 estimate_physical read the same map.
@@ -118,7 +120,6 @@ _DEFAULT_FIXED = {
     "k": 1,
     "h": 0.01,
     "M": 0.0,
-    "delta": 1.0,
     "n_max": 200,
     "u": 0.0,
     "v": 0.0,
@@ -196,7 +197,7 @@ class SweepSpec:
 
     scenario: one of {one-way, alpha-centauri, round-trip, kickstart, custom}.
     axes: up to three distinct Axis entries; row order follows their order.
-    fixed: overrides for {k, h, M, delta, n_max} and constant values
+    fixed: overrides for {k, h, M, n_max} and constant values
         of unswept phase coordinates {u, v, w}.  k is one mode index or a
         sequence of them, written as one block of rows per index in order.
     mode: closed-form | general | both; general evaluates each grid point
@@ -267,14 +268,12 @@ def _validated(spec: SweepSpec) -> dict:
     ks = params["k"] if isinstance(params["k"], (tuple, list)) else (params["k"],)
     params["k"] = tuple(_integral("k", k) for k in ks)
     params["n_max"] = _integral("n_max", params["n_max"])
-    for key in ("h", "M", "delta", "u", "v", "w"):
+    for key in ("h", "M", "u", "v", "w"):
         params[key] = float(params[key])
     if not params["k"] or min(params["k"]) < 1:
         raise ConfigError(f"k must hold indices >= 1, got {ks!r}")
     if spec.mode != "general":
         _check_closed_form_k(max(params["k"]))
-    if not params["delta"] > 0:
-        raise ConfigError(f"delta must be positive, got {params['delta']}")
     if not params["M"] >= 0:
         raise ConfigError(f"M must be non-negative, got {params['M']}")
     if not abs(params["h"]) < 2:
@@ -346,7 +345,7 @@ def _tau_bar(u, cfg: CavityConfig):
     """Accelerated proper duration of phase coordinate u, scalar or array."""
     if cfg.M == 0:
         return u / rindler_frequency(1, cfg)
-    return 4.0 * cfg.M * cfg.delta * u / math.pi
+    return 4.0 * cfg.M * u / math.pi
 
 
 def _build_scenario(
@@ -356,8 +355,8 @@ def _build_scenario(
     if name == "custom":
         return Scenario(segments, cfg)
     tau_bar = _tau_bar(u, cfg)
-    tau_prime = v * cfg.delta / math.pi
-    tau_dprime = w * cfg.delta / math.pi
+    tau_prime = v / math.pi
+    tau_dprime = w / math.pi
     if name == "one-way":
         return one_way_scenario(tau_bar, cfg)
     if name == "alpha-centauri":
@@ -395,11 +394,8 @@ def _closed_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: i
         # the full grid in one call, as the heavy-field sum is a matrix
         # product whose rounding may depend on the stack shape: it is not
         # split into row blocks, and its waveform is built in place instead
-        cfg = CavityConfig(delta=params["delta"], M=M)
-        tau = _tau_bar(np.broadcast_to(coords["u"], shape), cfg)
-        deficit = np.asarray(
-            massive_limit_deficit(k, M, tau, params["delta"], params["n_max"])
-        )
+        tau = _tau_bar(np.broadcast_to(coords["u"], shape), CavityConfig(M=M))
+        deficit = np.asarray(massive_limit_deficit(k, M, tau, params["n_max"]))
         tail = closedform._massive_tail(k, M, params["n_max"])
     else:
         deficit, tail = _massless_closed(spec.scenario, k, **coords)
@@ -419,13 +415,7 @@ def _general_grid(spec: SweepSpec, params: dict, coords: dict, shape: tuple, k: 
     (M = 1e200), raises NumericValidityError; in both mode it would
     otherwise reach the rows through the general and difference columns.
     """
-    cfg = CavityConfig(
-        delta=params["delta"],
-        M=params["M"],
-        h=params["h"],
-        k=k,
-        n_max=params["n_max"],
-    )
+    cfg = CavityConfig(M=params["M"], h=params["h"], k=k, n_max=params["n_max"])
     u, v, w = (np.broadcast_to(coords[name], shape).ravel() for name in ("u", "v", "w"))
     # overflowing boost entries give NaN, refused below without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):

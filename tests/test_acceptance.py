@@ -167,7 +167,7 @@ def test_criterion_4_zero_loci():
 
     round_ok = True
     sep3 = np.inf
-    for w in (0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0):  # stay angles pi tau''/delta
+    for w in (0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0):  # stay angles pi tau''
         d3 = np.asarray(
             round_trip_deficit(
                 1, np.exp(1j * u), np.exp(1j * v), np.exp(1j * w) * np.ones_like(u)
@@ -251,11 +251,11 @@ def _local_maxima(y):
 
 def test_criterion_7_heavy_field_waveform():
     start = time.perf_counter()
-    M, delta = 1e3, 1.0
-    period = 4.0 * M * delta / math.pi
+    M = 1e3
+    period = 4.0 * M / math.pi
     dt = period / 512.0
     t = np.arange(0.0, 3.0 * period, dt)
-    y = np.asarray(massive_limit_deficit(1, M, t, delta, 200))
+    y = np.asarray(massive_limit_deficit(1, M, t, 200))
     yc = y - y.mean()
     corr = np.correlate(yc, yc, "full")[len(yc) - 1 :]
     lo, hi = int(0.9 * period / dt), int(1.1 * period / dt)
@@ -263,11 +263,11 @@ def test_criterion_7_heavy_field_waveform():
     period_err = abs(lag - period) / period
 
     u = np.linspace(0.0, 3.0, 601)
-    tau = 4.0 * M * delta * u / math.pi
+    tau = 4.0 * M * u / math.pi
     counts = {k: _local_maxima(np.asarray(massive_limit_deficit(k, M, tau))) for k in (1, 2, 3, 4)}
     u30 = np.linspace(0.0, 3.0, 2401)
     count30 = _local_maxima(
-        np.asarray(massive_limit_deficit(30, M, 4.0 * M * delta * u30 / math.pi))
+        np.asarray(massive_limit_deficit(30, M, 4.0 * M * u30 / math.pi))
     )
     structure_ok = (
         6 <= counts[1] <= 12
@@ -279,7 +279,7 @@ def test_criterion_7_heavy_field_waveform():
     _report(
         7,
         period_err < 0.02 and structure_ok and elapsed < 30.0,
-        f"autocorrelation peak at lag {lag:.1f} vs 4M delta/pi = {period:.1f} "
+        f"autocorrelation peak at lag {lag:.1f} vs 4M/pi = {period:.1f} "
         f"({period_err:.2%} < 2%); oscillation counts grow from {counts[1]} "
         f"(k=1) through {counts[4]} (k=4) to {count30} (k=30); "
         f"{elapsed:.1f} s (< 30 s)",
@@ -287,28 +287,28 @@ def test_criterion_7_heavy_field_waveform():
 
 
 def test_criterion_8_periodicity():
+    # durations drawn for a cavity of length delta (c = 1) enter in cavity
+    # units, tau / delta; the coast period is the light bounce time 2
     rng = np.random.default_rng(20250815)
     worst = 0.0
     for _ in range(16):
         h = rng.uniform(0.2, 1.5)
         delta = rng.uniform(0.5, 2.0)
-        tau = rng.uniform(0.1, 2.5)
-        tau_p = rng.uniform(0.1, 2.5)
-        cfg = CavityConfig(delta=delta, h=h, n_max=200)
+        tau = rng.uniform(0.1, 2.5) / delta
+        tau_p = rng.uniform(0.1, 2.5) / delta
+        cfg = CavityConfig(h=h, n_max=200)
         period = acceleration_period(cfg)
         a, _ = scenario_negativity(one_way_scenario(tau, cfg))
         b, _ = scenario_negativity(one_way_scenario(tau + period, cfg))
         worst = max(worst, abs(a - b))
         c, _ = scenario_negativity(alpha_centauri_scenario(tau, tau_p, cfg))
-        d, _ = scenario_negativity(
-            alpha_centauri_scenario(tau, tau_p + 2.0 * delta, cfg)
-        )
+        d, _ = scenario_negativity(alpha_centauri_scenario(tau, tau_p + 2.0, cfg))
         worst = max(worst, abs(c - d))
     _report(
         8,
         worst < 1e-12,
         f"negativity invariant under tau -> tau + period and "
-        f"tau' -> tau' + 2 delta at 16 random points, worst shift "
+        f"tau' -> tau' + 2 at 16 random points, worst shift "
         f"{worst:.1e} (< 1e-12)",
     )
 

@@ -100,6 +100,38 @@ def test_the_untimed_verify_pass_returns_every_check_from_a_check_function(untim
         cli_layers._guard(rendered, [{"checks": ["a"]}])
 
 
+def test_cli_layers_summary_of_two_passes(monkeypatch):
+    # stage sums over the jobs of a pass, their medians over passes, and the
+    # smallest per-pass total beside the median total
+    monkeypatch.syspath_prepend(str(BENCH))
+    cli_layers = importlib.import_module("cli_layers")
+
+    def fake_pass(scale):
+        job = dict.fromkeys(cli_layers.STAGES, scale)
+        return {
+            "jobs": {"a": job, "b": job},
+            "gc_s": scale,
+            "gc_collections": [1, 0, 0],
+            "setup": dict.fromkeys(cli_layers.SETUP_PARTS, scale),
+            "threads": 1,
+            "cpu_minus_wall_s": 0.0,
+            "maxrss_mb": 50.0 + scale,
+            "calls": [{"function": "f", "checks": ["x"], "s": scale}],
+        }
+
+    summary = cli_layers._summary([fake_pass(1.0), fake_pass(3.0)])
+    assert summary["jobs"] == 2
+    assert summary["parse"] == summary["total_s"] == 4.0  # median of 2 and 6
+    assert summary["total_s_min"] == 2.0
+    assert summary["per_job"]["a"]["total_s"] == 2.0
+    assert (summary["maxrss_mb_min"], summary["maxrss_mb_max"]) == (51.0, 53.0)
+    assert summary["per_check"] == [{"function": "f", "checks": ["x"], "s": 2.0}]
+    summary["per_check"][0]["traced_peak_mb"] = 1.0
+    report = {"after": dict.fromkeys(cli_layers.WORKLOADS, summary)}
+    report["after"]["presets"] = {**summary, "untimed": {}}
+    assert "total_s 4000.00, total_s_min 2000.00," in next(cli_layers.show(report))
+
+
 def test_every_bench_script_has_one_record():
     # a folded or deleted script leaves no orphan record behind
     records = {}

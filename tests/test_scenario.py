@@ -152,7 +152,7 @@ def test_heavy_field_one_way_close_to_limit_form():
     cfg = CavityConfig(M=M, h=1e-5, n_max=300)
     tau = 0.25 * M
     deficit, _ = scenario_negativity(one_way_scenario(tau, cfg))
-    closed = float(massive_limit_deficit(1, M, tau, 1.0, 300))
+    closed = float(massive_limit_deficit(1, M, tau, 300))
     # the limit form keeps only the leading M**4 piece
     assert deficit == pytest.approx(closed, rel=2e-4)
 
@@ -425,7 +425,7 @@ def test_dropped_and_caught_cavity_is_the_one_way_form(tau):
     # at first order the drop-fall-catch chain has the blocks of a one-way
     # leg with the sign flipped and inertial phases in place of Rindler ones;
     # the deficit is quadratic in them, so it is the one-way form at
-    # p = exp(i pi tau / delta).  Measured 7.2e-13 at most, tails 0.80-2.44e-12
+    # p = exp(i pi tau).  Measured 7.2e-13 at most, tails 0.80-2.44e-12
     t = _dropped_and_caught(tau, CavityConfig(n_max=500))
     for k in (1, 2, 3):
         deficit, tail = negativity_general(t, k)

@@ -17,7 +17,7 @@ from cavneg.spectrum import (
 
 
 def test_rindler_frequency_value():
-    # pi * (h/2) / (delta * atanh(h/2)) at h = 1: atanh(1/2) = 0.54930614433405485
+    # pi * (h/2) / atanh(h/2) at h = 1: atanh(1/2) = 0.54930614433405485
     cfg = CavityConfig(h=1.0)
     assert rindler_frequency(1, cfg) == pytest.approx(2.8596008673801273, rel=1e-14)
     assert rindler_frequency(4, cfg) == pytest.approx(4 * 2.8596008673801273, rel=1e-14)
@@ -46,31 +46,35 @@ def test_acceleration_period():
     assert acceleration_period(cfg) * rindler_frequency(1, cfg) == pytest.approx(
         2.0 * math.pi, rel=1e-14
     )
-    assert acceleration_period(CavityConfig(h=0.0, delta=3.0)) == 6.0
+    # the light bounce time, in cavity units
+    assert acceleration_period(CavityConfig(h=0.0)) == 2.0
 
 
 @pytest.mark.parametrize("delta", [0.3, 1.0, 10.0])
 @pytest.mark.parametrize("h", [s * m for m in (1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 1.5, 1.99)
                                for s in (1.0, -1.0)])
 def test_rindler_spectrum_is_the_wall_ratio_form(h, delta):
-    # a second form of the spectrum: with the walls at chi = 1/h -+ 1/2 the
-    # Rindler frequencies are n pi / ln(b/a) per unit of Rindler time, and
-    # ln(b/a) = log1p(2h / (2 - h)); 3.6e-15 relative at most measured,
-    # where a 3-term atanh series errs by 1.6e-6 at h = 0.3
-    cfg = CavityConfig(h=h, delta=delta)
-    log_ratio = math.log1p(2.0 * h / (2.0 - h))
+    # a second form of the spectrum, in laboratory units: a cavity of length
+    # delta metres whose centre accelerates at h c**2 / delta has its walls
+    # at chi = c**2 / accel -+ delta / 2, and its Rindler frequencies are
+    # n pi c / (chi ln(b/a)) per second of the centre's proper time; the
+    # cavity-unit spectrum times c / delta must give them.  4.0e-15 relative
+    # at most measured, where a 3-term atanh series errs by 1.6e-6 at h = 0.3
+    cfg = CavityConfig(h=h)
+    chi = delta / h  # c**2 / accel
+    log_ratio = math.log1p(delta / (chi - delta / 2.0))
     for n in (1, 3, 200):
-        want = n * math.pi * h / (delta * log_ratio)
-        assert rindler_frequency(n, cfg) == pytest.approx(want, rel=1e-14, abs=0.0)
-    want = 2.0 * delta * log_ratio / h
-    assert acceleration_period(cfg) == pytest.approx(want, rel=1e-14, abs=0.0)
+        want = n * math.pi * C_LIGHT / (chi * log_ratio)
+        got = rindler_frequency(n, cfg) * C_LIGHT / delta
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    want = 2.0 * chi * log_ratio / C_LIGHT
+    got = acceleration_period(cfg) * delta / C_LIGHT
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(delta=0.0),
-        dict(delta=-1.0),
         dict(M=-0.5),
         dict(h=2.0),
         dict(h=-2.5),

@@ -339,19 +339,20 @@ def test_closed_form_tails_come_from_the_cutoff_rule():
             assert float(row["truncation_tail"]) == tail
 
 
-def test_nan_mass_or_length_rejected():
+def test_nan_mass_rejected():
     # without the check a NaN mass ran the massless closed forms in rows
     # labelled M=nan
     spec = SweepSpec("one-way", axes=(Axis("u", 0.5, 1.0, 2),), fixed={"M": math.nan})
     with pytest.raises(ConfigError, match="M must be non-negative, got nan"):
         run_sweep(spec)
-    with pytest.raises(ConfigError, match="delta must be positive, got nan"):
-        run_sweep(replace(spec, fixed={"delta": math.nan}))
 
 
 def test_unknown_fixed_key_rejected():
     with pytest.raises(ConfigError):
         run_sweep(one_way_spec(fixed={"k": 1, "hh": 0.1}))
+    # durations are in cavity units, so the cavity length is no sweep setting
+    with pytest.raises(ConfigError, match=r"unknown fixed parameters \['delta'\]"):
+        run_sweep(one_way_spec(fixed={"delta": 2.0}))
 
 
 @pytest.mark.parametrize(
@@ -1155,7 +1156,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["--scenario", "custom", "--segments", "acc:1:nan"],
         ["--scenario", "custom", "--segments", "acc:1:inf"],
         ["--scenario", "one-way", "--axis", "u=0:nan:3"],
-        ["--scenario", "one-way", "--delta", "inf", "--mode", "general"],
+        ["--scenario", "one-way", "--M", "inf", "--mode", "general"],
         ["--scenario", "one-way", "--k", "2.7", "--axis", "u=0:pi:3"],
     ],
 )
@@ -1252,6 +1253,20 @@ def test_cli_sweep_refuses_the_estimate_settings(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_sweep_refuses_the_cavity_length(tmp_path, capsys):
+    # --delta is read by --estimate alone: a sweep's durations are in cavity
+    # units, as a flag and as a config key
+    out = tmp_path / "x.csv"
+    argv = ["--scenario", "one-way", "--axis", "u=0:1:2", "--out", str(out)]
+    assert main(argv + ["--delta", "2"]) == 1
+    assert "a sweep does not read --delta" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("delta = 2\n", encoding="utf-8")
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert "unknown key 'delta'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_heavy_field_sweep_refuses_n_max_below_2k(tmp_path, capsys):
     out = tmp_path / "h.csv"
     argv = ["--scenario", "one-way", "--M", "1000", "--k", "30", "--h", "1e-5",
@@ -1288,6 +1303,18 @@ def test_cli_custom_segments(tmp_path):
     )
     assert code == 0
     assert len(rows_of(out.read_text(encoding="utf-8"))) == 1
+
+
+def test_cli_custom_trip_in_cavity_units(tmp_path, capsys):
+    # a cavity twice as long is the same trip at half the durations: the
+    # value the sweep's former --delta 2 gave for acc:+1:0.7,in:1.2,acc:-1:0.7
+    out = tmp_path / "c.csv"
+    argv = ["--scenario", "custom", "--segments", "acc:+1:0.35,in:0.6,acc:-1:0.35",
+            "--n-max", "400", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    (row,) = rows_of(out.read_text(encoding="utf-8"))
+    assert row["deficit_scaled"] == "0.18171449262116202"
 
 
 def test_cli_env_output_dir(tmp_path, monkeypatch, capsys):
